@@ -31,15 +31,13 @@ from .body_model import (
     unit,
 )
 from .arm_kinetics import (
+    PlacementContext,
     TorqueSet,
     VirtualChain,
     arm_force_expanded,
     arm_force_lsq,
     arm_jacobian,
     build_chain,
-    build_virtual_chain,
-    com_link_angles,
-    directed_advantage,
     mechanical_advantage,
 )
 from .errors import (
@@ -49,6 +47,7 @@ from .errors import (
     IndexOutOfRange,
     NoFeasiblePoint,
     ParseError,
+    ReachExceeded,
     ScenarioError,
     SchemaError,
     SingularChain,
@@ -60,17 +59,14 @@ from .placement_opt import (
     ObjectiveConfig,
     ObjectiveLandscape,
     Placement,
-    PlacementContext,
     RobotParams,
     Violation,
     argmax_lexicographic,
     evaluate_grid,
     feasibility_check,
     grid_axis,
-    handle_position,
     objective,
     optimize_placement,
-    torque_signs,
 )
 from .scenario_io import (
     Finding,
@@ -97,19 +93,18 @@ __all__ = [
     "BodyGeometry", "ComState",
     "default_segments", "absolute_link_angles", "forward_kinematics",
     "nonarm_com", "com_velocity", "shoulder_frame",
-    "TorqueSet", "VirtualChain", "build_chain", "build_virtual_chain",
-    "com_link_angles", "arm_force_expanded", "arm_force_lsq", "arm_jacobian",
-    "mechanical_advantage", "directed_advantage",
+    "TorqueSet", "VirtualChain", "build_chain",
+    "arm_force_expanded", "arm_force_lsq", "arm_jacobian", "mechanical_advantage",
     "JointLimits", "ObjectiveConfig", "RobotParams", "Violation",
     "PlacementContext", "ObjectiveLandscape", "Placement",
     "grid_axis", "evaluate_grid", "argmax_lexicographic", "objective",
-    "torque_signs", "handle_position", "feasibility_check", "optimize_placement",
+    "feasibility_check", "optimize_placement",
     "Finding", "Scenario", "scenario_from_dict", "scenario_to_dict",
     "read_scenario_file", "load_scenario", "save_scenario", "validate_scenario",
     "make_context", "fixture_path", "list_fixtures", "write_placement_report",
     "RenderStyle", "render_scene", "render_landscape",
     "HandleOptError", "DegenerateVelocity", "IndexOutOfRange", "SingularChain",
-    "IllConditioned", "ZeroTorque", "NoFeasiblePoint",
+    "IllConditioned", "ZeroTorque", "NoFeasiblePoint", "ReachExceeded",
     "ScenarioError", "ParseError", "SchemaError", "ValidationError",
     "__version__",
 ]

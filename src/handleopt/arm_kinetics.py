@@ -6,31 +6,46 @@ chain whose base joint sits at the handle. Joint torques at the handle
 (tau_7), elbow (tau_6) and shoulder (tau_5) then produce a force at the
 COM. Two force models are provided:
 
-* arm_force_expanded: per-joint lever sum. Each torque contributes
+* expanded: per-joint lever sum. Each torque contributes
   (tau_i / lever_i) along the unit direction (-sin a_i, cos a_i), where
   a_i is a subsidiary angle built from the chain geometry via the law of
   cosines. This is the model the optimizer uses by default.
-* arm_force_lsq: least-squares solution F = (J J^T)^-1 J tau of the
-  overdetermined statics J^T F = tau, with J the 2x3 chain Jacobian.
+* lsq: least-squares solution F = (J J^T)^-1 J tau of the
+  overdetermined statics J^T F = tau, with J the 2x3 chain Jacobian,
+  solved in closed form as a 2x2 system.
 
 The two maps are not algebraically identical for a general chain; tests
 record their ratio but the package does not pretend they agree.
+
+arm_forces is the one implementation of both models. It takes the arm
+angles as floats or as broadcastable arrays, so the optimizer's grid, a
+single objective query and the report all run the same arithmetic.
+build_chain, arm_force_expanded and arm_force_lsq are float-valued views
+of its geometry and force helpers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .body_model import FOREARM, UPPER_ARM, SegmentSet, Vec2, unit
+from .body_model import Vec2
 from .errors import IllConditioned, SingularChain, ZeroTorque
 
-# Levers and law-of-cosines denominators below this are treated as singular.
+FORCE_MODELS = ("expanded", "lsq")
+
+# A joint closer than this to the COM (meters) makes the chain singular.
 EPS_SINGULAR = 1e-6
-# Condition-number ceiling for the 2x2 least-squares system.
+# Ceiling on lambda_max / lambda_min of J J^T for the least-squares system.
 COND_LIMIT = 1e12
+
+SINGULAR_MESSAGE = f"a joint of the arm chain lies within {EPS_SINGULAR:.0e} m of the COM"
+ILL_CONDITIONED_MESSAGE = (
+    f"J J^T condition number exceeds {COND_LIMIT:.0e}; levers are nearly parallel"
+)
 
 
 @dataclass(frozen=True)
@@ -46,37 +61,53 @@ class TorqueSet:
 
 
 @dataclass(frozen=True)
-class VirtualChain:
-    """Geometry of the three-bar chain for one arm configuration.
-
-    r5 runs shoulder to elbow, r6 elbow to handle, r_com shoulder to COM.
-    lever5/6/7 are the distances from shoulder, elbow and handle to the
-    COM. theta_com is the world angle of r_com; theta_6com and theta_7com
-    are the subsidiary lever angles for the elbow and handle torque terms.
-    """
+class PlacementContext:
+    """Everything the objective needs about the body at max effort."""
 
     shoulder: Vec2
     theta_04: float
+    com: Vec2
+    v: Vec2
+    upper_len: float
+    fore_len: float
+
+    def rotated(self, phi: float) -> "PlacementContext":
+        """World frame rotated about the origin; used by equivariance tests."""
+        return PlacementContext(
+            shoulder=self.shoulder.rotated(phi),
+            theta_04=self.theta_04 + phi,
+            com=self.com.rotated(phi),
+            v=self.v.rotated(phi),
+            upper_len=self.upper_len,
+            fore_len=self.fore_len,
+        )
+
+
+@dataclass(frozen=True)
+class VirtualChain:
+    """Geometry of the three-bar chain for one arm configuration.
+
+    lever5/6/7 are the distances from shoulder, elbow and handle to the
+    COM. theta_com is the world angle from the shoulder to the COM;
+    theta_6com and theta_7com are the subsidiary lever angles for the
+    elbow and handle torque terms.
+    """
+
+    shoulder: Vec2
+    elbow: Vec2
+    handle: Vec2
+    com: Vec2
+    theta_04: float
     theta5: float
     theta6: float
-    r5: Vec2
-    r6: Vec2
-    r_com: Vec2
-    handle: Vec2
+    upper_len: float
+    fore_len: float
     lever5: float
     lever6: float
     lever7: float
     theta_com: float
     theta_6com: float
     theta_7com: float
-
-    @property
-    def elbow(self) -> Vec2:
-        return self.shoulder + self.r5
-
-    @property
-    def com(self) -> Vec2:
-        return self.shoulder + self.r_com
 
     def unit_directions(self) -> tuple[Vec2, Vec2, Vec2]:
         """Force direction of each torque term (shoulder, elbow, handle)."""
@@ -87,34 +118,150 @@ class VirtualChain:
         )
 
 
-def _subsidiary_angles(
-    theta_04: float,
-    theta5: float,
-    theta6: float,
-    upper_len: float,
-    fore_len: float,
-    lever5: float,
-    lever6: float,
-    lever7: float,
-) -> tuple[float, float]:
-    """Lever angles for the elbow and handle terms via the law of cosines.
+class _Geometry(NamedTuple):
+    elbow: tuple
+    handle: tuple
+    levers: tuple  # (d5, d6, d7), floored at EPS_SINGULAR
+    singular: object
+    theta_com: float
+    theta_6com: object
+    theta_7com: object
 
-    Arguments to arccos are clamped to [-1, 1]; degenerate triangles land
-    on the boundary instead of raising.
+
+class ArmForces(NamedTuple):
+    """Output of arm_forces; every field is a float or an array over the angles.
+
+    directed is F.v under the chosen model, with the torque signs chosen
+    so that every expanded-model term pushes along v. force is (fx, fy):
+    the lsq model always has it, the expanded model only at a single
+    point, because the grid needs only its projection. signs holds
+    (s5, s6, s7), each +1.0 or -1.0. directed and force mean nothing where
+    singular (a joint within EPS_SINGULAR of the COM) or ill_conditioned
+    (the lsq system rejected; always False under the expanded model).
     """
-    den6 = 2.0 * upper_len * lever6
-    den7 = 2.0 * fore_len * lever7
-    if den6 < EPS_SINGULAR or den7 < EPS_SINGULAR:
-        raise SingularChain(
-            f"law-of-cosines denominator collapsed (den6={den6:.3e}, den7={den7:.3e})"
-        )
-    c6 = (upper_len ** 2 + lever6 ** 2 - lever5 ** 2) / den6
-    c7 = (fore_len ** 2 + lever7 ** 2 - lever6 ** 2) / den7
-    c6 = min(1.0, max(-1.0, c6))
-    c7 = min(1.0, max(-1.0, c7))
-    theta_6com = theta_04 + theta5 - math.pi - math.acos(c6)
-    theta_7com = theta_04 + theta5 + theta6 - math.pi + math.acos(c7)
-    return theta_6com, theta_7com
+
+    directed: object
+    force: tuple | None
+    signs: tuple
+    singular: object
+    ill_conditioned: object
+    handle: tuple
+
+
+def _geometry(shoulder: Vec2, theta_04: float, com: Vec2, upper_len: float,
+              fore_len: float, theta5, theta6) -> _Geometry:
+    """Joint points, levers and lever angles of the chain."""
+    sx, sy = shoulder.x, shoulder.y
+    cx, cy = com.x, com.y
+    l5, l6 = upper_len, fore_len
+    phi5 = theta_04 + theta5
+    phi6 = phi5 + theta6
+    ex = sx + l5 * np.cos(phi5)
+    ey = sy + l5 * np.sin(phi5)
+    hx = ex + l6 * np.cos(phi6)
+    hy = ey + l6 * np.sin(phi6)
+
+    d5 = math.hypot(cx - sx, cy - sy)
+    d6 = np.hypot(cx - ex, cy - ey)
+    d7 = np.hypot(cx - hx, cy - hy)
+    singular = (d5 < EPS_SINGULAR) | (d6 < EPS_SINGULAR) | (d7 < EPS_SINGULAR)
+    # Flooring the levers keeps the arithmetic finite where the chain is
+    # singular; it changes no lever of a regular chain.
+    d5s = max(d5, EPS_SINGULAR)
+    d6s = np.maximum(d6, EPS_SINGULAR)
+    d7s = np.maximum(d7, EPS_SINGULAR)
+
+    # Law of cosines; clamping puts degenerate triangles on the boundary.
+    c6 = np.minimum(1.0, np.maximum(-1.0, (l5 * l5 + d6 * d6 - d5 * d5) / (2.0 * l5 * d6s)))
+    c7 = np.minimum(1.0, np.maximum(-1.0, (l6 * l6 + d7 * d7 - d6 * d6) / (2.0 * l6 * d7s)))
+    return _Geometry(
+        elbow=(ex, ey),
+        handle=(hx, hy),
+        levers=(d5s, d6s, d7s),
+        singular=singular,
+        theta_com=math.atan2(cy - sy, cx - sx),
+        theta_6com=phi5 - math.pi - np.arccos(c6),
+        theta_7com=phi6 - math.pi + np.arccos(c7),
+    )
+
+
+def _expanded_force(levers, units, tau5, tau6, tau7) -> tuple:
+    """Lever-sum force vector: F = sum_i (tau_i / lever_i) * u_i."""
+    (d5, d6, d7), (u5, u6, u7) = levers, units
+    k5, k6, k7 = tau5 / d5, tau6 / d6, tau7 / d7
+    return k5 * u5[0] + k6 * u6[0] + k7 * u7[0], k5 * u5[1] + k6 * u6[1] + k7 * u7[1]
+
+
+def _jacobian_columns(shoulder, elbow, handle, com) -> tuple:
+    """Jacobian columns (handle, elbow, shoulder): the +90 degree rotation
+    of each joint-to-COM vector, as (x, y) pairs."""
+    cx, cy = com
+    return tuple((-(cy - py), cx - px) for px, py in (handle, elbow, shoulder))
+
+
+def _lsq_force(columns, tau5, tau6, tau7) -> tuple:
+    """Closed-form solve of the 2x2 normal equations (J J^T) F = J tau.
+
+    Returns (fx, fy, ill_conditioned); the system is rejected where
+    lambda_max / lambda_min of J J^T exceeds COND_LIMIT.
+    """
+    (c7x, c7y), (c6x, c6y), (c5x, c5y) = columns
+    a11 = c5x * c5x + c6x * c6x + c7x * c7x
+    a12 = c5x * c5y + c6x * c6y + c7x * c7y
+    a22 = c5y * c5y + c6y * c6y + c7y * c7y
+    bx = tau5 * c5x + tau6 * c6x + tau7 * c7x
+    by = tau5 * c5y + tau6 * c6y + tau7 * c7y
+    tr = a11 + a22
+    disc = np.sqrt((a11 - a22) ** 2 + 4.0 * a12 * a12)
+    lam_min = 0.5 * (tr - disc)
+    lam_max = 0.5 * (tr + disc)
+    ok = (lam_min > 0.0) & (lam_max <= COND_LIMIT * lam_min)
+    det = np.where(ok, a11 * a22 - a12 * a12, 1.0)[()]
+    fx = (a22 * bx - a12 * by) / det
+    fy = (a11 * by - a12 * bx) / det
+    return fx, fy, ~ok
+
+
+def arm_forces(ctx: PlacementContext, theta5, theta6,
+               magnitudes: tuple[float, float, float], model: str) -> ArmForces:
+    """Arm force along v at shoulder/elbow angles theta5, theta6.
+
+    The angles are floats or arrays that broadcast against each other;
+    magnitudes is (|tau_5|, |tau_6|, |tau_7|). Each torque sign is +1
+    where that joint's lever-sum direction has a non-negative dot product
+    with v, so every expanded-model term s_i |tau_i| / lever_i |u_i . v|
+    is >= 0; the lsq model uses the same signs.
+    """
+    g = _geometry(ctx.shoulder, ctx.theta_04, ctx.com, ctx.upper_len, ctx.fore_len,
+                  theta5, theta6)
+    vx, vy = ctx.v.x, ctx.v.y
+    m5, m6, m7 = magnitudes
+    d5, d6, d7 = g.levers
+
+    # Unit force direction (-sin a, cos a) of each torque term.
+    u5 = (-math.sin(g.theta_com), math.cos(g.theta_com))
+    u6 = (-np.sin(g.theta_6com), np.cos(g.theta_6com))
+    u7 = (-np.sin(g.theta_7com), np.cos(g.theta_7com))
+    u5v = u5[0] * vx + u5[1] * vy
+    u6v = u6[0] * vx + u6[1] * vy
+    u7v = u7[0] * vx + u7[1] * vy
+    s5 = 1.0 if u5v >= 0.0 else -1.0
+    s6 = 2.0 * (u6v >= 0.0) - 1.0
+    s7 = 2.0 * (u7v >= 0.0) - 1.0
+
+    if model == "lsq":
+        columns = _jacobian_columns(
+            (ctx.shoulder.x, ctx.shoulder.y), g.elbow, g.handle, (ctx.com.x, ctx.com.y))
+        fx, fy, ill = _lsq_force(columns, m5 * s5, m6 * s6, m7 * s7)
+        directed, force = fx * vx + fy * vy, (fx, fy)
+    else:
+        ill = False
+        directed = m5 / d5 * abs(u5v) + m6 / d6 * np.abs(u6v) + m7 / d7 * np.abs(u7v)
+        force = None
+        if directed.ndim == 0:
+            force = _expanded_force(g.levers, (u5, u6, u7), m5 * s5, m6 * s6, m7 * s7)
+    return ArmForces(directed=directed, force=force, signs=(s5, s6, s7),
+                     singular=g.singular, ill_conditioned=ill, handle=g.handle)
 
 
 def build_chain(
@@ -126,64 +273,34 @@ def build_chain(
     fore_len: float,
     com: Vec2,
 ) -> VirtualChain:
-    """Assemble the chain from explicit arm lengths."""
-    phi5 = theta_04 + theta5
-    phi6 = phi5 + theta6
-    r5 = upper_len * unit(phi5)
-    r6 = fore_len * unit(phi6)
-    r_com = com - shoulder
-    handle = shoulder + r5 + r6
-
-    lever5 = r_com.norm()
-    lever6 = (r_com - r5).norm()
-    lever7 = (r_com - r5 - r6).norm()
-    for name, lever in (("shoulder", lever5), ("elbow", lever6), ("handle", lever7)):
-        if lever < EPS_SINGULAR:
-            raise SingularChain(f"{name}-to-COM lever {lever:.3e} m is below {EPS_SINGULAR:.0e}")
-
-    theta_6com, theta_7com = _subsidiary_angles(
-        theta_04, theta5, theta6, upper_len, fore_len, lever5, lever6, lever7
-    )
+    """The chain at one arm configuration; raises SingularChain when a
+    joint lies within EPS_SINGULAR of the COM."""
+    g = _geometry(shoulder, theta_04, com, upper_len, fore_len, theta5, theta6)
+    if g.singular:
+        raise SingularChain(SINGULAR_MESSAGE)
+    d5, d6, d7 = g.levers
     return VirtualChain(
-        shoulder=shoulder, theta_04=theta_04, theta5=theta5, theta6=theta6,
-        r5=r5, r6=r6, r_com=r_com, handle=handle,
-        lever5=lever5, lever6=lever6, lever7=lever7,
-        theta_com=r_com.angle(), theta_6com=theta_6com, theta_7com=theta_7com,
-    )
-
-
-def build_virtual_chain(
-    shoulder: Vec2,
-    theta_04: float,
-    theta5: float,
-    theta6: float,
-    segments: SegmentSet,
-    com: Vec2,
-) -> VirtualChain:
-    """Assemble the chain using the arm lengths of a segment set."""
-    return build_chain(
-        shoulder, theta_04, theta5, theta6,
-        segments.length(UPPER_ARM), segments.length(FOREARM), com,
-    )
-
-
-def com_link_angles(chain: VirtualChain) -> tuple[float, float]:
-    """Recompute (theta_6com, theta_7com) from the chain's stored geometry."""
-    return _subsidiary_angles(
-        chain.theta_04, chain.theta5, chain.theta6,
-        chain.r5.norm(), chain.r6.norm(),
-        chain.lever5, chain.lever6, chain.lever7,
+        shoulder=shoulder,
+        elbow=Vec2(float(g.elbow[0]), float(g.elbow[1])),
+        handle=Vec2(float(g.handle[0]), float(g.handle[1])),
+        com=com,
+        theta_04=theta_04, theta5=theta5, theta6=theta6,
+        upper_len=upper_len, fore_len=fore_len,
+        lever5=d5, lever6=float(d6), lever7=float(d7),
+        theta_com=g.theta_com,
+        theta_6com=float(g.theta_6com),
+        theta_7com=float(g.theta_7com),
     )
 
 
 def arm_force_expanded(chain: VirtualChain, torques: TorqueSet) -> Vec2:
     """Per-joint lever sum: F = sum_i (tau_i / lever_i) * u_i."""
-    u5, u6, u7 = chain.unit_directions()
-    return (
-        (torques.tau5 / chain.lever5) * u5
-        + (torques.tau6 / chain.lever6) * u6
-        + (torques.tau7 / chain.lever7) * u7
+    units = tuple((u.x, u.y) for u in chain.unit_directions())
+    fx, fy = _expanded_force(
+        (chain.lever5, chain.lever6, chain.lever7), units,
+        torques.tau5, torques.tau6, torques.tau7,
     )
+    return Vec2(fx, fy)
 
 
 def arm_jacobian(chain: VirtualChain) -> np.ndarray:
@@ -194,24 +311,18 @@ def arm_jacobian(chain: VirtualChain) -> np.ndarray:
     (tau_7, tau_6, tau_5). Each column is the +90 degree rotation of the
     vector from that joint to the COM; its magnitude equals the lever.
     """
-    com = chain.com
-    cols = (com - chain.handle, com - chain.elbow, com - chain.shoulder)
-    return np.array(
-        [[-c.y for c in cols], [c.x for c in cols]], dtype=float
-    )
+    return np.array(_jacobian_columns(
+        (chain.shoulder.x, chain.shoulder.y), (chain.elbow.x, chain.elbow.y),
+        (chain.handle.x, chain.handle.y), (chain.com.x, chain.com.y),
+    ), dtype=float).T
 
 
 def arm_force_lsq(chain: VirtualChain, torques: TorqueSet) -> Vec2:
     """Least-squares force: F = (J J^T)^-1 J tau, tau = (tau_7, tau_6, tau_5)."""
-    jac = arm_jacobian(chain)
-    tau = np.array([torques.tau7, torques.tau6, torques.tau5])
-    jjt = jac @ jac.T
-    if np.linalg.cond(jjt) > COND_LIMIT:
-        raise IllConditioned(
-            f"J J^T condition number exceeds {COND_LIMIT:.0e}; levers are nearly parallel"
-        )
-    f = np.linalg.solve(jjt, jac @ tau)
-    return Vec2(float(f[0]), float(f[1]))
+    fx, fy, ill = _lsq_force(arm_jacobian(chain).T, torques.tau5, torques.tau6, torques.tau7)
+    if ill:
+        raise IllConditioned(ILL_CONDITIONED_MESSAGE)
+    return Vec2(float(fx), float(fy))
 
 
 def mechanical_advantage(force: Vec2, torques: TorqueSet) -> float:
@@ -220,13 +331,3 @@ def mechanical_advantage(force: Vec2, torques: TorqueSet) -> float:
     if n == 0.0:
         raise ZeroTorque("mechanical advantage is undefined for zero torques")
     return force.norm() / n
-
-
-def directed_advantage(force: Vec2, v: Vec2) -> float:
-    """Force component along a unit direction v, as the inner product F.v."""
-    assert abs(v.norm() - 1.0) <= 1e-9, "v must be unit length"
-    value = force.dot(v)
-    # Self-check: the inner product must match |F||v|cos(angle between).
-    theta_vf = force.angle() - v.angle()
-    assert abs(value - force.norm() * v.norm() * math.cos(theta_vf)) <= 1e-9
-    return value

@@ -22,6 +22,7 @@ from .errors import (
     IndexOutOfRange,
     NoFeasiblePoint,
     ParseError,
+    ReachExceeded,
     SchemaError,
     SingularChain,
     ValidationError,
@@ -40,7 +41,7 @@ from .scenario_io import (
 
 _NUMERIC_ERRORS = (
     DegenerateVelocity, SingularChain, IllConditioned,
-    ZeroTorque, NoFeasiblePoint, IndexOutOfRange,
+    ZeroTorque, NoFeasiblePoint, IndexOutOfRange, ReachExceeded,
 )
 
 
@@ -81,7 +82,9 @@ def _add_overrides(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tau", default=None, metavar="T5,T6,T7",
                      help="override torque magnitudes, newton meters")
     sub.add_argument("--limits-deg", default=None, metavar="T5MIN,T5MAX,T6MIN,T6MAX",
-                     help="override joint limits, degrees")
+                     help="--limits-deg=T5MIN,T5MAX,T6MIN,T6MAX overrides the joint "
+                          "limits, degrees; the '=' keeps a leading minus sign from "
+                          "being read as an option")
     sub.add_argument("--constrained", action="store_true",
                      help="exclude robot-infeasible handle positions from the search")
     sub.add_argument("--robot-base", default=None, metavar="X,Y",

@@ -22,18 +22,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arm_kinetics import (
-    COND_LIMIT,
-    EPS_SINGULAR,
-    TorqueSet,
-    VirtualChain,
-    arm_force_expanded,
-    arm_force_lsq,
-    build_chain,
+    ILL_CONDITIONED_MESSAGE,
+    SINGULAR_MESSAGE,
+    PlacementContext,
+    arm_forces,
 )
-from .body_model import FOREARM, UPPER_ARM, SegmentSet, Vec2, unit
-from .errors import NoFeasiblePoint
-
-FORCE_MODELS = ("expanded", "lsq")
+from .body_model import Vec2
+from .errors import IllConditioned, NoFeasiblePoint, ReachExceeded, SingularChain
 
 # The elbow grid must keep at least this margin from 0 and +-pi.
 ELBOW_LIMIT_MARGIN = math.radians(2.0)
@@ -64,7 +59,6 @@ class ObjectiveConfig:
     torque_magnitudes: tuple[float, float, float] = (1.0, 1.0, 1.0)
     force_model: str = "expanded"
     grid_step: float = math.radians(0.5)
-    tie_break: str = "lexicographic"
 
 
 @dataclass(frozen=True)
@@ -90,29 +84,6 @@ class Violation:
     message: str
     value: float
     limit: float
-
-
-@dataclass(frozen=True)
-class PlacementContext:
-    """Everything the objective needs about the body at max effort."""
-
-    shoulder: Vec2
-    theta_04: float
-    com: Vec2
-    v: Vec2
-    upper_len: float
-    fore_len: float
-
-    def rotated(self, phi: float) -> "PlacementContext":
-        """World frame rotated about the origin; used by equivariance tests."""
-        return PlacementContext(
-            shoulder=self.shoulder.rotated(phi),
-            theta_04=self.theta_04 + phi,
-            com=self.com.rotated(phi),
-            v=self.v.rotated(phi),
-            upper_len=self.upper_len,
-            fore_len=self.fore_len,
-        )
 
 
 @dataclass(frozen=True)
@@ -142,35 +113,23 @@ class Placement:
     feasibility: tuple[Violation, ...]
 
 
-def context_chain(ctx: PlacementContext, theta5: float, theta6: float) -> VirtualChain:
-    return build_chain(
-        ctx.shoulder, ctx.theta_04, theta5, theta6, ctx.upper_len, ctx.fore_len, ctx.com
-    )
-
-
-def torque_signs(chain: VirtualChain, v: Vec2, magnitudes: tuple[float, float, float]) -> TorqueSet:
-    """Signed torques that make every per-joint force term push along v.
-
-    Each sign is +1 when that joint's lever-sum unit direction has a
-    non-negative dot product with v, else -1, so each term of F.v is
-    s_i * |tau_i| / lever_i * |u_i . v| >= 0.
-    """
-    u5, u6, u7 = chain.unit_directions()
-    s5 = 1.0 if u5.dot(v) >= 0.0 else -1.0
-    s6 = 1.0 if u6.dot(v) >= 0.0 else -1.0
-    s7 = 1.0 if u7.dot(v) >= 0.0 else -1.0
-    return TorqueSet(s5 * magnitudes[0], s6 * magnitudes[1], s7 * magnitudes[2])
+def _penalty(config: ObjectiveConfig, theta6):
+    """Elbow penalty a * |cos theta_6|."""
+    return config.a * np.abs(np.cos(theta6))
 
 
 def objective(theta5: float, theta6: float, ctx: PlacementContext, config: ObjectiveConfig) -> float:
-    """Single-point objective; raises SingularChain on degenerate levers."""
-    chain = context_chain(ctx, theta5, theta6)
-    torques = torque_signs(chain, ctx.v, config.torque_magnitudes)
-    if config.force_model == "lsq":
-        force = arm_force_lsq(chain, torques)
-    else:
-        force = arm_force_expanded(chain, torques)
-    return force.dot(ctx.v) - config.a * abs(math.cos(theta6))
+    """Single-point objective, equal bit for bit to the matching grid cell.
+
+    Raises SingularChain or IllConditioned exactly where the grid cell
+    holds NaN.
+    """
+    r = arm_forces(ctx, theta5, theta6, config.torque_magnitudes, config.force_model)
+    if r.singular:
+        raise SingularChain(SINGULAR_MESSAGE)
+    if r.ill_conditioned:
+        raise IllConditioned(ILL_CONDITIONED_MESSAGE)
+    return float(r.directed - _penalty(config, theta6))
 
 
 def grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
@@ -202,81 +161,18 @@ def evaluate_grid(
 
     obj = np.empty((n5, n6), dtype=float)
     eligible = np.empty((n5, n6), dtype=bool)
-
-    sx, sy = ctx.shoulder.x, ctx.shoulder.y
-    cx, cy = ctx.com.x, ctx.com.y
-    vx, vy = ctx.v.x, ctx.v.y
-    l5, l6 = ctx.upper_len, ctx.fore_len
-    m5, m6, m7 = config.torque_magnitudes
-    use_lsq = config.force_model == "lsq"
-
-    # Shoulder lever does not depend on the grid point.
-    rcx, rcy = cx - sx, cy - sy
-    d5 = math.hypot(rcx, rcy)
-    theta_com = math.atan2(rcy, rcx)
-    t5_raw = -math.sin(theta_com) * vx + math.cos(theta_com) * vy
-    t5_term = abs(t5_raw)
-
-    if d5 < EPS_SINGULAR:
-        obj.fill(np.nan)
-        eligible.fill(False)
-        return ObjectiveLandscape(theta5=t5, theta6=t6, objective=obj, eligible=eligible)
-
-    pen = config.a * np.abs(np.cos(t6))[None, :]
+    pen = _penalty(config, t6)[None, :]
 
     rows_per_block = max(1, _BLOCK_CELLS // max(n6, 1))
     for lo in range(0, n5, rows_per_block):
         hi = min(lo + rows_per_block, n5)
-        phi5 = (ctx.theta_04 + t5[lo:hi])[:, None]
-        phi6 = phi5 + t6[None, :]
-        ex = sx + l5 * np.cos(phi5)
-        ey = sy + l5 * np.sin(phi5)
-        hx = ex + l6 * np.cos(phi6)
-        hy = ey + l6 * np.sin(phi6)
-
-        d6 = np.hypot(cx - ex, cy - ey)
-        d7 = np.hypot(cx - hx, cy - hy)
-        singular = (d6 < EPS_SINGULAR) | (d7 < EPS_SINGULAR)
-        d6s = np.where(singular, 1.0, np.broadcast_to(d6, singular.shape))
-        d7s = np.where(singular, 1.0, d7)
-
-        c6 = np.clip((l5 * l5 + d6 * d6 - d5 * d5) / (2.0 * l5 * d6s), -1.0, 1.0)
-        c7 = np.clip((l6 * l6 + d7 * d7 - d6 * d6) / (2.0 * l6 * d7s), -1.0, 1.0)
-        th6c = phi5 - math.pi - np.arccos(c6)
-        th7c = phi6 - math.pi + np.arccos(c7)
-        t6_term = -np.sin(th6c) * vx + np.cos(th6c) * vy
-        t7_term = -np.sin(th7c) * vx + np.cos(th7c) * vy
-
-        ok = ~singular
-        if use_lsq:
-            s5t = 1.0 if t5_raw >= 0.0 else -1.0
-            s6t = np.where(t6_term >= 0.0, 1.0, -1.0)
-            s7t = np.where(t7_term >= 0.0, 1.0, -1.0)
-            # Jacobian columns, each the +90 degree rotation of joint-to-COM.
-            c5x, c5y = -(cy - sy), cx - sx
-            c6x, c6y = -(cy - ey), cx - ex
-            c7x, c7y = -(cy - hy), cx - hx
-            a11 = c5x * c5x + c6x * c6x + c7x * c7x
-            a12 = c5x * c5y + c6x * c6y + c7x * c7y
-            a22 = c5y * c5y + c6y * c6y + c7y * c7y
-            bx = m5 * s5t * c5x + m6 * s6t * c6x + m7 * s7t * c7x
-            by = m5 * s5t * c5y + m6 * s6t * c6y + m7 * s7t * c7y
-            tr = a11 + a22
-            disc = np.sqrt((a11 - a22) ** 2 + 4.0 * a12 * a12)
-            lam_min = 0.5 * (tr - disc)
-            lam_max = 0.5 * (tr + disc)
-            ok &= lam_min > 0.0
-            ok &= lam_max <= COND_LIMIT * np.where(lam_min > 0.0, lam_min, 1.0)
-            det = np.where(ok, a11 * a22 - a12 * a12, 1.0)
-            fx = (a22 * bx - a12 * by) / det
-            fy = (a11 * by - a12 * bx) / det
-            fv = fx * vx + fy * vy
-        else:
-            fv = m5 / d5 * t5_term + m6 / d6s * np.abs(t6_term) + m7 / d7s * np.abs(t7_term)
-
-        block = fv - pen
+        r = arm_forces(ctx, t5[lo:hi, None], t6[None, :],
+                       config.torque_magnitudes, config.force_model)
+        ok = ~(r.singular | r.ill_conditioned)
+        block = r.directed - pen
         block[~ok] = np.nan
         if constrained and robot is not None:
+            hx, hy = r.handle
             lo_h = floor_y + robot.handle_height_range[0]
             hi_h = floor_y + robot.handle_height_range[1]
             ok = ok & (hy >= lo_h) & (hy <= hi_h)
@@ -302,18 +198,6 @@ def argmax_lexicographic(landscape: ObjectiveLandscape) -> tuple[int, int]:
     i5s, i6s = np.nonzero(vals == best)
     k = np.lexsort((i5s, i6s))[0]
     return int(i5s[k]), int(i6s[k])
-
-
-def handle_position(
-    shoulder: Vec2, theta_04: float, theta5: float, theta6: float, segments: SegmentSet
-) -> Vec2:
-    """Handle point implied by the arm angles: shoulder + r5 + r6."""
-    phi5 = theta_04 + theta5
-    return (
-        shoulder
-        + segments.length(UPPER_ARM) * unit(phi5)
-        + segments.length(FOREARM) * unit(phi5 + theta6)
-    )
 
 
 def feasibility_check(
@@ -386,24 +270,14 @@ def optimize_placement(
     theta5 = float(landscape.theta5[i5])
     theta6 = float(landscape.theta6[i6])
 
-    chain = context_chain(ctx, theta5, theta6)
-    torques = torque_signs(chain, ctx.v, config.torque_magnitudes)
-    if config.force_model == "lsq":
-        force = arm_force_lsq(chain, torques)
-    else:
-        force = arm_force_expanded(chain, torques)
-    signs = (
-        1 if torques.tau5 >= 0 else -1,
-        1 if torques.tau6 >= 0 else -1,
-        1 if torques.tau7 >= 0 else -1,
-    )
+    r = arm_forces(ctx, theta5, theta6, config.torque_magnitudes, config.force_model)
     placement = Placement(
         theta5_opt=theta5,
         theta6_opt=theta6,
-        handle=chain.handle,
+        handle=Vec2(float(r.handle[0]), float(r.handle[1])),
         objective_value=float(landscape.objective[i5, i6]),
-        f_arm=force,
-        torque_signs=signs,
+        f_arm=Vec2(float(r.force[0]), float(r.force[1])),
+        torque_signs=tuple(int(s) for s in r.signs),
         feasibility=(),
     )
     arm_reach = ctx.upper_len + ctx.fore_len
@@ -412,5 +286,9 @@ def optimize_placement(
             placement, robot, floor_y,
             shoulder=ctx.shoulder, arm_reach=arm_reach, robot_base=robot_base,
         )))
-    assert (placement.handle - ctx.shoulder).norm() <= arm_reach + 1e-12
+    reach = (placement.handle - ctx.shoulder).norm()
+    if not reach <= arm_reach + 1e-12:
+        raise ReachExceeded(
+            f"optimal handle is {reach!r} m from the shoulder, beyond the {arm_reach!r} m arm"
+        )
     return placement, landscape

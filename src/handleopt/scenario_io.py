@@ -15,7 +15,13 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .arm_kinetics import arm_force_expanded, arm_force_lsq, mechanical_advantage
+from .arm_kinetics import (
+    FORCE_MODELS,
+    ILL_CONDITIONED_MESSAGE,
+    TorqueSet,
+    arm_forces,
+    mechanical_advantage,
+)
 from .body_model import (
     FOREARM,
     NONARM_BAND,
@@ -32,7 +38,6 @@ from .body_model import (
 from .errors import DegenerateVelocity, IndexOutOfRange, ParseError, SchemaError, ValidationError
 from .placement_opt import (
     ELBOW_LIMIT_MARGIN,
-    FORCE_MODELS,
     JointLimits,
     ObjectiveConfig,
     ObjectiveLandscape,
@@ -40,8 +45,6 @@ from .placement_opt import (
     PlacementContext,
     RobotParams,
     argmax_lexicographic,
-    context_chain,
-    torque_signs,
 )
 
 SCHEMA_VERSION = "1"
@@ -323,8 +326,6 @@ def validate_scenario(s: Scenario) -> list[Finding]:
         err("grid_step_positive", "grid step must be positive")
     if s.objective.force_model not in FORCE_MODELS:
         err("force_model", f"force model must be one of {list(FORCE_MODELS)}")
-    if s.objective.tie_break != "lexicographic":
-        err("tie_break", "only the lexicographic tie-break is supported")
 
     r = s.robot
     if r.reach_limit <= 0.0 or r.handle_length <= 0.0 or r.handle_diameter <= 0.0:
@@ -393,24 +394,19 @@ def make_context(s: Scenario, renormalize: bool = False) -> tuple[PlacementConte
 
 def _model_summary(ctx: PlacementContext, placement: Placement, config: ObjectiveConfig) -> dict:
     """Force figures at the optimum under both force models."""
-    chain = context_chain(ctx, placement.theta5_opt, placement.theta6_opt)
-    torques = torque_signs(chain, ctx.v, config.torque_magnitudes)
     out = {}
-    expanded = arm_force_expanded(chain, torques)
-    out["expanded"] = {
-        "f_arm_n": [expanded.x, expanded.y],
-        "directed_n": expanded.dot(ctx.v),
-        "mechanical_advantage_per_m": mechanical_advantage(expanded, torques),
-    }
-    try:
-        lsq = arm_force_lsq(chain, torques)
-    except Exception as exc:  # IllConditioned
-        out["lsq"] = {"error": str(exc)}
-    else:
-        out["lsq"] = {
-            "f_arm_n": [lsq.x, lsq.y],
-            "directed_n": lsq.dot(ctx.v),
-            "mechanical_advantage_per_m": mechanical_advantage(lsq, torques),
+    for model in FORCE_MODELS:
+        r = arm_forces(ctx, placement.theta5_opt, placement.theta6_opt,
+                       config.torque_magnitudes, model)
+        if r.ill_conditioned:
+            out[model] = {"error": ILL_CONDITIONED_MESSAGE}
+            continue
+        force = Vec2(float(r.force[0]), float(r.force[1]))
+        torques = TorqueSet(*(float(s * m) for s, m in zip(r.signs, config.torque_magnitudes)))
+        out[model] = {
+            "f_arm_n": [force.x, force.y],
+            "directed_n": force.dot(ctx.v),
+            "mechanical_advantage_per_m": mechanical_advantage(force, torques),
         }
     return out
 

@@ -10,7 +10,14 @@ import math
 
 import numpy as np
 
-from handleopt import SingularChain, TorqueSet, Vec2, arm_force_expanded, build_chain
+from handleopt import (
+    PlacementContext,
+    SingularChain,
+    TorqueSet,
+    Vec2,
+    arm_force_expanded,
+    build_chain,
+)
 
 
 def wrap_angle(a: float) -> float:
@@ -92,6 +99,18 @@ def sample_chain(rng, min_lever=0.05):
         if min(chain.lever5, chain.lever6, chain.lever7) < min_lever:
             continue
         return chain
+
+
+def context_of_chain(chain, v: Vec2) -> PlacementContext:
+    """Placement context whose arm and COM are those of a chain."""
+    return PlacementContext(
+        shoulder=chain.shoulder,
+        theta_04=chain.theta_04,
+        com=chain.com,
+        v=v,
+        upper_len=chain.upper_len,
+        fore_len=chain.fore_len,
+    )
 
 
 def sample_in_branch_chain(rng, margin=1e-3):

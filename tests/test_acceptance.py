@@ -29,11 +29,11 @@ from handleopt import (
     load_scenario,
     make_context,
     optimize_placement,
-    torque_signs,
 )
+from handleopt.arm_kinetics import arm_forces
 from handleopt.cli import main as cli_main
 
-from oracles import best_sign_combo, fd_com_jacobian, sample_chain
+from oracles import best_sign_combo, context_of_chain, fd_com_jacobian, sample_chain
 
 
 def load_all():
@@ -115,7 +115,8 @@ def test_sign_choice_is_optimal(rng):
         v = Vec2(math.cos(rng.uniform(-math.pi, math.pi)),
                  math.sin(rng.uniform(-math.pi, math.pi)))
         mags = tuple(rng.uniform(0.5, 3.0, size=3))
-        chosen = arm_force_expanded(chain, torque_signs(chain, v, mags)).dot(v)
+        r = arm_forces(context_of_chain(chain, v), chain.theta5, chain.theta6, mags, "expanded")
+        chosen = Vec2(float(r.force[0]), float(r.force[1])).dot(v)
         best = best_sign_combo(chain, v, mags)
         shortfall = best - chosen
         worst = max(worst, shortfall)

@@ -13,14 +13,12 @@ from handleopt import (
     arm_force_lsq,
     arm_jacobian,
     build_chain,
-    build_virtual_chain,
-    com_link_angles,
-    directed_advantage,
     mechanical_advantage,
     unit,
 )
-from handleopt.arm_kinetics import VirtualChain
+from handleopt.arm_kinetics import VirtualChain, arm_forces
 from oracles import (
+    context_of_chain,
     fd_com_jacobian,
     random_unit,
     sample_chain,
@@ -32,12 +30,17 @@ from oracles import (
 def test_chain_geometry_closes(rng):
     for _ in range(50):
         chain = sample_chain(rng)
-        assert chain.handle == chain.shoulder + chain.r5 + chain.r6
-        assert chain.elbow == chain.shoulder + chain.r5
-        assert chain.lever5 == chain.r_com.norm()
-        assert chain.lever6 == (chain.r_com - chain.r5).norm()
-        assert chain.lever7 == (chain.r_com - chain.r5 - chain.r6).norm()
-        assert chain.theta_com == chain.r_com.angle()
+        phi5 = chain.theta_04 + chain.theta5
+        phi6 = phi5 + chain.theta6
+        assert chain.elbow == Vec2(chain.shoulder.x + chain.upper_len * float(np.cos(phi5)),
+                                   chain.shoulder.y + chain.upper_len * float(np.sin(phi5)))
+        assert chain.handle == Vec2(chain.elbow.x + chain.fore_len * float(np.cos(phi6)),
+                                    chain.elbow.y + chain.fore_len * float(np.sin(phi6)))
+        to_com6, to_com7 = chain.com - chain.elbow, chain.com - chain.handle
+        assert chain.lever5 == (chain.com - chain.shoulder).norm()
+        assert chain.lever6 == float(np.hypot(to_com6.x, to_com6.y))
+        assert chain.lever7 == float(np.hypot(to_com7.x, to_com7.y))
+        assert chain.theta_com == (chain.com - chain.shoulder).angle()
 
 
 def test_chain_preserves_arm_lengths(rng):
@@ -46,10 +49,11 @@ def test_chain_preserves_arm_lengths(rng):
         fore = rng.uniform(0.2, 0.5)
         t04, t5, t6 = rng.uniform(-math.pi, math.pi, 3)
         chain = build_chain(Vec2(0.1, 0.2), t04, t5, t6, upper, fore, Vec2(0.9, -0.4))
-        assert abs(chain.r5.norm() - upper) <= 1e-14 * upper
-        assert abs(chain.r6.norm() - fore) <= 1e-14 * fore
+        r5, r6 = chain.elbow - chain.shoulder, chain.handle - chain.elbow
+        assert abs(r5.norm() - upper) <= 1e-14 * upper
+        assert abs(r6.norm() - fore) <= 1e-14 * fore
         # the two arm links point theta6 apart
-        assert wrap_angle(chain.r6.angle() - chain.r5.angle() - wrap_angle(t6)) == pytest.approx(
+        assert wrap_angle(r6.angle() - r5.angle() - wrap_angle(t6)) == pytest.approx(
             0.0, abs=1e-9
         )
 
@@ -74,13 +78,6 @@ def test_degenerate_levers_raise():
     handle = 0.32 * unit(0.5) + 0.30 * unit(1.5)
     with pytest.raises(SingularChain):
         build_chain(shoulder, 0.0, 0.5, 1.0, 0.32, 0.30, handle)
-
-
-def test_build_virtual_chain_uses_segment_arm_lengths(segments):
-    com = Vec2(0.4, -0.2)
-    via_set = build_virtual_chain(Vec2(0.0, 0.1), 0.2, -0.4, 1.3, segments, com)
-    direct = build_chain(Vec2(0.0, 0.1), 0.2, -0.4, 1.3, 0.32, 0.30, com)
-    assert via_set == direct
 
 
 def test_subsidiary_angles_match_direct_geometry_in_branch(rng):
@@ -117,14 +114,6 @@ def test_collinear_com_between_joints_hits_positive_cosine():
     chain = build_chain(Vec2(0.0, 0.0), 0.0, 0.0, math.pi / 2.0, 1.0, 0.3, Vec2(0.5, 0.0))
     assert chain.theta_6com == pytest.approx(-math.pi, abs=1e-12)
     assert abs(wrap_angle(chain.theta_6com - (chain.com - chain.elbow).angle())) < 1e-12
-
-
-def test_com_link_angles_match_stored_fields(rng):
-    for _ in range(30):
-        chain = sample_chain(rng)
-        a6, a7 = com_link_angles(chain)
-        assert a6 == pytest.approx(chain.theta_6com, abs=1e-12)
-        assert a7 == pytest.approx(chain.theta_7com, abs=1e-12)
 
 
 def test_unit_directions_are_unit_length(rng):
@@ -192,10 +181,10 @@ def test_jacobian_shoulder_column_for_known_chain():
 def test_jacobian_zero_lever_column_is_finite():
     # a hand-built chain whose COM sits exactly on the elbow still yields a
     # defined (zero) column; only the force maps guard against this
-    r5 = Vec2(0.32, 0.0)
+    elbow = Vec2(0.32, 0.0)
     chain = VirtualChain(
-        shoulder=Vec2(0.0, 0.0), theta_04=0.0, theta5=0.0, theta6=1.0,
-        r5=r5, r6=Vec2(0.0, 0.30), r_com=r5, handle=Vec2(0.32, 0.30),
+        shoulder=Vec2(0.0, 0.0), elbow=elbow, handle=Vec2(0.32, 0.30), com=elbow,
+        theta_04=0.0, theta5=0.0, theta6=1.0, upper_len=0.32, fore_len=0.30,
         lever5=0.32, lever6=0.0, lever7=0.30,
         theta_com=0.0, theta_6com=0.0, theta_7com=0.0,
     )
@@ -327,16 +316,18 @@ def test_mechanical_advantage_scales_force_by_torque_norm():
 
 
 def test_directed_advantage_projects_onto_the_direction(rng):
-    v = Vec2(0.6, 0.8)
-    assert directed_advantage(v * 3.0, v) == pytest.approx(3.0, rel=1e-12)
-    assert directed_advantage(v.perp(), v) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(AssertionError):
-        directed_advantage(Vec2(1.0, 0.0), Vec2(0.0, 2.0))
+    # the kernel's directed figure is F.v = |F||v|cos(angle between) for
+    # the force vector it reports, under both force models
     for _ in range(200):
-        force = Vec2(rng.uniform(-10, 10), rng.uniform(-10, 10))
-        if force.norm() < 1e-6:
-            continue
+        chain = sample_chain(rng)
         direction = random_unit(rng)
-        value = directed_advantage(force, direction)
-        angle = force.angle() - direction.angle()
-        assert abs(value - force.norm() * direction.norm() * math.cos(angle)) < 1e-9
+        mags = tuple(rng.uniform(0.5, 2.0, 3))
+        ctx = context_of_chain(chain, direction)
+        for model in ("expanded", "lsq"):
+            r = arm_forces(ctx, chain.theta5, chain.theta6, mags, model)
+            if r.ill_conditioned:
+                continue
+            force = Vec2(float(r.force[0]), float(r.force[1]))
+            angle = force.angle() - direction.angle()
+            assert abs(r.directed - force.dot(direction)) < 1e-9
+            assert abs(r.directed - force.norm() * direction.norm() * math.cos(angle)) < 1e-9

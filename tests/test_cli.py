@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import handleopt
 from handleopt import fixture_path
 from handleopt.cli import main
 
@@ -260,9 +262,11 @@ def test_verbose_optimize_surfaces_warnings(capsys, tmp_path):
 
 
 def test_module_entry_point_runs():
+    # run from the directory holding the imported package, so the child
+    # process finds the same source without an installed copy
     proc = subprocess.run(
         [sys.executable, "-m", "handleopt", "validate", "--scenario", TOILET],
-        capture_output=True, text=True,
+        capture_output=True, text=True, cwd=Path(handleopt.__file__).parents[1],
     )
     assert proc.returncode == 0
     assert "0 error(s)" in proc.stdout

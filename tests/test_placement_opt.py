@@ -3,8 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handleopt import (
+    FOREARM,
+    UPPER_ARM,
+    IllConditioned,
     JointLimits,
     NoFeasiblePoint,
     ObjectiveConfig,
@@ -12,21 +17,29 @@ from handleopt import (
     Placement,
     PlacementContext,
     RobotParams,
+    SingularChain,
+    TorqueSet,
     Vec2,
-    arm_force_expanded,
     build_chain,
     evaluate_grid,
     feasibility_check,
     fixture_path,
     grid_axis,
-    handle_position,
     load_scenario,
     make_context,
     objective,
     optimize_placement,
-    torque_signs,
+    unit,
 )
-from oracles import arm_force_atan2, best_sign_combo, random_unit, sample_chain, sample_in_branch_chain
+from handleopt.arm_kinetics import FORCE_MODELS, arm_forces
+from oracles import (
+    arm_force_atan2,
+    best_sign_combo,
+    context_of_chain,
+    random_unit,
+    sample_chain,
+    sample_in_branch_chain,
+)
 
 # Optimizer pins for the packaged scenarios, frozen from a verified run.
 FIXTURE_OPTIMA = {
@@ -67,17 +80,6 @@ def toilet_context():
     return scenario, ctx
 
 
-def context_of_chain(chain, v):
-    return PlacementContext(
-        shoulder=chain.shoulder,
-        theta_04=chain.theta_04,
-        com=chain.com,
-        v=v,
-        upper_len=chain.r5.norm(),
-        fore_len=chain.r6.norm(),
-    )
-
-
 def test_grid_axis_inclusive_endpoints():
     axis = grid_axis(0.0, 1.0, 0.25)
     assert axis.size == 5
@@ -106,7 +108,8 @@ def test_torque_signs_make_every_term_push_along_v(rng):
         chain = sample_chain(rng)
         v = random_unit(rng)
         mags = tuple(rng.uniform(0.5, 2.0, 3))
-        torques = torque_signs(chain, v, mags)
+        r = arm_forces(context_of_chain(chain, v), chain.theta5, chain.theta6, mags, "expanded")
+        torques = TorqueSet(*(float(s * m) for s, m in zip(r.signs, mags)))
         u5, u6, u7 = chain.unit_directions()
         assert torques.tau5 / chain.lever5 * u5.dot(v) >= -1e-12
         assert torques.tau6 / chain.lever6 * u6.dot(v) >= -1e-12
@@ -121,7 +124,8 @@ def test_torque_signs_beat_every_sign_combo(rng):
         chain = sample_chain(rng)
         v = random_unit(rng)
         mags = tuple(rng.uniform(0.5, 2.0, 3))
-        chosen = arm_force_expanded(chain, torque_signs(chain, v, mags)).dot(v)
+        r = arm_forces(context_of_chain(chain, v), chain.theta5, chain.theta6, mags, "expanded")
+        chosen = Vec2(float(r.force[0]), float(r.force[1])).dot(v)
         assert chosen >= best_sign_combo(chain, v, mags) - 1e-12
 
 
@@ -157,13 +161,92 @@ def test_objective_is_pure_penalty_when_levers_align():
     assert value == pytest.approx(-0.2, abs=1e-12)
 
 
-def test_objective_scalar_matches_grid_cells():
-    scenario, ctx = toilet_context()
-    landscape = evaluate_grid(ctx, scenario.limits, scenario.objective)
-    i5, i6 = 17, 101
-    got = objective(float(landscape.theta5[i5]), float(landscape.theta6[i6]),
-                    ctx, scenario.objective)
-    assert got == pytest.approx(float(landscape.objective[i5, i6]), abs=1e-12)
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def contexts(draw):
+    shoulder = Vec2(draw(finite(-1.0, 1.0)), draw(finite(-1.0, 1.0)))
+    return PlacementContext(
+        shoulder=shoulder,
+        theta_04=draw(finite(-math.pi, math.pi)),
+        com=shoulder + Vec2(draw(finite(-0.9, 0.9)), draw(finite(-0.9, 0.9))),
+        v=unit(draw(finite(-math.pi, math.pi))),
+        upper_len=draw(finite(0.2, 0.5)),
+        fore_len=draw(finite(0.2, 0.5)),
+    )
+
+
+magnitudes = st.tuples(finite(0.1, 3.0), finite(0.1, 3.0), finite(0.1, 3.0))
+configs = st.builds(
+    ObjectiveConfig,
+    a=finite(0.0, 1.0),
+    torque_magnitudes=magnitudes,
+    force_model=st.sampled_from(FORCE_MODELS),
+    grid_step=finite(math.radians(10.0), math.radians(45.0)),
+)
+# Fixed examples keep the suite deterministic; no example database is written.
+property_settings = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+
+def assert_objective_matches_grid(ctx, limits, config):
+    """Every cell: objective() equals it bit for bit, or raises where it is NaN."""
+    landscape = evaluate_grid(ctx, limits, config)
+    for i5, t5 in enumerate(landscape.theta5):
+        for i6, t6 in enumerate(landscape.theta6):
+            cell = float(landscape.objective[i5, i6])
+            if math.isnan(cell):
+                with pytest.raises((SingularChain, IllConditioned)):
+                    objective(float(t5), float(t6), ctx, config)
+            else:
+                assert objective(float(t5), float(t6), ctx, config).hex() == cell.hex()
+
+
+def corner_limits(theta5, theta6, step):
+    """Limits of a 3x3 grid whose first cell is exactly (theta5, theta6)."""
+    return JointLimits(theta5_min=theta5, theta5_max=theta5 + 2.0 * step,
+                       theta6_min=theta6, theta6_max=theta6 + 2.0 * step)
+
+
+@property_settings
+@given(ctx=contexts(), config=configs, t5=finite(-math.pi, math.pi),
+       t6=finite(-math.pi, math.pi), span5=finite(0.0, math.pi), span6=finite(0.0, math.pi))
+def test_objective_scalar_matches_grid_cells(ctx, config, t5, t6, span5, span6):
+    limits = JointLimits(theta5_min=t5, theta5_max=t5 + span5,
+                         theta6_min=t6, theta6_max=t6 + span6)
+    assert_objective_matches_grid(ctx, limits, config)
+
+
+@property_settings
+@given(ctx=contexts(), config=configs, t5=finite(-math.pi, math.pi),
+       t6=finite(-math.pi, math.pi), joint=st.sampled_from(("shoulder", "elbow", "handle")),
+       gap=finite(0.0, 3e-6), angle=finite(-math.pi, math.pi), step=finite(1e-7, 1e-5))
+def test_objective_matches_grid_with_a_joint_near_the_com(ctx, config, t5, t6, joint, gap,
+                                                          angle, step):
+    # the COM sits within a few EPS_SINGULAR of one joint at the first cell,
+    # so the 3x3 grid straddles the singularity guard
+    phi5 = ctx.theta_04 + t5
+    point = ctx.shoulder
+    if joint != "shoulder":
+        point = point + ctx.upper_len * Vec2(float(np.cos(phi5)), float(np.sin(phi5)))
+    if joint == "handle":
+        point = point + ctx.fore_len * Vec2(float(np.cos(phi5 + t6)), float(np.sin(phi5 + t6)))
+    ctx = replace(ctx, com=point + gap * unit(angle))
+    assert_objective_matches_grid(ctx, corner_limits(t5, t6, step), replace(config, grid_step=step))
+
+
+@property_settings
+@given(ctx=contexts(), mags=magnitudes, a=finite(0.0, 1.0), t5=finite(-math.pi, math.pi),
+       reach=finite(0.05, 1.5), offset=finite(-3e-6, 3e-6), step=finite(1e-8, 1e-5))
+def test_lsq_objective_matches_grid_at_the_condition_limit(ctx, mags, a, t5, reach, offset, step):
+    # a nearly straight arm with the COM a few micrometres off its line:
+    # lambda_max / lambda_min of J J^T sits near COND_LIMIT across the grid
+    phi5 = ctx.theta_04 + t5
+    com = ctx.shoulder + reach * unit(phi5) + offset * unit(phi5 + math.pi / 2.0)
+    ctx = replace(ctx, com=com)
+    config = ObjectiveConfig(a=a, torque_magnitudes=mags, force_model="lsq", grid_step=step)
+    assert_objective_matches_grid(ctx, corner_limits(t5, -step, step), config)
 
 
 def test_evaluate_grid_shapes_and_axes():
@@ -299,7 +382,12 @@ def test_single_point_grid_is_usable():
 
 def test_handle_position_matches_chain(segments):
     shoulder = Vec2(2.0, 0.0)
-    h = handle_position(shoulder, 0.0, 0.0, math.pi / 2.0, segments)
+    ctx = PlacementContext(
+        shoulder=shoulder, theta_04=0.0, com=Vec2(1.0, 1.0), v=Vec2(1.0, 0.0),
+        upper_len=segments.length(UPPER_ARM), fore_len=segments.length(FOREARM),
+    )
+    hx, hy = arm_forces(ctx, 0.0, math.pi / 2.0, (1.0, 1.0, 1.0), "expanded").handle
+    h = Vec2(float(hx), float(hy))
     assert h.x == pytest.approx(2.32, abs=1e-12)
     assert h.y == pytest.approx(0.30, abs=1e-12)
     chain = build_chain(shoulder, 0.0, 0.0, math.pi / 2.0, 0.32, 0.30, Vec2(1.0, 1.0))

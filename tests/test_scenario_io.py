@@ -5,9 +5,13 @@ import math
 import pytest
 
 from handleopt import (
+    ObjectiveConfig,
     ParseError,
+    Placement,
+    PlacementContext,
     SchemaError,
     ValidationError,
+    Vec2,
     fixture_path,
     list_fixtures,
     load_scenario,
@@ -22,6 +26,7 @@ from handleopt import (
     validate_scenario,
     write_placement_report,
 )
+from handleopt.scenario_io import _model_summary
 
 FIXTURE_NAMES = ["bathtub_stand", "lie_to_sit_bed", "sit_to_stand_bed", "toilet_sit_to_stand"]
 
@@ -397,6 +402,21 @@ def test_placement_report_round_trips_bit_exact(tmp_path):
     expanded = report["force_models"]["expanded"]
     assert expanded["f_arm_n"] == [placement.f_arm.x, placement.f_arm.y]
     assert csv_path.exists()
+
+
+def test_model_summary_reports_an_ill_conditioned_lsq_system():
+    # straight arm along +x with the COM on the same line: J J^T has rank 1,
+    # so the report carries an error entry for lsq and the expanded figures
+    ctx = PlacementContext(
+        shoulder=Vec2(0.0, 0.0), theta_04=0.0, com=Vec2(0.5, 0.0),
+        v=Vec2(1.0, 0.0), upper_len=0.32, fore_len=0.30,
+    )
+    placement = Placement(0.0, 0.0, Vec2(0.62, 0.0), -0.2, Vec2(0.0, 0.0), (1, 1, 1), ())
+    summary = _model_summary(ctx, placement, ObjectiveConfig())
+    assert summary["lsq"] == {
+        "error": "J J^T condition number exceeds 1e+12; levers are nearly parallel"
+    }
+    assert set(summary["expanded"]) == {"f_arm_n", "directed_n", "mechanical_advantage_per_m"}
 
 
 def test_landscape_csv_layout(tmp_path):
