@@ -82,7 +82,7 @@ from .scenario_io import (
     validate_scenario,
     write_placement_report,
 )
-from .reporting import RenderStyle, render_landscape, render_scene
+from .reporting import render_landscape, render_scene
 
 __version__ = "0.1.0"
 
@@ -102,7 +102,7 @@ __all__ = [
     "Finding", "Scenario", "scenario_from_dict", "scenario_to_dict",
     "read_scenario_file", "load_scenario", "save_scenario", "validate_scenario",
     "make_context", "fixture_path", "list_fixtures", "write_placement_report",
-    "RenderStyle", "render_scene", "render_landscape",
+    "render_scene", "render_landscape",
     "HandleOptError", "DegenerateVelocity", "IndexOutOfRange", "SingularChain",
     "IllConditioned", "ZeroTorque", "NoFeasiblePoint", "ReachExceeded",
     "ScenarioError", "ParseError", "SchemaError", "ValidationError",

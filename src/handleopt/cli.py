@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
     ZeroTorque,
 )
-from .placement_opt import JointLimits, optimize_placement
+from .placement_opt import JointLimits, grid_axis, optimize_placement
 from .reporting import render_landscape, render_scene
 from .scenario_io import (
     Scenario,
@@ -60,9 +60,12 @@ def _csv_floats(text: str, n: int, flag: str) -> list[float]:
     if len(parts) != n:
         raise argparse.ArgumentTypeError(f"{flag} needs {n} comma-separated numbers")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{flag}: {exc}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"{flag} needs finite numbers, got {text!r}")
+    return values
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -119,10 +122,15 @@ def _robot_base(args: argparse.Namespace) -> Vec2 | None:
 
 def _load(args: argparse.Namespace) -> Scenario:
     """Parse, apply overrides, validate; raises on any error finding."""
-    scenario = _apply_overrides(read_scenario_file(args.scenario), args)
+    return _validated(_apply_overrides(read_scenario_file(args.scenario), args),
+                      getattr(args, "verbose", False))
+
+
+def _validated(scenario: Scenario, verbose: bool = False) -> Scenario:
+    """The scenario itself; raises ValidationError on any error finding."""
     findings = validate_scenario(scenario)
     errors = [f for f in findings if f.is_error]
-    if getattr(args, "verbose", False):
+    if verbose:
         for f in findings:
             if not f.is_error:
                 print(f"warning[{f.code}]: {f.message}", file=sys.stderr)
@@ -185,7 +193,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                     f"{state.speed!r},{state.direction.x!r},{state.direction.y!r}"
                 )
         (out / "com_frames.csv").write_text("\n".join(lines) + "\n")
-        _, state = make_context(scenario)
+        state = rows[scenario.max_effort_index][3]
         (out / "com_state.json").write_text(json.dumps({
             "frame": scenario.max_effort_index,
             "time_s": scenario.frames[scenario.max_effort_index].time,
@@ -197,26 +205,29 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_optimization(scenario: Scenario, args: argparse.Namespace):
-    ctx, _ = make_context(scenario)
-    return ctx, optimize_placement(
+def _run_optimization(scenario: Scenario, args: argparse.Namespace, robot_base: Vec2 | None):
+    """(ctx, COM state, placement, landscape) of one solve."""
+    ctx, state = make_context(scenario)
+    placement, landscape = optimize_placement(
         ctx,
         scenario.limits,
         scenario.objective,
         robot=scenario.robot,
         floor_y=scenario.floor_y,
-        robot_base=_robot_base(args),
+        robot_base=robot_base,
         constrained=getattr(args, "constrained", False),
     )
+    return ctx, state, placement, landscape
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     scenario = _load(args)
-    ctx, (placement, landscape) = _run_optimization(scenario, args)
+    robot_base = _robot_base(args)
+    ctx, state, placement, landscape = _run_optimization(scenario, args, robot_base)
     out = _out_dir(args)
     report_path, csv_path = write_placement_report(
-        scenario, placement, landscape, out,
-        constrained=args.constrained, robot_base=_robot_base(args),
+        scenario, ctx, state, placement, landscape, out,
+        constrained=args.constrained, robot_base=robot_base,
     )
     print(f"scenario: {scenario.name}")
     print(f"theta5_opt_deg: {_g(math.degrees(placement.theta5_opt))}")
@@ -245,7 +256,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         )
     placement = None
     if not args.no_placement:
-        _, (placement, _) = _run_optimization(scenario, args)
+        _, _, placement, _ = _run_optimization(scenario, args, _robot_base(args))
     svg = render_scene(scenario, frame, placement)
     out = _out_dir(args)
     path = out / f"scene_frame{frame:03d}.svg"
@@ -259,18 +270,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     start, stop, step = _csv_floats(args.range, 3, "--range")
     if step <= 0.0 or stop < start:
         raise ValidationError("--range must satisfy start <= stop with step > 0")
-    values = []
-    v = start
-    while v <= stop + 1e-12:
-        values.append(round(v, 12))
-        v += step
+    values = [round(float(v), 12) for v in grid_axis(start, stop, step)]
+    swept = [_validated(replace(scenario, objective=replace(scenario.objective, a=value)))
+             for value in values]
+    robot_base = _robot_base(args)
 
     out = _out_dir(args)
     rows = ["value,theta5_opt_deg,theta6_opt_deg,objective,handle_x_m,handle_y_m"]
     print(f"{'a':>10} {'theta5_deg':>12} {'theta6_deg':>12} {'objective':>14}")
-    for value in values:
-        swept = replace(scenario, objective=replace(scenario.objective, a=value))
-        ctx, (placement, landscape) = _run_optimization(swept, args)
+    for value, scenario_at in zip(values, swept):
+        _, _, placement, landscape = _run_optimization(scenario_at, args, robot_base)
         t5 = math.degrees(placement.theta5_opt)
         t6 = math.degrees(placement.theta6_opt)
         rows.append(

@@ -36,6 +36,10 @@ ELBOW_LIMIT_MARGIN = math.radians(2.0)
 # Cells evaluated per vectorized block; bounds peak memory, not results.
 _BLOCK_CELLS = 1_500_000
 
+# Largest grid a scenario may ask for; the full default joint range at a
+# 0.05 deg step (about 16.7M cells) still fits.
+MAX_GRID_CELLS = 2**24
+
 
 @dataclass(frozen=True)
 class JointLimits:
@@ -102,7 +106,10 @@ class ObjectiveLandscape:
 
 @dataclass(frozen=True)
 class Placement:
-    """Optimization result at the max-effort frame."""
+    """Optimization result at the max-effort frame.
+
+    argmax_index is the (i5, i6) landscape cell the optimum came from.
+    """
 
     theta5_opt: float
     theta6_opt: float
@@ -111,6 +118,7 @@ class Placement:
     f_arm: Vec2
     torque_signs: tuple[int, int, int]
     feasibility: tuple[Violation, ...]
+    argmax_index: tuple[int, int]
 
 
 def _penalty(config: ObjectiveConfig, theta6):
@@ -132,12 +140,36 @@ def objective(theta5: float, theta6: float, ctx: PlacementContext, config: Objec
     return float(r.directed - _penalty(config, theta6))
 
 
-def grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
-    """Inclusive grid lo, lo+step, ... reaching hi when the span divides."""
+def grid_points(lo: float, hi: float, step: float) -> int:
+    """Number of points of grid_axis(lo, hi, step), computed without allocating."""
     if step <= 0.0:
         raise ValueError("grid step must be positive")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1 if hi > lo else 1
-    return lo + step * np.arange(n, dtype=float)
+    return int(math.floor((hi - lo) / step + 1e-9)) + 1 if hi > lo else 1
+
+
+def grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
+    """Inclusive grid lo, lo+step, ... reaching hi when the span divides."""
+    return lo + step * np.arange(grid_points(lo, hi, step), dtype=float)
+
+
+def robot_checks(hx, hy, robot: RobotParams, floor_y: float, robot_base: Vec2 | None = None):
+    """The robot feasibility rule, for one handle point or arrays of them.
+
+    One (kind, value, limit, violated) entry per check: the height above
+    floor_y against each inclusive end of handle_height_range and, only
+    with a base point, the distance from it against reach_limit (a
+    mobile base can otherwise relocate freely).
+    """
+    height = hy - floor_y
+    lo, hi = robot.handle_height_range
+    checks = [
+        ("handle_height", height, lo, height < lo),
+        ("handle_height", height, hi, height > hi),
+    ]
+    if robot_base is not None:
+        dist = np.hypot(hx - robot_base.x, hy - robot_base.y)
+        checks.append(("robot_reach", dist, robot.reach_limit, dist > robot.reach_limit))
+    return checks
 
 
 def evaluate_grid(
@@ -172,12 +204,8 @@ def evaluate_grid(
         block = r.directed - pen
         block[~ok] = np.nan
         if constrained and robot is not None:
-            hx, hy = r.handle
-            lo_h = floor_y + robot.handle_height_range[0]
-            hi_h = floor_y + robot.handle_height_range[1]
-            ok = ok & (hy >= lo_h) & (hy <= hi_h)
-            if robot_base is not None:
-                ok = ok & (np.hypot(hx - robot_base.x, hy - robot_base.y) <= robot.reach_limit)
+            for _, _, _, violated in robot_checks(*r.handle, robot, floor_y, robot_base):
+                ok = ok & ~violated
         obj[lo:hi] = block
         eligible[lo:hi] = ok
 
@@ -204,45 +232,26 @@ def feasibility_check(
     placement: Placement,
     robot: RobotParams,
     floor_y: float,
-    shoulder: Vec2 | None = None,
-    arm_reach: float | None = None,
     robot_base: Vec2 | None = None,
 ) -> list[Violation]:
-    """Robot-side feasibility findings for a placement.
+    """Robot-side feasibility findings for a placement's handle.
 
-    The reach check runs only when a robot base point is supplied; a
-    mobile base can otherwise relocate freely. Findings never alter the
-    optimum; constrained search handles that during evaluation.
+    Decided by robot_checks, the rule the constrained search applies to
+    every cell. Findings never alter the optimum; constrained search
+    handles that during evaluation.
     """
-    out: list[Violation] = []
     h = placement.handle
-    height = h.y - floor_y
     lo, hi = robot.handle_height_range
-    if height < lo or height > hi:
-        out.append(Violation(
-            kind="handle_height",
-            message=f"handle {height:.3f} m above floor is outside [{lo:.3f}, {hi:.3f}] m",
-            value=height,
-            limit=lo if height < lo else hi,
-        ))
-    if robot_base is not None:
-        dist = (h - robot_base).norm()
-        if dist > robot.reach_limit:
-            out.append(Violation(
-                kind="robot_reach",
-                message=f"handle is {dist:.3f} m from the robot base, beyond {robot.reach_limit:.3f} m",
-                value=dist,
-                limit=robot.reach_limit,
-            ))
-    if shoulder is not None and arm_reach is not None:
-        dist = (h - shoulder).norm()
-        if dist > arm_reach + 1e-9:
-            out.append(Violation(
-                kind="arm_reach",
-                message=f"handle is {dist:.3f} m from the shoulder, beyond the {arm_reach:.3f} m arm",
-                value=dist,
-                limit=arm_reach,
-            ))
+    out: list[Violation] = []
+    for kind, value, limit, violated in robot_checks(h.x, h.y, robot, floor_y, robot_base):
+        if not violated:
+            continue
+        value = float(value)
+        if kind == "handle_height":
+            message = f"handle {value:.3f} m above floor is outside [{lo:.3f}, {hi:.3f}] m"
+        else:
+            message = f"handle is {value:.3f} m from the robot base, beyond {limit:.3f} m"
+        out.append(Violation(kind=kind, message=message, value=value, limit=limit))
     return out
 
 
@@ -279,12 +288,12 @@ def optimize_placement(
         f_arm=Vec2(float(r.force[0]), float(r.force[1])),
         torque_signs=tuple(int(s) for s in r.signs),
         feasibility=(),
+        argmax_index=(i5, i6),
     )
     arm_reach = ctx.upper_len + ctx.fore_len
     if robot is not None:
         placement = replace(placement, feasibility=tuple(feasibility_check(
-            placement, robot, floor_y,
-            shoulder=ctx.shoulder, arm_reach=arm_reach, robot_base=robot_base,
+            placement, robot, floor_y, robot_base,
         )))
     reach = (placement.handle - ctx.shoulder).norm()
     if not reach <= arm_reach + 1e-12:

@@ -11,7 +11,6 @@ groups.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,26 +26,18 @@ from .errors import DegenerateVelocity, IndexOutOfRange
 from .placement_opt import ObjectiveLandscape, Placement, argmax_lexicographic
 
 
-@dataclass(frozen=True)
-class RenderStyle:
-    scale: float = 240.0  # px per meter
-    margin: float = 0.18  # meters of padding around the scene bounds
-    body_color: str = "#1f3a5f"
-    arm_color: str = "#c0392b"
-    com_color: str = "#7d3c98"
-    velocity_color: str = "#1e8449"
-    handle_color: str = "#b7950b"
-    background: str = "#ffffff"
-    floor_color: str = "#888888"
-    body_width: float = 5.0
-    arm_width: float = 4.0
-    joint_radius: float = 4.0
-
-    def width_mm(self, width_px: float) -> float:
-        """Physical width at the CSS reference of 96 px per inch."""
-        return width_px * 25.4 / 96.0
-
-
+SCALE_PX_PER_M = 240.0
+MARGIN_M = 0.18  # padding around the scene bounds
+BODY_COLOR = "#1f3a5f"
+ARM_COLOR = "#c0392b"
+COM_COLOR = "#7d3c98"
+VELOCITY_COLOR = "#1e8449"
+HANDLE_COLOR = "#b7950b"
+BACKGROUND_COLOR = "#ffffff"
+FLOOR_COLOR = "#888888"
+BODY_WIDTH_PX = 5.0
+ARM_WIDTH_PX = 4.0
+JOINT_RADIUS_PX = 4.0
 VELOCITY_ARROW_PX = 55.0
 
 
@@ -59,19 +50,18 @@ def _fmt(v: float) -> str:
 class _Canvas:
     """World-to-canvas transform for one scene."""
 
-    def __init__(self, xmin: float, xmax: float, ymin: float, ymax: float, style: RenderStyle):
+    def __init__(self, xmin: float, xmax: float, ymin: float, ymax: float):
         self.xmin = xmin
         self.ymax = ymax
-        self.scale = style.scale
-        self.margin_px = style.margin * style.scale
-        self.width = 2.0 * self.margin_px + (xmax - xmin) * self.scale
-        self.height = 2.0 * self.margin_px + (ymax - ymin) * self.scale
+        self.margin_px = MARGIN_M * SCALE_PX_PER_M
+        self.width = 2.0 * self.margin_px + (xmax - xmin) * SCALE_PX_PER_M
+        self.height = 2.0 * self.margin_px + (ymax - ymin) * SCALE_PX_PER_M
 
     def x(self, wx: float) -> float:
-        return self.margin_px + (wx - self.xmin) * self.scale
+        return self.margin_px + (wx - self.xmin) * SCALE_PX_PER_M
 
     def y(self, wy: float) -> float:
-        return self.margin_px + (self.ymax - wy) * self.scale
+        return self.margin_px + (self.ymax - wy) * SCALE_PX_PER_M
 
     def point(self, p: Vec2) -> str:
         return f"{_fmt(self.x(p.x))},{_fmt(self.y(p.y))}"
@@ -101,29 +91,27 @@ def _scene_bounds(geom: BodyGeometry, com: Vec2, arm_reach: float, floor_y: floa
     return min(xs), max(xs), min(ys), max(ys)
 
 
-def render_scene(scenario, frame_index: int, placement: Placement | None = None,
-                 style: RenderStyle | None = None) -> str:
+def render_scene(scenario, frame_index: int, placement: Placement | None = None) -> str:
     """SVG for one frame; pass a placement to overlay the solved arm."""
-    style = style or RenderStyle()
     frame = scenario.frames[frame_index]
     geom = forward_kinematics(frame.pose, scenario.segments)
     com = nonarm_com(frame.pose, scenario.segments)
-    cv = _Canvas(*_scene_bounds(geom, com, scenario.segments.arm_reach, scenario.floor_y), style)
+    cv = _Canvas(*_scene_bounds(geom, com, scenario.segments.arm_reach, scenario.floor_y))
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(cv.width)}" '
         f'height="{_fmt(cv.height)}" viewBox="0 0 {_fmt(cv.width)} {_fmt(cv.height)}">',
-        f'<rect width="100%" height="100%" fill="{style.background}"/>',
+        f'<rect width="100%" height="100%" fill="{BACKGROUND_COLOR}"/>',
         f'<line x1="0" y1="{_fmt(cv.y(scenario.floor_y))}" x2="{_fmt(cv.width)}" '
-        f'y2="{_fmt(cv.y(scenario.floor_y))}" stroke="{style.floor_color}" stroke-width="2" '
+        f'y2="{_fmt(cv.y(scenario.floor_y))}" stroke="{FLOOR_COLOR}" stroke-width="2" '
         'stroke-dasharray="8 5"/>',
     ]
 
     body_joints = (geom.toe, geom.ankle, geom.knee, geom.hip, geom.shoulder, geom.head_end)
     lines.append('<g id="body">')
-    lines.append(_polyline([cv.point(p) for p in body_joints], style.body_color, style.body_width))
+    lines.append(_polyline([cv.point(p) for p in body_joints], BODY_COLOR, BODY_WIDTH_PX))
     for p in body_joints:
-        lines.append(_circle(cv.x(p.x), cv.y(p.y), style.joint_radius, style.body_color))
+        lines.append(_circle(cv.x(p.x), cv.y(p.y), JOINT_RADIUS_PX, BODY_COLOR))
     lines.append("</g>")
 
     if placement is None:
@@ -134,26 +122,26 @@ def render_scene(scenario, frame_index: int, placement: Placement | None = None,
         hand = elbow + unit(a5 + placement.theta6_opt) * scenario.segments.length(6)
     lines.append('<g id="arm">')
     lines.append(_polyline([cv.point(p) for p in (geom.shoulder, elbow, hand)],
-                           style.arm_color, style.arm_width))
+                           ARM_COLOR, ARM_WIDTH_PX))
     for p in (elbow, hand):
-        lines.append(_circle(cv.x(p.x), cv.y(p.y), style.joint_radius, style.arm_color))
+        lines.append(_circle(cv.x(p.x), cv.y(p.y), JOINT_RADIUS_PX, ARM_COLOR))
     lines.append("</g>")
 
     if placement is not None:
         h = placement.handle
-        bar_w = scenario.robot.handle_length * style.scale
-        bar_h = max(2.0, scenario.robot.handle_diameter * style.scale)
+        bar_w = scenario.robot.handle_length * SCALE_PX_PER_M
+        bar_h = max(2.0, scenario.robot.handle_diameter * SCALE_PX_PER_M)
         lines.append('<g id="handle">')
         lines.append(
             f'<rect x="{_fmt(cv.x(h.x) - bar_w / 2.0)}" y="{_fmt(cv.y(h.y) - bar_h / 2.0)}" '
-            f'width="{_fmt(bar_w)}" height="{_fmt(bar_h)}" fill="{style.handle_color}" '
+            f'width="{_fmt(bar_w)}" height="{_fmt(bar_h)}" fill="{HANDLE_COLOR}" '
             'fill-opacity="0.45"/>'
         )
-        lines.append(_circle(cv.x(h.x), cv.y(h.y), max(3.0, bar_h / 2.0), style.handle_color))
+        lines.append(_circle(cv.x(h.x), cv.y(h.y), max(3.0, bar_h / 2.0), HANDLE_COLOR))
         lines.append("</g>")
 
     lines.append('<g id="com-marker">')
-    lines.append(_circle(cv.x(com.x), cv.y(com.y), 6.0, style.com_color,
+    lines.append(_circle(cv.x(com.x), cv.y(com.y), 6.0, COM_COLOR,
                          ' stroke="#ffffff" stroke-width="1.5"'))
     lines.append("</g>")
 
@@ -172,11 +160,11 @@ def render_scene(scenario, frame_index: int, placement: Placement | None = None,
         lines.append('<g id="velocity">')
         lines.append(
             f'<line x1="{_fmt(cv.x(com.x))}" y1="{_fmt(cv.y(com.y))}" x2="{_fmt(tip_x)}" '
-            f'y2="{_fmt(tip_y)}" stroke="{style.velocity_color}" stroke-width="3"/>'
+            f'y2="{_fmt(tip_y)}" stroke="{VELOCITY_COLOR}" stroke-width="3"/>'
         )
         lines.append(
             f'<polygon points="{_fmt(tip_x)},{_fmt(tip_y)} {_fmt(left[0])},{_fmt(left[1])} '
-            f'{_fmt(right[0])},{_fmt(right[1])}" fill="{style.velocity_color}"/>'
+            f'{_fmt(right[0])},{_fmt(right[1])}" fill="{VELOCITY_COLOR}"/>'
         )
         lines.append("</g>")
         speed_text = f"|v| = {state.speed:.4f} m/s"
@@ -205,7 +193,7 @@ def _heat_color(t: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def render_landscape(landscape: ObjectiveLandscape, style: RenderStyle | None = None) -> str:
+def render_landscape(landscape: ObjectiveLandscape) -> str:
     """Heat map of the objective over the joint grid; theta6 grows upward."""
     n5 = int(landscape.theta5.size)
     n6 = int(landscape.theta6.size)

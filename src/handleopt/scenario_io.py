@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -38,13 +39,14 @@ from .body_model import (
 from .errors import DegenerateVelocity, IndexOutOfRange, ParseError, SchemaError, ValidationError
 from .placement_opt import (
     ELBOW_LIMIT_MARGIN,
+    MAX_GRID_CELLS,
     JointLimits,
     ObjectiveConfig,
     ObjectiveLandscape,
     Placement,
     PlacementContext,
     RobotParams,
-    argmax_lexicographic,
+    grid_points,
 )
 
 SCHEMA_VERSION = "1"
@@ -76,7 +78,10 @@ class Scenario:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A JSON number that converts to a float; a bigger integer is not one."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    return isinstance(x, float) or abs(x) <= sys.float_info.max
 
 
 def _require_keys(obj, keys: tuple[str, ...], where: str) -> None:
@@ -267,6 +272,17 @@ def read_scenario_file(path) -> Scenario:
     return scenario_from_dict(data)
 
 
+def _non_finite(node, path: str = "") -> list[tuple[str, float]]:
+    """(path, value) of every NaN or infinite number in a scenario_to_dict tree."""
+    if isinstance(node, dict):
+        items = [(f"{path}.{k}" if path else k, v) for k, v in node.items()]
+    elif isinstance(node, list):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(node)]
+    else:
+        return [(path, node)] if isinstance(node, float) and not math.isfinite(node) else []
+    return [found for sub, v in items for found in _non_finite(v, sub)]
+
+
 def validate_scenario(s: Scenario) -> list[Finding]:
     """All invariant findings for a scenario, errors first where natural."""
     out: list[Finding] = []
@@ -276,6 +292,10 @@ def validate_scenario(s: Scenario) -> list[Finding]:
 
     def warn(code: str, message: str) -> None:
         out.append(Finding("warning", code, message))
+
+    non_finite = _non_finite(scenario_to_dict(s))
+    for path, value in non_finite:
+        err("non_finite", f"{path} is {value!r}; every number must be finite")
 
     if s.segments.total_mass <= 0.0:
         err("total_mass_positive", f"total mass {s.segments.total_mass} kg must be positive")
@@ -307,6 +327,7 @@ def validate_scenario(s: Scenario) -> list[Finding]:
             "sequence; the COM velocity central difference needs neighbors on both sides")
 
     lim = s.limits
+    limits_ordered = lim.theta5_min < lim.theta5_max and lim.theta6_min < lim.theta6_max
     if lim.theta5_min >= lim.theta5_max:
         err("limits_order", "theta5 limits must satisfy min < max")
     if lim.theta6_min >= lim.theta6_max:
@@ -322,8 +343,19 @@ def validate_scenario(s: Scenario) -> list[Finding]:
         err("objective_a", f"penalty weight a = {s.objective.a} must be >= 0")
     if any(m <= 0.0 for m in s.objective.torque_magnitudes):
         err("torque_positive", "torque magnitudes must all be positive")
-    if s.objective.grid_step <= 0.0:
+    step = s.objective.grid_step
+    if step <= 0.0:
         err("grid_step_positive", "grid step must be positive")
+    elif limits_ordered and not non_finite:
+        try:
+            cells = (float(grid_points(lim.theta5_min, lim.theta5_max, step))
+                     * grid_points(lim.theta6_min, lim.theta6_max, step))
+        except OverflowError:  # span / step is beyond the float range
+            cells = math.inf
+        if cells > MAX_GRID_CELLS:
+            err("grid_too_large",
+                f"the joint limits at a {math.degrees(step):g} deg step make {cells:.3g} grid "
+                f"cells, more than the {MAX_GRID_CELLS} allowed")
     if s.objective.force_model not in FORCE_MODELS:
         err("force_model", f"force model must be one of {list(FORCE_MODELS)}")
 
@@ -374,9 +406,9 @@ def list_fixtures() -> list[str]:
     return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
 
 
-def make_context(s: Scenario, renormalize: bool = False) -> tuple[PlacementContext, ComState]:
+def make_context(s: Scenario) -> tuple[PlacementContext, ComState]:
     """Placement context plus the COM state at the max-effort frame."""
-    state = com_velocity(s.frames, s.segments, s.max_effort_index, renormalize)
+    state = com_velocity(s.frames, s.segments, s.max_effort_index)
     pose = s.frames[s.max_effort_index].pose
     from .body_model import shoulder_frame  # local to avoid a wide import list
 
@@ -413,6 +445,8 @@ def _model_summary(ctx: PlacementContext, placement: Placement, config: Objectiv
 
 def write_placement_report(
     scenario: Scenario,
+    ctx: PlacementContext,
+    state: ComState,
     placement: Placement,
     landscape: ObjectiveLandscape,
     out_dir,
@@ -421,14 +455,15 @@ def write_placement_report(
 ) -> tuple[Path, Path]:
     """Write placement_report.json and landscape.csv into out_dir.
 
+    ctx and state are make_context(scenario), and placement and
+    landscape the optimize_placement result they were solved with.
     Numbers go through repr-level JSON serialization, so re-reading the
     report reproduces every float bit-exact. The CSV holds one row per
     grid cell with header theta5_deg,theta6_deg,objective,feasible.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ctx, state = make_context(scenario)
-    i5, i6 = argmax_lexicographic(landscape)
+    i5, i6 = placement.argmax_index
 
     report = {
         "scenario": scenario.name,

@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -94,6 +96,55 @@ def test_malformed_tau_is_a_usage_error(capsys):
     assert code == 2
     assert err.startswith("error[usage]:")
     assert "3 comma-separated numbers" in err
+
+
+def numeric_paths(node, path=()):
+    """Key paths of every number in a parsed scenario file."""
+    if isinstance(node, dict):
+        return [p for k, v in node.items() for p in numeric_paths(v, path + (k,))]
+    if isinstance(node, list):
+        return [p for i, v in enumerate(node) for p in numeric_paths(v, path + (i,))]
+    return [path] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+
+
+def test_every_non_finite_number_is_rejected_with_a_code(capsys, tmp_path):
+    base = json.loads(fixture_path("toilet_sit_to_stand").read_text())
+    paths = numeric_paths(base)
+    assert len(paths) > 100
+    file = tmp_path / "scenario.json"
+    for path in paths:
+        where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+        for value in (math.nan, math.inf, -math.inf):
+            data = copy.deepcopy(base)
+            node = data
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            file.write_text(json.dumps(data))
+            code, out, err = run(capsys, "validate", "--scenario", str(file))
+            if path == ("max_effort_index",):  # an integer field
+                assert (code, err.split(":")[0]) == (2, "error[schema]"), (path, value)
+            else:
+                assert code == 1, (path, value)
+                assert f"error[non_finite]: {where} is {value!r};" in err, (path, value, err)
+
+
+@pytest.mark.parametrize("argv, status, finding", [
+    (("validate", "--a", "nan"), 1, "error[non_finite]: objective.a is nan"),
+    (("optimize", "--a", "nan"), 1, "non_finite: objective.a is nan"),
+    (("optimize", "--grid-step-deg", "nan"), 1, "non_finite: objective.grid_step_deg is nan"),
+    (("optimize", "--grid-step-deg", "inf"), 1, "non_finite: objective.grid_step_deg is inf"),
+    (("optimize", "--limits-deg=-60,nan,5,175"), 2, "error[usage]: --limits-deg needs finite"),
+    (("optimize", "--robot-base=nan,0"), 2, "error[usage]: --robot-base needs finite"),
+    (("optimize", "--tau=1,nan,1"), 2, "error[usage]: --tau needs finite"),
+    (("sweep", "--param", "a", "--range=0,inf,0.2"), 2, "error[usage]: --range needs finite"),
+])
+def test_non_finite_overrides_are_rejected_with_a_code(capsys, tmp_path, argv, status, finding):
+    code, out, err = run(capsys, argv[0], "--scenario", TOILET, "--out", str(tmp_path), *argv[1:])
+    assert code == status
+    assert finding in err
+    assert "feasible" not in out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_scenario_flag_is_an_argparse_exit():
@@ -244,6 +295,30 @@ def test_sweep_rejects_bad_range(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error[validation]:")
     assert "--range" in err
+
+
+def test_sweep_readme_range_keeps_its_values_and_file_names(capsys, tmp_path):
+    # 3 * 0.2 is 0.6000000000000001; the values are rounded to 12 places
+    code, out, err = run(
+        capsys, "sweep", "--scenario", TOILET, "--out", str(tmp_path),
+        "--param", "a", "--range", "0,0.6,0.2", "--grid-step-deg", "5",
+    )
+    assert code == 0
+    sweep_lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in sweep_lines[1:]] == ["0.0", "0.2", "0.4", "0.6"]
+    stems = ("landscape_a_0", "landscape_a_0.2", "landscape_a_0.4", "landscape_a_0.6")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["sweep.csv"] + [f"{stem}.{ext}" for stem in stems for ext in ("csv", "svg")])
+
+
+def test_sweep_validates_every_swept_value(capsys, tmp_path):
+    code, out, err = run(
+        capsys, "sweep", "--scenario", TOILET, "--out", str(tmp_path),
+        "--param", "a", "--range=-1,0,0.5",
+    )
+    assert code == 1
+    assert err.startswith("error[validation]: objective_a:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verbose_optimize_surfaces_warnings(capsys, tmp_path):

@@ -412,13 +412,18 @@ def test_optimizer_results_on_packaged_fixtures():
         assert (placement.handle - ctx.shoulder).norm() <= 0.62 + 1e-12
 
 
+def placement_at(handle):
+    """A placement whose only meaningful field is its handle."""
+    return Placement(0.0, 1.0, handle, 0.0, Vec2(0, 0), (1, 1, 1), (), (0, 0))
+
+
 def test_feasibility_check_reports_height_violations():
     robot = RobotParams()
-    low = Placement(0.0, 1.0, Vec2(0.2, -0.1), 0.0, Vec2(0, 0), (1, 1, 1), ())
+    low = placement_at(Vec2(0.2, -0.1))
     found = feasibility_check(low, robot, floor_y=0.0)
     assert [v.kind for v in found] == ["handle_height"]
     assert found[0].limit == 0.15
-    high = Placement(0.0, 1.0, Vec2(0.2, 2.0), 0.0, Vec2(0, 0), (1, 1, 1), ())
+    high = placement_at(Vec2(0.2, 2.0))
     found = feasibility_check(high, robot, floor_y=0.0)
     assert [v.kind for v in found] == ["handle_height"]
     assert found[0].limit == 1.60
@@ -428,7 +433,7 @@ def test_feasibility_check_reports_height_violations():
 
 def test_feasibility_check_reach_needs_a_base_point():
     robot = RobotParams()
-    placement = Placement(0.0, 1.0, Vec2(0.5, 0.5), 0.0, Vec2(0, 0), (1, 1, 1), ())
+    placement = placement_at(Vec2(0.5, 0.5))
     assert feasibility_check(placement, robot, floor_y=0.0) == []
     found = feasibility_check(placement, robot, floor_y=0.0, robot_base=Vec2(0.0, 0.5))
     assert [v.kind for v in found] == ["robot_reach"]
@@ -438,12 +443,37 @@ def test_feasibility_check_reach_needs_a_base_point():
     assert near == []
 
 
-def test_feasibility_check_flags_out_of_reach_arm():
-    robot = RobotParams()
-    placement = Placement(0.0, 1.0, Vec2(0.7, 0.5), 0.0, Vec2(0, 0), (1, 1, 1), ())
-    found = feasibility_check(placement, robot, floor_y=0.0,
-                              shoulder=Vec2(0.0, 0.5), arm_reach=0.62)
-    assert [v.kind for v in found] == ["arm_reach"]
+@property_settings
+@given(ctx=contexts(), config=configs, t5=finite(-math.pi, math.pi),
+       t6=finite(-math.pi, math.pi), floor_y=finite(-0.5, 0.5).filter(bool),
+       bound=st.sampled_from(("low", "high", "reach")), direction=finite(-math.pi, math.pi))
+def test_constrained_search_and_feasibility_report_share_one_rule(ctx, config, t5, t6, floor_y,
+                                                                  bound, direction):
+    # the first cell of a 3x3 grid sits exactly on a height bound or at the
+    # reach limit, so the cells fall on both sides of the rule
+    limits = corner_limits(t5, t6, config.grid_step)
+    hx, hy = arm_forces(ctx, t5, t6, config.torque_magnitudes, config.force_model).handle
+    handle = Vec2(float(hx), float(hy))
+    robot, base = RobotParams(), None
+    height = handle.y - floor_y
+    if bound == "low":
+        robot = replace(robot, handle_height_range=(height, height + 1.0))
+    elif bound == "high":
+        robot = replace(robot, handle_height_range=(height - 1.0, height))
+    else:
+        robot = replace(robot, handle_height_range=(height - 1.0, height + 1.0))
+        base = handle + 0.3 * unit(direction)
+        robot = replace(robot, reach_limit=(handle - base).norm())
+    landscape = evaluate_grid(ctx, limits, config, robot=robot, floor_y=floor_y,
+                              robot_base=base, constrained=True)
+    for i5, c5 in enumerate(landscape.theta5):
+        for i6, c6 in enumerate(landscape.theta6):
+            hx, hy = arm_forces(ctx, float(c5), float(c6),
+                                config.torque_magnitudes, config.force_model).handle
+            cell = float(landscape.objective[i5, i6])
+            found = feasibility_check(placement_at(Vec2(float(hx), float(hy))), robot,
+                                      floor_y, base)
+            assert bool(landscape.eligible[i5, i6]) == (math.isfinite(cell) and not found)
 
 
 def test_constrained_mode_excludes_but_still_scores():

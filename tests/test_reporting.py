@@ -8,7 +8,6 @@ import pytest
 
 from handleopt import (
     ObjectiveLandscape,
-    RenderStyle,
     fixture_path,
     forward_kinematics,
     load_scenario,
@@ -19,7 +18,7 @@ from handleopt import (
     render_scene,
     scenario_from_dict,
 )
-from handleopt.reporting import _Canvas, _fmt, _heat_color, _scene_bounds
+from handleopt.reporting import SCALE_PX_PER_M, _Canvas, _fmt, _heat_color, _scene_bounds
 
 SEGMENT_ROWS = [
     ("foot", 0.26, 1.74, 0.50),
@@ -116,9 +115,7 @@ def test_com_marker_lands_on_transformed_com():
     frame = s.frames[idx]
     geom = forward_kinematics(frame.pose, s.segments)
     com = nonarm_com(frame.pose, s.segments)
-    cv = _Canvas(
-        *_scene_bounds(geom, com, s.segments.arm_reach, s.floor_y), RenderStyle()
-    )
+    cv = _Canvas(*_scene_bounds(geom, com, s.segments.arm_reach, s.floor_y))
     marker = svg.split('<g id="com-marker">')[1].split("</g>")[0]
     assert f'cx="{_fmt(cv.x(com.x))}"' in marker
     assert f'cy="{_fmt(cv.y(com.y))}"' in marker
@@ -154,7 +151,7 @@ def test_placement_overlay_changes_only_arm_and_handle():
     assert '<g id="arm">' in bare and '<g id="arm">' in overlay
     assert strip_groups(bare, "arm", "handle") == strip_groups(overlay, "arm", "handle")
     # the handle bar is drawn at the robot's physical size
-    bar_w = s.robot.handle_length * RenderStyle().scale
+    bar_w = s.robot.handle_length * SCALE_PX_PER_M
     assert f'width="{_fmt(bar_w)}"' in overlay.split('<g id="handle">')[1]
 
 
@@ -221,10 +218,6 @@ def test_all_ineligible_landscape_renders():
     assert '<rect id="argmax"' not in svg
     assert "min =" not in svg
     assert svg.count('fill="#c8c8c8"') == 2
-
-
-def test_width_mm_uses_css_reference():
-    assert RenderStyle().width_mm(96.0) == pytest.approx(25.4)
 
 
 def test_scene_bounds_ignore_placement(tmp_path):

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import sys
 
 import pytest
 
@@ -12,7 +13,9 @@ from handleopt import (
     SchemaError,
     ValidationError,
     Vec2,
+    argmax_lexicographic,
     fixture_path,
+    grid_axis,
     list_fixtures,
     load_scenario,
     make_context,
@@ -207,6 +210,15 @@ def test_booleans_are_not_numbers():
         scenario_from_dict(data)
 
 
+def test_integers_beyond_the_float_range_are_not_numbers(tmp_path):
+    data = minimal_dict()
+    data["objective"]["a"] = 10**400
+    with pytest.raises(SchemaError, match="objective.a must be a number"):
+        read_scenario_file(write_dict(tmp_path, data))
+    data["objective"]["a"] = int(sys.float_info.max)
+    assert read_scenario_file(write_dict(tmp_path, data)).objective.a == sys.float_info.max
+
+
 def test_list_lengths_enforced():
     data = minimal_dict()
     data["frames"][0]["theta_deg"] = [1.0, 2.0, 3.0, 4.0, 5.0]
@@ -308,6 +320,36 @@ def test_objective_parameters_validated():
     assert "grid_step_positive" in error_codes(scenario_from_dict(data))
 
 
+def test_grid_size_is_bounded_before_allocation():
+    data = minimal_dict()
+    data["objective"]["grid_step_deg"] = 1e-7
+    assert "grid_too_large" in error_codes(scenario_from_dict(data))
+    data["objective"]["grid_step_deg"] = 1e-320  # span / step is beyond the float range
+    assert "grid_too_large" in error_codes(scenario_from_dict(data))
+    # the full default range at 0.05 deg (about 16.7M cells) still fits
+    data["joint_limits_deg"] = [-60.0, 185.0, 5.0, 175.0]
+    data["objective"]["grid_step_deg"] = 0.05
+    assert error_codes(scenario_from_dict(data)) == []
+    # the size is checked only once the limits pass their own checks
+    data["joint_limits_deg"] = [185.0, -60.0, 5.0, 175.0]
+    data["objective"]["grid_step_deg"] = 1e-7
+    assert error_codes(scenario_from_dict(data)) == ["limits_order"]
+
+
+def test_grid_too_large_counts_cells_like_grid_axis():
+    # 4096 x 4096 = 2**24 cells is the largest grid allowed
+    data = minimal_dict()
+    data["objective"]["grid_step_deg"] = 0.04
+    for t5_points, too_large in ((4096, False), (4097, True)):
+        data["joint_limits_deg"] = [-60.0, -60.0 + (t5_points - 1) * 0.04, 5.0, 5.0 + 4095 * 0.04]
+        scenario = scenario_from_dict(data)
+        lim, step = scenario.limits, scenario.objective.grid_step
+        cells = (grid_axis(lim.theta5_min, lim.theta5_max, step).size
+                 * grid_axis(lim.theta6_min, lim.theta6_max, step).size)
+        assert cells == t5_points * 4096
+        assert ("grid_too_large" in error_codes(scenario)) is too_large
+
+
 def test_robot_parameters_validated():
     data = minimal_dict()
     data["robot"]["reach_limit_m"] = 0.0
@@ -370,13 +412,13 @@ def test_make_context_is_consistent_with_body_model():
 
 def test_placement_report_round_trips_bit_exact(tmp_path):
     scenario = load_scenario(fixture_path("toilet_sit_to_stand"))
-    ctx, _ = make_context(scenario)
+    ctx, state = make_context(scenario)
     placement, landscape = optimize_placement(
         ctx, scenario.limits, scenario.objective,
         robot=scenario.robot, floor_y=scenario.floor_y,
     )
     report_path, csv_path = write_placement_report(
-        scenario, placement, landscape, tmp_path
+        scenario, ctx, state, placement, landscape, tmp_path
     )
     report = json.loads(report_path.read_text())
     assert report["scenario"] == scenario.name
@@ -394,6 +436,8 @@ def test_placement_report_round_trips_bit_exact(tmp_path):
     assert abs(recomputed - report["objective_value"]) < 1e-12
     assert report["grid"]["theta5_points"] == landscape.theta5.size
     assert report["grid"]["theta6_points"] == landscape.theta6.size
+    assert report["grid"]["argmax_index"] == list(argmax_lexicographic(landscape))
+    assert report["com"]["position_m"] == [state.position.x, state.position.y]
     assert report["config"]["grid_step_deg"] == pytest.approx(0.5, abs=1e-12)
     assert report["config"]["constrained"] is False
     assert report["config"]["robot_base_xy_m"] is None
@@ -411,7 +455,7 @@ def test_model_summary_reports_an_ill_conditioned_lsq_system():
         shoulder=Vec2(0.0, 0.0), theta_04=0.0, com=Vec2(0.5, 0.0),
         v=Vec2(1.0, 0.0), upper_len=0.32, fore_len=0.30,
     )
-    placement = Placement(0.0, 0.0, Vec2(0.62, 0.0), -0.2, Vec2(0.0, 0.0), (1, 1, 1), ())
+    placement = Placement(0.0, 0.0, Vec2(0.62, 0.0), -0.2, Vec2(0.0, 0.0), (1, 1, 1), (), (0, 0))
     summary = _model_summary(ctx, placement, ObjectiveConfig())
     assert summary["lsq"] == {
         "error": "J J^T condition number exceeds 1e+12; levers are nearly parallel"
@@ -427,9 +471,9 @@ def test_landscape_csv_layout(tmp_path):
         scenario,
         objective=dataclasses.replace(scenario.objective, grid_step=math.radians(10.0)),
     )
-    ctx, _ = make_context(small)
+    ctx, state = make_context(small)
     placement, landscape = optimize_placement(ctx, small.limits, small.objective)
-    _, csv_path = write_placement_report(small, placement, landscape, tmp_path)
+    _, csv_path = write_placement_report(small, ctx, state, placement, landscape, tmp_path)
     lines = csv_path.read_text().splitlines()
     n5, n6 = landscape.theta5.size, landscape.theta6.size
     assert lines[0] == "theta5_deg,theta6_deg,objective,feasible"
