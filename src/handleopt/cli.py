@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
     ZeroTorque,
 )
-from .placement_opt import JointLimits, grid_axis, optimize_placement
+from .placement_opt import JointLimits, grid_axis, grid_points, optimize_placement
 from .reporting import render_landscape, render_scene
 from .scenario_io import (
     Scenario,
@@ -38,6 +38,9 @@ from .scenario_io import (
     write_landscape_csv,
     write_placement_report,
 )
+
+# Most values one sweep may solve; each writes two landscape files.
+MAX_SWEEP_VALUES = 200
 
 _NUMERIC_ERRORS = (
     DegenerateVelocity, SingularChain, IllConditioned,
@@ -270,6 +273,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     start, stop, step = _csv_floats(args.range, 3, "--range")
     if step <= 0.0 or stop < start:
         raise ValidationError("--range must satisfy start <= stop with step > 0")
+    try:
+        count = grid_points(start, stop, step)
+    except OverflowError:  # span / step is beyond the float range
+        count = math.inf
+    if count > MAX_SWEEP_VALUES:
+        raise ValidationError(
+            f"--range makes {count:.3g} values, more than the {MAX_SWEEP_VALUES} a sweep may solve")
     values = [round(float(v), 12) for v in grid_axis(start, stop, step)]
     swept = [_validated(replace(scenario, objective=replace(scenario.objective, a=value)))
              for value in values]

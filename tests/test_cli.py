@@ -9,7 +9,7 @@ import pytest
 
 import handleopt
 from handleopt import fixture_path
-from handleopt.cli import main
+from handleopt.cli import MAX_SWEEP_VALUES, main
 
 TOILET = str(fixture_path("toilet_sit_to_stand"))
 
@@ -297,6 +297,20 @@ def test_sweep_rejects_bad_range(capsys, tmp_path):
     assert "--range" in err
 
 
+@pytest.mark.parametrize("spec", ["0,1,1e-9", "0,1e308,1e-308"])
+def test_sweep_rejects_too_many_values_before_any_solve(capsys, tmp_path, spec):
+    out_dir = tmp_path / "out"
+    code, out, err = run(
+        capsys, "sweep", "--scenario", TOILET, "--out", str(out_dir),
+        "--param", "a", f"--range={spec}",
+    )
+    assert code == 1
+    assert err.startswith("error[validation]: --range makes")
+    assert f"more than the {MAX_SWEEP_VALUES}" in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
 def test_sweep_readme_range_keeps_its_values_and_file_names(capsys, tmp_path):
     # 3 * 0.2 is 0.6000000000000001; the values are rounded to 12 places
     code, out, err = run(
@@ -334,6 +348,17 @@ def test_verbose_optimize_surfaces_warnings(capsys, tmp_path):
     )
     assert code == 0
     assert "warning[slow_com]:" in err
+
+
+def test_import_starts_no_thread_and_leaves_out_concurrent_futures():
+    code = ("import sys, threading, handleopt.cli; "
+            "print('concurrent.futures' in sys.modules, threading.active_count())")
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, cwd=Path(handleopt.__file__).parents[1], timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "1"]
 
 
 def test_module_entry_point_runs():
