@@ -9,23 +9,16 @@ direction and penalizes nearly straight or fully folded elbows:
 
 with torque signs chosen per joint so every force term pushes along
 v_com. The search is an exhaustive scan of a fixed grid; evaluation is
-vectorized in blocks of rows, and the reduction is a pure elementwise
-argmax with a lexicographic tie-break (smaller theta_6, then smaller
-theta_5), so results do not depend on evaluation order or chunk size.
-
-The blocks are shared among threads, one per CPU this process may run
-on (fewer for small grids). Every cell is computed by the same
-arithmetic whichever thread takes it, so the landscape and the optimum
-are bit-identical to a one-thread run. Each thread has one block of at
-most _BLOCK_CELLS cells in flight, which bounds peak memory.
+vectorized in blocks, and the reduction is a pure elementwise argmax
+with a lexicographic tie-break (smaller theta_6, then smaller theta_5),
+so results do not depend on evaluation order or chunk size. One block of
+at most _BLOCK_CELLS cells is in flight at a time, which bounds peak
+memory beyond the landscape itself.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import os
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,14 +35,11 @@ from .errors import IllConditioned, NoFeasiblePoint, ReachExceeded, SingularChai
 # The elbow grid must keep at least this margin from 0 and +-pi.
 ELBOW_LIMIT_MARGIN = math.radians(2.0)
 
-# Cells evaluated per vectorized block, by each grid thread; bounds peak
-# memory, not results. A block's temporaries (about 200 bytes a cell) then
-# stay in a core's L2 cache and are reused by the allocator from one block
-# to the next, where larger blocks are paged in afresh.
+# Cells evaluated per vectorized block; bounds peak memory, not results.
+# A block's temporaries (about 200 bytes a cell) then stay in a core's L2
+# cache and are reused by the allocator from one block to the next, where
+# larger blocks are paged in afresh.
 _BLOCK_CELLS = 8_192
-
-# Fewest cells a grid thread is given, so small grids start no thread.
-_MIN_THREAD_CELLS = 10_000
 
 # Largest grid a scenario may ask for; the full default joint range at a
 # 0.05 deg step (about 16.7M cells) still fits.
@@ -189,14 +179,6 @@ def robot_checks(hx, hy, robot: RobotParams, floor_y: float, robot_base: Vec2 | 
     return checks
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def evaluate_grid(
     ctx: PlacementContext,
     limits: JointLimits,
@@ -211,10 +193,6 @@ def evaluate_grid(
     Singular cells are recorded as ineligible (NaN objective) instead of
     raising. With constrained=True, cells whose handle violates the robot
     reach or height window are evaluated but excluded from eligibility.
-
-    Blocks of rows are split among the usable CPUs: the caller evaluates
-    one share and threads the others, and all of them are joined before
-    this returns or re-raises the first failure.
     """
     t5 = grid_axis(limits.theta5_min, limits.theta5_max, config.grid_step)
     t6 = grid_axis(limits.theta6_min, limits.theta6_max, config.grid_step)
@@ -224,48 +202,19 @@ def evaluate_grid(
     eligible = np.empty((n5, n6), dtype=bool)
     pen = _penalty(config, t6)[None, :]
 
-    workers = max(1, min(_usable_cpus(), n5 * n6 // _MIN_THREAD_CELLS, n5))
-    rows_per_block = max(1, _BLOCK_CELLS // n6)
-    blocks = [(lo, min(lo + rows_per_block, n5)) for lo in range(0, n5, rows_per_block)]
-    errors: list[BaseException | None] = [None] * workers
-    stop = threading.Event()
-
-    # Threads only call arm_forces and write their own rows, so they share
-    # no other state.
-    def run(share: int) -> None:
-        try:
-            for lo, hi in blocks[share::workers]:
-                if stop.is_set():
-                    return
-                r = arm_forces(ctx, t5[lo:hi, None], t6[None, :],
-                               config.torque_magnitudes, config.force_model)
-                ok = ~(r.singular | r.ill_conditioned)
-                block = r.directed - pen
-                block[~ok] = np.nan
-                if constrained and robot is not None:
-                    for _, _, _, violated in robot_checks(*r.handle, robot, floor_y, robot_base):
-                        ok = ok & ~violated
-                obj[lo:hi] = block
-                eligible[lo:hi] = ok
-        except BaseException as exc:  # re-raised by the caller after the join
-            errors[share] = exc
-            stop.set()
-
-    # Each thread runs in a copy of the caller's context, so numpy's
-    # errstate applies there as it does in the caller.
-    threads: list[threading.Thread] = []
-    try:
-        for share in range(1, workers):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, share))
-            thread.start()
-            threads.append(thread)
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    rows_per_block = max(1, _BLOCK_CELLS // max(n6, 1))
+    for lo in range(0, n5, rows_per_block):
+        hi = min(lo + rows_per_block, n5)
+        r = arm_forces(ctx, t5[lo:hi, None], t6[None, :],
+                       config.torque_magnitudes, config.force_model)
+        ok = ~(r.singular | r.ill_conditioned)
+        block = r.directed - pen
+        block[~ok] = np.nan
+        if constrained and robot is not None:
+            for _, _, _, violated in robot_checks(*r.handle, robot, floor_y, robot_base):
+                ok = ok & ~violated
+        obj[lo:hi] = block
+        eligible[lo:hi] = ok
 
     return ObjectiveLandscape(theta5=t5, theta6=t6, objective=obj, eligible=eligible)
 

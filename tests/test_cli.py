@@ -350,17 +350,6 @@ def test_verbose_optimize_surfaces_warnings(capsys, tmp_path):
     assert "warning[slow_com]:" in err
 
 
-def test_import_starts_no_thread_and_leaves_out_concurrent_futures():
-    code = ("import sys, threading, handleopt.cli; "
-            "print('concurrent.futures' in sys.modules, threading.active_count())")
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, cwd=Path(handleopt.__file__).parents[1], timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "1"]
-
-
 def test_module_entry_point_runs():
     # run from the directory holding the imported package, so the child
     # process finds the same source without an installed copy

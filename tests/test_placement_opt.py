@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -332,101 +330,18 @@ def fixture_grid_cases():
     return cases
 
 
-@pytest.mark.parametrize("cpus, block_cells", [(1, 1000), (4, 1000), (4, None)])
-def test_grid_does_not_depend_on_threads_or_block_size(monkeypatch, cpus, block_cells):
+# one row per block, a few rows (the fixture rows have 231 cells), and
+# the whole grid in one block; the default blocks hold 35 rows
+@pytest.mark.parametrize("block_cells", [1, 1000, 2**24])
+def test_grid_does_not_depend_on_block_size(monkeypatch, block_cells):
     cases = fixture_grid_cases()
     expected = [evaluate_grid(ctx, limits, config, **kw) for ctx, limits, config, kw in cases]
-    monkeypatch.setattr(placement_opt, "_usable_cpus", lambda: cpus)
-    if block_cells is not None:
-        monkeypatch.setattr(placement_opt, "_BLOCK_CELLS", block_cells)
-    # frequent thread switches interleave the blocks as much as possible
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = [evaluate_grid(ctx, limits, config, **kw) for ctx, limits, config, kw in cases]
-    finally:
-        sys.setswitchinterval(interval)
-    for want, have in zip(expected, got):
+    monkeypatch.setattr(placement_opt, "_BLOCK_CELLS", block_cells)
+    for (ctx, limits, config, kw), want in zip(cases, expected):
+        have = evaluate_grid(ctx, limits, config, **kw)
         np.testing.assert_array_equal(have.objective.view(np.uint64), want.objective.view(np.uint64))
         np.testing.assert_array_equal(have.eligible, want.eligible)
         assert argmax_lexicographic(have) == argmax_lexicographic(want)
-
-
-class BlockFailure(Exception):
-    pass
-
-
-def raise_block_failure():
-    raise BlockFailure("block failed")
-
-
-def divide_by_zero():
-    np.ones(1) / np.zeros(1)
-
-
-def fail_in_one_block(monkeypatch, fail, in_caller):
-    """Make one toilet-grid block call fail() while the grid runs on 4 threads.
-
-    Returns the toilet scenario, its context and a list that records, on
-    failure, whether the failing block ran in the calling thread.
-    """
-    scenario, ctx = toilet_context()
-    lim, step = scenario.limits, scenario.objective.grid_step
-    axis = grid_axis(lim.theta5_min, lim.theta5_max, step)
-    # the first block is the caller's share, the second goes to a thread
-    rows_per_block = placement_opt._BLOCK_CELLS // grid_points(lim.theta6_min, lim.theta6_max, step)
-    row = axis[0] if in_caller else axis[rows_per_block]
-    failed_in = []
-    real = placement_opt.arm_forces
-
-    def failing(ctx, theta5, theta6, *args):
-        if row in theta5:
-            failed_in.append(threading.current_thread() is threading.main_thread())
-            fail()
-        return real(ctx, theta5, theta6, *args)
-
-    monkeypatch.setattr(placement_opt, "_usable_cpus", lambda: 4)
-    monkeypatch.setattr(placement_opt, "arm_forces", failing)
-    return scenario, ctx, failed_in
-
-
-# A RuntimeWarning is raised as an error under this suite's warning filter.
-@pytest.mark.parametrize("fail, error", [(raise_block_failure, BlockFailure),
-                                         (divide_by_zero, RuntimeWarning)])
-@pytest.mark.parametrize("in_caller", [True, False], ids=["caller_block", "thread_block"])
-def test_grid_reraises_a_failed_block_and_joins_its_threads(monkeypatch, fail, error, in_caller):
-    scenario, ctx, failed_in = fail_in_one_block(monkeypatch, fail, in_caller)
-    before = threading.active_count()
-    with pytest.raises(error):
-        evaluate_grid(ctx, scenario.limits, scenario.objective)
-    assert failed_in == [in_caller]
-    assert threading.active_count() == before
-
-
-def test_grid_threads_keep_the_callers_numpy_errstate(monkeypatch):
-    scenario, ctx, failed_in = fail_in_one_block(monkeypatch, divide_by_zero, in_caller=False)
-    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-        evaluate_grid(ctx, scenario.limits, scenario.objective)
-    assert failed_in == [False]
-
-
-@pytest.mark.parametrize("cpus, step_deg", [(1, 0.5), (4, 10.0)], ids=["one_cpu", "small_grid"])
-def test_grid_runs_every_block_in_the_caller(monkeypatch, cpus, step_deg):
-    _, ctx = toilet_context()
-    calls = []
-    real = placement_opt.arm_forces
-
-    def spy(*args):
-        calls.append((threading.get_ident(), threading.active_count()))
-        return real(*args)
-
-    monkeypatch.setattr(placement_opt, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(placement_opt, "_BLOCK_CELLS", 100)
-    monkeypatch.setattr(placement_opt, "arm_forces", spy)
-    caller = (threading.get_ident(), threading.active_count())
-    evaluate_grid(ctx, JointLimits(), ObjectiveConfig(grid_step=math.radians(step_deg)))
-    assert len(calls) > 1
-    assert set(calls) == {caller}
 
 
 def hand_landscape(obj, eligible=None):
