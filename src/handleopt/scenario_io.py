@@ -52,6 +52,10 @@ from .placement_opt import (
 SCHEMA_VERSION = "1"
 
 SLOW_COM_SPEED = 1e-3
+# Largest magnitude of any number in a scenario, in its file unit (m, kg,
+# s, deg, N*m). Far beyond a human body, yet small enough that the
+# model's squares and products stay finite.
+MAX_MAGNITUDE = 1e6
 
 
 @dataclass(frozen=True)
@@ -272,15 +276,15 @@ def read_scenario_file(path) -> Scenario:
     return scenario_from_dict(data)
 
 
-def _non_finite(node, path: str = "") -> list[tuple[str, float]]:
-    """(path, value) of every NaN or infinite number in a scenario_to_dict tree."""
+def _floats(node, path: str = "") -> list[tuple[str, float]]:
+    """(path, value) of every float in a scenario_to_dict tree."""
     if isinstance(node, dict):
         items = [(f"{path}.{k}" if path else k, v) for k, v in node.items()]
     elif isinstance(node, list):
         items = [(f"{path}[{i}]", v) for i, v in enumerate(node)]
     else:
-        return [(path, node)] if isinstance(node, float) and not math.isfinite(node) else []
-    return [found for sub, v in items for found in _non_finite(v, sub)]
+        return [(path, node)] if isinstance(node, float) else []
+    return [found for sub, v in items for found in _floats(v, sub)]
 
 
 def validate_scenario(s: Scenario) -> list[Finding]:
@@ -293,9 +297,14 @@ def validate_scenario(s: Scenario) -> list[Finding]:
     def warn(code: str, message: str) -> None:
         out.append(Finding("warning", code, message))
 
-    non_finite = _non_finite(scenario_to_dict(s))
+    numbers = _floats(scenario_to_dict(s))
+    non_finite = [(path, value) for path, value in numbers if not math.isfinite(value)]
     for path, value in non_finite:
         err("non_finite", f"{path} is {value!r}; every number must be finite")
+    for path, value in numbers:
+        if MAX_MAGNITUDE < abs(value) < math.inf:
+            err("too_large", f"{path} is {value!r}; every number must lie within "
+                             f"+-{MAX_MAGNITUDE:g} of zero")
 
     if s.segments.total_mass <= 0.0:
         err("total_mass_positive", f"total mass {s.segments.total_mass} kg must be positive")
@@ -516,17 +525,29 @@ def write_placement_report(
 
 
 def write_landscape_csv(landscape: ObjectiveLandscape, path) -> None:
-    """One row per grid cell, theta5 outer loop, theta6 inner."""
-    lines = ["theta5_deg,theta6_deg,objective,feasible"]
-    t5_deg = [repr(math.degrees(float(v))) for v in landscape.theta5]
-    t6_deg = [repr(math.degrees(float(v))) for v in landscape.theta6]
-    obj = landscape.objective
-    elig = landscape.eligible
-    for i5, d5 in enumerate(t5_deg):
-        row_obj = obj[i5]
-        row_elig = elig[i5]
-        for i6, d6 in enumerate(t6_deg):
-            lines.append(
-                f"{d5},{d6},{repr(float(row_obj[i6]))},{'true' if row_elig[i6] else 'false'}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One row per grid cell, theta5 outer loop, theta6 inner.
+
+    Floats are written as repr, so they parse back bit-exact. Each
+    theta5 row is one %-format of a template holding the theta6 column
+    and the row's true/false endings; consecutive rows with the same
+    eligibility pattern share the template. Rows go to the file as they
+    are made, so only one is held at a time.
+    """
+    t6_deg = [repr(math.degrees(v)) for v in landscape.theta6.tolist()]
+    # "\0" marks where each line's theta5 text goes; no float repr holds "\0" or "%"
+    true_cells = [f"\0,{d6},%r,true\n" for d6 in t6_deg]
+    false_cells = [f"\0,{d6},%r,false\n" for d6 in t6_deg]
+    pattern = template = None
+    with open(path, "w", encoding="ascii") as f:
+        f.write("theta5_deg,theta6_deg,objective,feasible\n")
+        for theta5, values, eligible in zip(
+            landscape.theta5.tolist(), landscape.objective, landscape.eligible
+        ):
+            row_pattern = eligible.tobytes()
+            if row_pattern != pattern:
+                pattern = row_pattern
+                template = "".join([
+                    yes if ok else no
+                    for yes, no, ok in zip(true_cells, false_cells, eligible.tolist())
+                ])
+            f.write(template.replace("\0", repr(math.degrees(theta5))) % tuple(values.tolist()))

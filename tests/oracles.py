@@ -7,6 +7,7 @@ that agreement between the two is evidence rather than tautology.
 
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -175,3 +176,20 @@ def fd_com_jacobian(chain, h=1e-6) -> np.ndarray:
         minus = chain.com.rotated(-h, about=pivot)
         cols.append(((plus.x - minus.x) / (2.0 * h), (plus.y - minus.y) / (2.0 * h)))
     return np.array(cols, dtype=float).T
+
+
+def write_landscape_csv_per_cell(landscape, path) -> None:
+    """landscape.csv built one f-string per cell and written in one go."""
+    lines = ["theta5_deg,theta6_deg,objective,feasible"]
+    t5_deg = [repr(math.degrees(float(v))) for v in landscape.theta5]
+    t6_deg = [repr(math.degrees(float(v))) for v in landscape.theta6]
+    obj = landscape.objective
+    elig = landscape.eligible
+    for i5, d5 in enumerate(t5_deg):
+        row_obj = obj[i5]
+        row_elig = elig[i5]
+        for i6, d6 in enumerate(t6_deg):
+            lines.append(
+                f"{d5},{d6},{repr(float(row_obj[i6]))},{'true' if row_elig[i6] else 'false'}"
+            )
+    Path(path).write_text("\n".join(lines) + "\n")

@@ -1,6 +1,8 @@
 import copy
 import json
 import math
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 import handleopt
 from handleopt import fixture_path
 from handleopt.cli import MAX_SWEEP_VALUES, main
+from handleopt.scenario_io import MAX_MAGNITUDE
 
 TOILET = str(fixture_path("toilet_sit_to_stand"))
 
@@ -145,6 +148,83 @@ def test_non_finite_overrides_are_rejected_with_a_code(capsys, tmp_path, argv, s
     assert finding in err
     assert "feasible" not in out
     assert list(tmp_path.iterdir()) == []
+
+
+def test_every_too_large_number_is_rejected_with_a_code(capsys, tmp_path):
+    base = json.loads(fixture_path("toilet_sit_to_stand").read_text())
+    file = tmp_path / "scenario.json"
+    for i, path in enumerate(numeric_paths(base)):
+        if path == ("max_effort_index",):  # an integer field
+            continue
+        where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+        value = (-1) ** i * 1.5 * MAX_MAGNITUDE
+        data = copy.deepcopy(base)
+        parent_of(data, path)[path[-1]] = value
+        file.write_text(json.dumps(data))
+        code, out, err = run(capsys, "validate", "--scenario", str(file))
+        assert code == 1, (path, value)
+        assert f"error[too_large]: {where} is {value!r};" in err, (path, value, err)
+
+
+def parent_of(data, path):
+    """The list or dict holding the number at a numeric_paths key path."""
+    for key in path[:-1]:
+        data = data[key]
+    return data
+
+
+def mutated_number(value, kind, rng):
+    """One fixture-mutation step: scale, flip the sign, zero, make tiny or huge."""
+    if kind == "scale":
+        return value * rng.choice([0.1, 0.5, 0.9, 1.1, 2.0, 10.0])
+    if kind == "flip":
+        return -value
+    if kind == "zero":
+        return 0.0
+    sizes = [1e-10, 1e-100, 5e-324] if kind == "tiny" else [1e10, 1e100, 1e300, 1.7976931348623157e308]
+    return math.copysign(rng.choice(sizes), value)
+
+
+@pytest.mark.parametrize("name", ["bathtub_stand", "lie_to_sit_bed", "sit_to_stand_bed",
+                                  "toilet_sit_to_stand"])
+def test_mutated_fixtures_fail_with_a_code_or_give_finite_output(capsys, tmp_path, name):
+    # every mutated scenario is either rejected with a code and nothing written,
+    # or solved into a finite report and a landscape.csv that parses; an
+    # exception (a NumPy RuntimeWarning included) escapes main and fails the test
+    base = json.loads(fixture_path(name).read_text())
+    paths = numeric_paths(base)
+    rng = random.Random(name)
+    outcomes = set()
+    for case in range(100):
+        data = copy.deepcopy(base)
+        for _ in range(rng.randint(1, 3)):
+            path = rng.choice(paths)
+            parent = parent_of(data, path)
+            kind = rng.choice(["scale", "flip", "zero", "tiny", "huge"])
+            parent[path[-1]] = mutated_number(parent[path[-1]], kind, rng)
+        file = tmp_path / f"{case}.json"
+        file.write_text(json.dumps(data))
+        out_dir = tmp_path / f"out{case}"
+        code, out, err = run(capsys, "optimize", "--scenario", str(file), "--out", str(out_dir),
+                             "--grid-step-deg", "5")
+        if code != 0:
+            assert re.search(r"^error\[[a-z_]+\]: ", err, re.M), (case, code, err)
+            assert not out_dir.exists(), case
+            outcomes.add(code)
+            continue
+        outcomes.add(0)
+        report = json.loads((out_dir / "placement_report.json").read_text())
+        assert all(math.isfinite(parent_of(report, p)[p[-1]]) for p in numeric_paths(report)), case
+        lines = (out_dir / "landscape.csv").read_text().split("\n")
+        n5, n6 = report["grid"]["theta5_points"], report["grid"]["theta6_points"]
+        assert lines[0] == "theta5_deg,theta6_deg,objective,feasible"
+        assert lines[-1] == "" and len(lines) == n5 * n6 + 2, case
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert all(len(row) == 4 and row[3] in ("true", "false") for row in rows), case
+        cells = [[float(x) for x in row[:3]] for row in rows]
+        i5, i6 = report["grid"]["argmax_index"]
+        assert cells[i5 * n6 + i6][2] == report["objective_value"], case
+    assert 0 in outcomes and 1 in outcomes, outcomes
 
 
 def test_missing_scenario_flag_is_an_argparse_exit():

@@ -2,11 +2,16 @@ import copy
 import json
 import math
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handleopt import (
     ObjectiveConfig,
+    ObjectiveLandscape,
     ParseError,
     Placement,
     PlacementContext,
@@ -14,6 +19,7 @@ from handleopt import (
     ValidationError,
     Vec2,
     argmax_lexicographic,
+    evaluate_grid,
     fixture_path,
     grid_axis,
     list_fixtures,
@@ -29,7 +35,8 @@ from handleopt import (
     validate_scenario,
     write_placement_report,
 )
-from handleopt.scenario_io import _model_summary
+from handleopt.scenario_io import _model_summary, write_landscape_csv
+from oracles import write_landscape_csv_per_cell
 
 FIXTURE_NAMES = ["bathtub_stand", "lie_to_sit_bed", "sit_to_stand_bed", "toilet_sit_to_stand"]
 
@@ -478,12 +485,84 @@ def test_landscape_csv_layout(tmp_path):
     n5, n6 = landscape.theta5.size, landscape.theta6.size
     assert lines[0] == "theta5_deg,theta6_deg,objective,feasible"
     assert len(lines) == 1 + n5 * n6
-    i5, i6 = 3, 7
-    row = lines[1 + i5 * n6 + i6].split(",")
-    assert float(row[0]) == math.degrees(float(landscape.theta5[i5]))
-    assert float(row[1]) == math.degrees(float(landscape.theta6[i6]))
-    assert float(row[2]) == float(landscape.objective[i5, i6])
-    assert row[3] in ("true", "false")
+    rows = [line.split(",") for line in lines[1:]]
+    assert all(len(row) == 4 for row in rows)
+    columns = {
+        "theta5_deg": np.repeat(np.degrees(landscape.theta5), n6),
+        "theta6_deg": np.tile(np.degrees(landscape.theta6), n5),
+        "objective": landscape.objective.ravel(),
+    }
+    for k, (name, want) in enumerate(columns.items()):
+        got = np.array([float(row[k]) for row in rows])
+        # bit patterns, so -0.0, NaN and the last digit all count
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+    assert [row[3] for row in rows] == ["true" if e else "false" for e in landscape.eligible.ravel()]
+
+
+SPECIAL_CELLS = [math.nan, -0.0, 0.0, 5e-324, -5e-324, 1e-05, -1e-05, 0.0001, 1e16, -1e16,
+                 9999999999999998.0, 1.7976931348623157e308, math.inf, -math.inf, 0.1, -2.5]
+cell_values = st.one_of(st.sampled_from(SPECIAL_CELLS), st.floats(width=64))
+axis_values = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-7, 1e15, -1e17]),
+                        st.floats(-10.0, 10.0))
+
+
+@st.composite
+def landscapes(draw, shape):
+    n5 = 1 if shape in ("1x1", "1xN") else draw(st.integers(2, 6))
+    n6 = 1 if shape in ("1x1", "Nx1") else draw(st.integers(2, 8))
+    values = draw(st.lists(cell_values, min_size=n5 * n6, max_size=n5 * n6))
+    # a few patterns, reused in any order, so rows repeat and change
+    patterns = draw(st.lists(st.lists(st.booleans(), min_size=n6, max_size=n6),
+                             min_size=1, max_size=3))
+    rows = [patterns[draw(st.integers(0, len(patterns) - 1))] for _ in range(n5)]
+    return ObjectiveLandscape(
+        theta5=np.array(draw(st.lists(axis_values, min_size=n5, max_size=n5)), dtype=float),
+        theta6=np.array(draw(st.lists(axis_values, min_size=n6, max_size=n6)), dtype=float),
+        objective=np.array(values, dtype=float).reshape(n5, n6),
+        eligible=np.array(rows, dtype=bool),
+    )
+
+
+@pytest.mark.parametrize("shape", ["1x1", "1xN", "Nx1", "NxM"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_landscape_csv_matches_the_per_cell_writer(tmp_path_factory, shape, data):
+    landscape = data.draw(landscapes(shape))
+    out = tmp_path_factory.getbasetemp()
+    write_landscape_csv(landscape, out / f"rows_{shape}.csv")
+    write_landscape_csv_per_cell(landscape, out / f"cells_{shape}.csv")
+    assert (out / f"rows_{shape}.csv").read_bytes() == (out / f"cells_{shape}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_constrained_fixture_landscape_csv_matches_the_per_cell_writer(tmp_path, name):
+    # --constrained --robot-base=0.2,0.7: eligibility changes from row to row
+    # (and is empty for the fixtures whose solve then finds no feasible cell)
+    scenario = load_scenario(fixture_path(name))
+    ctx, _ = make_context(scenario)
+    landscape = evaluate_grid(ctx, scenario.limits, scenario.objective, robot=scenario.robot,
+                              floor_y=scenario.floor_y, robot_base=Vec2(0.2, 0.7),
+                              constrained=True)
+    write_landscape_csv(landscape, tmp_path / "rows.csv")
+    write_landscape_csv_per_cell(landscape, tmp_path / "cells.csv")
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+def test_landscape_csv_holds_one_row_at_a_time(tmp_path):
+    scenario = load_scenario(fixture_path("sit_to_stand_bed"))
+    ctx, _ = make_context(scenario)
+    landscape = evaluate_grid(ctx, scenario.limits, scenario.objective)
+    path = tmp_path / "landscape.csv"
+    tracemalloc.start()
+    try:
+        write_landscape_csv(landscape, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # about 280 rows of 10 kB each: the writer holds the theta6 column text
+    # and a few copies of one row (about 130 kB), not the 3 MB file
+    assert landscape.theta5.size > 200
+    assert peak < path.stat().st_size / 10, (peak, path.stat().st_size)
 
 
 def test_scenario_to_dict_matches_schema():
