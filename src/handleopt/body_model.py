@@ -21,10 +21,8 @@ be rotated rigidly as a whole.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from typing import Sequence
 
 from .errors import DegenerateVelocity, IndexOutOfRange
@@ -154,23 +152,6 @@ class SegmentSet:
         return self.length(UPPER_ARM) + self.length(FOREARM)
 
 
-def default_segments() -> SegmentSet:
-    """Packaged 60 kg anthropometry (editable data file)."""
-    with resources.files("handleopt").joinpath("data", "anthropometry_60kg.json").open() as fh:
-        raw = json.load(fh)
-    segs = tuple(
-        LinkSegment(
-            index=i,
-            name=entry["name"],
-            length=float(entry["length_m"]),
-            mass=float(entry["mass_kg"]),
-            com_fraction=float(entry["com_fraction"]),
-        )
-        for i, entry in enumerate(raw["segments"])
-    )
-    return SegmentSet(segments=segs, total_mass=float(raw["total_mass_kg"]))
-
-
 @dataclass(frozen=True)
 class BodyPose:
     """Configuration of the chain at one instant.
@@ -233,11 +214,6 @@ class BodyGeometry:
     wrist: Vec2
     segment_coms: tuple[Vec2, ...]
     trunk_angle: float
-
-    @property
-    def trunk_origin(self) -> Vec2:
-        """Origin of the trunk-attached frame: the shoulder joint."""
-        return self.shoulder
 
 
 def forward_kinematics(pose: BodyPose, segments: SegmentSet) -> BodyGeometry:

@@ -15,6 +15,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+from .arm_kinetics import FORCE_MODELS
 from .body_model import Vec2, com_velocity, nonarm_com
 from .errors import (
     DegenerateVelocity,
@@ -83,7 +84,7 @@ def _add_overrides(sub: argparse.ArgumentParser) -> None:
                      help="override the grid step, degrees")
     sub.add_argument("--a", type=float, default=None,
                      help="override the elbow-angle penalty weight")
-    sub.add_argument("--force-model", choices=("expanded", "lsq"), default=None,
+    sub.add_argument("--force-model", choices=FORCE_MODELS, default=None,
                      help="override the force model")
     sub.add_argument("--tau", default=None, metavar="T5,T6,T7",
                      help="override torque magnitudes, newton meters")
@@ -299,7 +300,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"{_g(value):>10} {_g(t5):>12} {_g(t6):>12} {_g(placement.objective_value):>14}")
         stem = f"landscape_{args.param}_{value:.6g}"
         write_landscape_csv(landscape, out / f"{stem}.csv")
-        (out / f"{stem}.svg").write_text(render_landscape(landscape))
+        (out / f"{stem}.svg").write_text(render_landscape(landscape, placement.argmax_index))
     (out / "sweep.csv").write_text("\n".join(rows) + "\n")
     print(f"wrote {out / 'sweep.csv'} and {2 * len(values)} landscape files")
     return 0

@@ -186,13 +186,12 @@ def evaluate_grid(
     robot: RobotParams | None = None,
     floor_y: float = 0.0,
     robot_base: Vec2 | None = None,
-    constrained: bool = False,
 ) -> ObjectiveLandscape:
     """Evaluate the objective over the full (theta_5, theta_6) grid.
 
     Singular cells are recorded as ineligible (NaN objective) instead of
-    raising. With constrained=True, cells whose handle violates the robot
-    reach or height window are evaluated but excluded from eligibility.
+    raising. Given a robot, cells whose handle violates its reach or
+    height window are evaluated but excluded from eligibility.
     """
     t5 = grid_axis(limits.theta5_min, limits.theta5_max, config.grid_step)
     t6 = grid_axis(limits.theta6_min, limits.theta6_max, config.grid_step)
@@ -210,7 +209,7 @@ def evaluate_grid(
         ok = ~(r.singular | r.ill_conditioned)
         block = r.directed - pen
         block[~ok] = np.nan
-        if constrained and robot is not None:
+        if robot is not None:
             for _, _, _, violated in robot_checks(*r.handle, robot, floor_y, robot_base):
                 ok = ok & ~violated
         obj[lo:hi] = block
@@ -276,11 +275,15 @@ def optimize_placement(
     Returns the placement together with the full landscape so reports and
     renderings can reuse the evaluations. The placement's objective_value
     is the grid maximum itself, so it dominates every eligible cell
-    exactly.
+    exactly. With constrained=True the search excludes the cells the
+    robot cannot present, so it needs a robot; raises ValueError without
+    one. The robot's feasibility findings are reported either way.
     """
+    if constrained and robot is None:
+        raise ValueError("a constrained search needs a robot")
     landscape = evaluate_grid(
         ctx, limits, config,
-        robot=robot, floor_y=floor_y, robot_base=robot_base, constrained=constrained,
+        robot=robot if constrained else None, floor_y=floor_y, robot_base=robot_base,
     )
     i5, i6 = argmax_lexicographic(landscape)
     theta5 = float(landscape.theta5[i5])

@@ -23,7 +23,7 @@ from .body_model import (
     unit,
 )
 from .errors import DegenerateVelocity, IndexOutOfRange
-from .placement_opt import ObjectiveLandscape, Placement, argmax_lexicographic
+from .placement_opt import ObjectiveLandscape, Placement
 
 
 SCALE_PX_PER_M = 240.0
@@ -193,8 +193,12 @@ def _heat_color(t: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def render_landscape(landscape: ObjectiveLandscape) -> str:
-    """Heat map of the objective over the joint grid; theta6 grows upward."""
+def render_landscape(landscape: ObjectiveLandscape, argmax_index: tuple[int, int]) -> str:
+    """Heat map of the objective over the joint grid; theta6 grows upward.
+
+    argmax_index is the solve's (i5, i6) optimum cell, outlined in red
+    when any cell is eligible.
+    """
     n5 = int(landscape.theta5.size)
     n6 = int(landscape.theta6.size)
     cell = max(2, min(20, 900 // max(n5, 1)))
@@ -241,7 +245,7 @@ def render_landscape(landscape: ObjectiveLandscape) -> str:
     lines.append("</g>")
 
     if has_vals:
-        i5, i6 = argmax_lexicographic(landscape)
+        i5, i6 = argmax_index
         x = left + i5 * cell
         y = top + (n6 - 1 - i6) * cell
         lines.append(

@@ -401,10 +401,6 @@ def load_scenario(path) -> Scenario:
     return scenario
 
 
-def save_scenario(s: Scenario, path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(s), indent=2) + "\n")
-
-
 def fixture_path(name: str) -> Path:
     """Path of a packaged scenario fixture by bare name."""
     return Path(str(resources.files("handleopt").joinpath("data", "scenarios", f"{name}.json")))

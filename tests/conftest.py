@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from handleopt import default_segments
+from handleopt import fixture_path
+from handleopt.scenario_io import read_scenario_file
 
 
 @pytest.fixture
@@ -12,4 +13,5 @@ def rng():
 
 @pytest.fixture(scope="session")
 def segments():
-    return default_segments()
+    """The 60 kg anthropometry that every packaged fixture shares."""
+    return read_scenario_file(fixture_path("sit_to_stand_bed")).segments

@@ -11,14 +11,14 @@ from pathlib import Path
 
 import numpy as np
 
-from handleopt import (
+from handleopt import SingularChain
+from handleopt.arm_kinetics import (
     PlacementContext,
-    SingularChain,
     TorqueSet,
-    Vec2,
     arm_force_expanded,
     build_chain,
 )
+from handleopt.body_model import Vec2
 
 
 def wrap_angle(a: float) -> float:

@@ -3,20 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from handleopt import (
-    IllConditioned,
-    SingularChain,
+from handleopt import IllConditioned, SingularChain, ZeroTorque
+from handleopt.arm_kinetics import (
     TorqueSet,
-    Vec2,
-    ZeroTorque,
+    VirtualChain,
     arm_force_expanded,
     arm_force_lsq,
+    arm_forces,
     arm_jacobian,
     build_chain,
     mechanical_advantage,
-    unit,
 )
-from handleopt.arm_kinetics import VirtualChain, arm_forces
+from handleopt.body_model import Vec2, unit
 from oracles import (
     context_of_chain,
     fd_com_jacobian,

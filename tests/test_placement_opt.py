@@ -7,34 +7,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handleopt import (
-    FOREARM,
-    UPPER_ARM,
     IllConditioned,
-    JointLimits,
     NoFeasiblePoint,
+    SingularChain,
+    fixture_path,
+    load_scenario,
+    make_context,
+    optimize_placement,
+    placement_opt,
+)
+from handleopt.arm_kinetics import (
+    FORCE_MODELS,
+    PlacementContext,
+    TorqueSet,
+    arm_forces,
+    build_chain,
+)
+from handleopt.body_model import FOREARM, UPPER_ARM, Vec2, unit
+from handleopt.placement_opt import (
+    JointLimits,
     ObjectiveConfig,
     ObjectiveLandscape,
     Placement,
-    PlacementContext,
     RobotParams,
-    SingularChain,
-    TorqueSet,
-    Vec2,
     argmax_lexicographic,
-    build_chain,
     evaluate_grid,
     feasibility_check,
-    fixture_path,
     grid_axis,
-    load_scenario,
-    make_context,
+    grid_points,
     objective,
-    optimize_placement,
-    placement_opt,
-    unit,
 )
-from handleopt.arm_kinetics import FORCE_MODELS, arm_forces
-from handleopt.placement_opt import grid_points
 from oracles import (
     arm_force_atan2,
     best_sign_combo,
@@ -315,17 +317,18 @@ def test_evaluate_grid_with_com_on_shoulder_is_all_singular():
 
 
 def fixture_grid_cases():
-    """(ctx, limits, config, kwargs) for every fixture x force model x constrained."""
+    """(ctx, limits, config, kwargs) for every fixture x force model, with and
+    without the robot mask."""
     cases = []
     for name, pin in FIXTURE_OPTIMA.items():
         scenario = load_scenario(fixture_path(name))
         ctx, _ = make_context(scenario)
         for model in FORCE_MODELS:
             config = replace(scenario.objective, force_model=model)
-            for constrained in (False, True):
+            for robot in (None, scenario.robot):
                 # a base at the expanded optimum excludes the cells out of its reach
-                kwargs = dict(robot=scenario.robot, floor_y=scenario.floor_y,
-                              robot_base=Vec2(*pin["handle"]), constrained=constrained)
+                kwargs = dict(robot=robot, floor_y=scenario.floor_y,
+                              robot_base=Vec2(*pin["handle"]))
                 cases.append((ctx, scenario.limits, config, kwargs))
     return cases
 
@@ -358,23 +361,17 @@ def hand_landscape(obj, eligible=None):
 
 
 def test_argmax_prefers_smaller_theta6_then_theta5():
-    from handleopt import argmax_lexicographic
-
     landscape = hand_landscape([[1.0, 5.0], [5.0, 2.0], [5.0, 5.0]])
     assert argmax_lexicographic(landscape) == (1, 0)
 
 
 def test_argmax_skips_ineligible_cells():
-    from handleopt import argmax_lexicographic
-
     eligible = np.array([[True, True], [False, True], [False, True]])
     landscape = hand_landscape([[1.0, 5.0], [9.0, 2.0], [9.0, 5.0]], eligible)
     assert argmax_lexicographic(landscape) == (0, 1)
 
 
 def test_argmax_raises_when_nothing_is_eligible():
-    from handleopt import argmax_lexicographic
-
     with pytest.raises(NoFeasiblePoint):
         argmax_lexicographic(hand_landscape([[1.0]], np.zeros((1, 1), dtype=bool)))
     nan_grid = hand_landscape(np.full((2, 2), np.nan))
@@ -398,8 +395,6 @@ def test_torque_scaling_scales_the_landscape_linearly():
     l1 = evaluate_grid(ctx, scenario.limits, base)
     l2 = evaluate_grid(ctx, scenario.limits, double)
     np.testing.assert_allclose(l2.objective, 2.0 * l1.objective, rtol=1e-12)
-    from handleopt import argmax_lexicographic
-
     assert argmax_lexicographic(l1) == argmax_lexicographic(l2)
 
 
@@ -514,7 +509,7 @@ def test_constrained_search_and_feasibility_report_share_one_rule(ctx, config, t
         base = handle + 0.3 * unit(direction)
         robot = replace(robot, reach_limit=(handle - base).norm())
     landscape = evaluate_grid(ctx, limits, config, robot=robot, floor_y=floor_y,
-                              robot_base=base, constrained=True)
+                              robot_base=base)
     for i5, c5 in enumerate(landscape.theta5):
         for i6, c6 in enumerate(landscape.theta6):
             hx, hy = arm_forces(ctx, float(c5), float(c6),
@@ -530,7 +525,7 @@ def test_constrained_mode_excludes_but_still_scores():
     robot = replace(scenario.robot, handle_height_range=(0.9, 1.2))
     free = evaluate_grid(ctx, scenario.limits, scenario.objective)
     tight = evaluate_grid(ctx, scenario.limits, scenario.objective,
-                          robot=robot, floor_y=scenario.floor_y, constrained=True)
+                          robot=robot, floor_y=scenario.floor_y)
     np.testing.assert_array_equal(free.objective, tight.objective)
     assert (tight.eligible <= free.eligible).all()
     excluded = free.eligible & ~tight.eligible
@@ -548,6 +543,12 @@ def test_constrained_mode_with_impossible_window_raises():
     with pytest.raises(NoFeasiblePoint):
         optimize_placement(ctx, scenario.limits, scenario.objective,
                            robot=robot, floor_y=scenario.floor_y, constrained=True)
+
+
+def test_constrained_mode_without_a_robot_raises():
+    scenario, ctx = toilet_context()
+    with pytest.raises(ValueError, match="needs a robot"):
+        optimize_placement(ctx, scenario.limits, scenario.objective, constrained=True)
 
 
 def test_constrained_mode_respects_a_fixed_base():

@@ -6,19 +6,19 @@ import re
 import numpy as np
 import pytest
 
-from handleopt import (
-    ObjectiveLandscape,
-    fixture_path,
-    forward_kinematics,
-    load_scenario,
-    make_context,
-    nonarm_com,
-    optimize_placement,
+from handleopt import fixture_path, load_scenario, make_context, optimize_placement
+from handleopt.body_model import forward_kinematics, nonarm_com
+from handleopt.placement_opt import ObjectiveLandscape
+from handleopt.reporting import (
+    SCALE_PX_PER_M,
+    _Canvas,
+    _fmt,
+    _heat_color,
+    _scene_bounds,
     render_landscape,
     render_scene,
-    scenario_from_dict,
 )
-from handleopt.reporting import SCALE_PX_PER_M, _Canvas, _fmt, _heat_color, _scene_bounds
+from handleopt.scenario_io import scenario_from_dict
 
 SEGMENT_ROWS = [
     ("foot", 0.26, 1.74, 0.50),
@@ -160,7 +160,8 @@ def test_rendering_is_deterministic():
     ctx, _ = make_context(s)
     placement, landscape = optimize_placement(ctx, s.limits, s.objective)
     assert render_scene(s, 4, placement) == render_scene(s, 4, placement)
-    assert render_landscape(landscape) == render_landscape(landscape)
+    assert (render_landscape(landscape, placement.argmax_index)
+            == render_landscape(landscape, placement.argmax_index))
 
 
 def test_landscape_geometry_and_argmax_box():
@@ -169,16 +170,14 @@ def test_landscape_geometry_and_argmax_box():
     placement, landscape = optimize_placement(ctx, s.limits, s.objective)
     n5, n6 = landscape.theta5.size, landscape.theta6.size
     assert (n5, n6) == (29, 24)
-    svg = render_landscape(landscape)
+    svg = render_landscape(landscape, placement.argmax_index)
     cell = 20
     assert f'width="{70 + n5 * cell + 24}"' in svg
     assert f'height="{46 + n6 * cell + 54}"' in svg
     assert f"objective landscape ({n5} x {n6} cells)" in svg
     cells = svg.split('<g id="cells">')[1].split("</g>")[0]
     assert cells.count("<rect ") == n5 * n6
-    from handleopt import argmax_lexicographic
-
-    i5, i6 = argmax_lexicographic(landscape)
+    i5, i6 = placement.argmax_index
     x = 70 + i5 * cell
     y = 46 + (n6 - 1 - i6) * cell
     assert f'<rect id="argmax" x="{x}" y="{y}"' in svg
@@ -200,7 +199,7 @@ def test_single_cell_landscape_renders():
         objective=np.array([[1.5]]),
         eligible=np.array([[True]]),
     )
-    svg = render_landscape(landscape)
+    svg = render_landscape(landscape, (0, 0))
     assert "objective landscape (1 x 1 cells)" in svg
     assert f'fill="{_heat_color(0.5)}"' in svg  # zero span pins mid-scale
     assert '<rect id="argmax"' in svg
@@ -214,7 +213,7 @@ def test_all_ineligible_landscape_renders():
         objective=np.full((1, 2), np.nan),
         eligible=np.zeros((1, 2), dtype=bool),
     )
-    svg = render_landscape(landscape)
+    svg = render_landscape(landscape, (0, 0))  # no optimum: the index is not drawn
     assert '<rect id="argmax"' not in svg
     assert "min =" not in svg
     assert svg.count('fill="#c8c8c8"') == 2
