@@ -57,7 +57,7 @@ class TorqueSet:
     tau7: float
 
     def norm(self) -> float:
-        return math.sqrt(self.tau5 ** 2 + self.tau6 ** 2 + self.tau7 ** 2)
+        return math.hypot(self.tau5, self.tau6, self.tau7)
 
 
 @dataclass(frozen=True)
@@ -230,8 +230,11 @@ def arm_forces(ctx: PlacementContext, theta5, theta6,
     magnitudes is (|tau_5|, |tau_6|, |tau_7|). Each torque sign is +1
     where that joint's lever-sum direction has a non-negative dot product
     with v, so every expanded-model term s_i |tau_i| / lever_i |u_i . v|
-    is >= 0; the lsq model uses the same signs.
+    is >= 0; the lsq model uses the same signs. Raises ValueError for a
+    model outside FORCE_MODELS.
     """
+    if model not in FORCE_MODELS:
+        raise ValueError(f"force model must be one of {list(FORCE_MODELS)}, got {model!r}")
     g = _geometry(ctx.shoulder, ctx.theta_04, ctx.com, ctx.upper_len, ctx.fore_len,
                   theta5, theta6)
     vx, vy = ctx.v.x, ctx.v.y

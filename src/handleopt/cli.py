@@ -1,9 +1,10 @@
 """Command line interface.
 
 Subcommands: validate, analyze, optimize, sweep, render. Every command
-takes --scenario; overrides are applied to the in-memory scenario and
-re-validated before any computation. Exit codes: 0 success, 1 failed
-validation, 2 parse/schema/usage/IO trouble, 3 numeric failure.
+takes --scenario and only the flags it reads; overrides are applied to
+the in-memory scenario and re-validated before any computation. Exit
+codes: 0 success, 1 failed validation, 2 parse/schema/usage/IO trouble,
+3 numeric failure.
 """
 
 from __future__ import annotations
@@ -19,21 +20,18 @@ from .arm_kinetics import FORCE_MODELS
 from .body_model import Vec2, com_velocity, nonarm_com
 from .errors import (
     DegenerateVelocity,
-    IllConditioned,
+    HandleOptError,
     IndexOutOfRange,
-    NoFeasiblePoint,
     ParseError,
-    ReachExceeded,
     SchemaError,
-    SingularChain,
     ValidationError,
-    ZeroTorque,
 )
 from .placement_opt import JointLimits, grid_axis, grid_points, optimize_placement
 from .reporting import render_landscape, render_scene
 from .scenario_io import (
     Scenario,
     make_context,
+    raise_on_errors,
     read_scenario_file,
     validate_scenario,
     write_landscape_csv,
@@ -42,11 +40,6 @@ from .scenario_io import (
 
 # Most values one sweep may solve; each writes two landscape files.
 MAX_SWEEP_VALUES = 200
-
-_NUMERIC_ERRORS = (
-    DegenerateVelocity, SingularChain, IllConditioned,
-    ZeroTorque, NoFeasiblePoint, IndexOutOfRange, ReachExceeded,
-)
 
 
 def _g(x: float) -> str:
@@ -72,8 +65,7 @@ def _csv_floats(text: str, n: int, flag: str) -> list[float]:
     return values
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--scenario", required=True, help="scenario JSON file")
+def _add_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output directory")
     sub.add_argument("-v", "--verbose", action="store_true",
                      help="print validation warnings and extra progress")
@@ -92,6 +84,12 @@ def _add_overrides(sub: argparse.ArgumentParser) -> None:
                      help="--limits-deg=T5MIN,T5MAX,T6MIN,T6MAX overrides the joint "
                           "limits, degrees; the '=' keeps a leading minus sign from "
                           "being read as an option")
+
+
+def _add_solve(sub: argparse.ArgumentParser) -> None:
+    """The flags of the commands that run the optimizer."""
+    _add_output(sub)
+    _add_overrides(sub)
     sub.add_argument("--constrained", action="store_true",
                      help="exclude robot-infeasible handle positions from the search")
     sub.add_argument("--robot-base", default=None, metavar="X,Y",
@@ -100,46 +98,42 @@ def _add_overrides(sub: argparse.ArgumentParser) -> None:
 
 def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     obj = scenario.objective
-    if getattr(args, "grid_step_deg", None) is not None:
+    if args.grid_step_deg is not None:
         obj = replace(obj, grid_step=math.radians(args.grid_step_deg))
-    if getattr(args, "a", None) is not None:
+    if args.a is not None:
         obj = replace(obj, a=args.a)
-    if getattr(args, "force_model", None) is not None:
+    if args.force_model is not None:
         obj = replace(obj, force_model=args.force_model)
-    if getattr(args, "tau", None) is not None:
+    if args.tau is not None:
         t = _csv_floats(args.tau, 3, "--tau")
         obj = replace(obj, torque_magnitudes=(t[0], t[1], t[2]))
     limits = scenario.limits
-    if getattr(args, "limits_deg", None) is not None:
+    if args.limits_deg is not None:
         v = _csv_floats(args.limits_deg, 4, "--limits-deg")
         limits = JointLimits(*(math.radians(x) for x in v))
     return replace(scenario, objective=obj, limits=limits)
 
 
 def _robot_base(args: argparse.Namespace) -> Vec2 | None:
-    raw = getattr(args, "robot_base", None)
-    if raw is None:
+    if args.robot_base is None:
         return None
-    x, y = _csv_floats(raw, 2, "--robot-base")
+    x, y = _csv_floats(args.robot_base, 2, "--robot-base")
     return Vec2(x, y)
 
 
 def _load(args: argparse.Namespace) -> Scenario:
     """Parse, apply overrides, validate; raises on any error finding."""
-    return _validated(_apply_overrides(read_scenario_file(args.scenario), args),
-                      getattr(args, "verbose", False))
+    return _validated(_apply_overrides(read_scenario_file(args.scenario), args), args.verbose)
 
 
 def _validated(scenario: Scenario, verbose: bool = False) -> Scenario:
     """The scenario itself; raises ValidationError on any error finding."""
     findings = validate_scenario(scenario)
-    errors = [f for f in findings if f.is_error]
     if verbose:
         for f in findings:
             if not f.is_error:
                 print(f"warning[{f.code}]: {f.message}", file=sys.stderr)
-    if errors:
-        raise ValidationError("; ".join(f"{f.code}: {f.message}" for f in errors))
+    raise_on_errors(findings)
     return scenario
 
 
@@ -162,7 +156,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    scenario = _load(args)
+    scenario = _validated(read_scenario_file(args.scenario), args.verbose)
     rows = []
     for i, frame in enumerate(scenario.frames):
         com = nonarm_com(frame.pose, scenario.segments)
@@ -219,7 +213,7 @@ def _run_optimization(scenario: Scenario, args: argparse.Namespace, robot_base: 
         robot=scenario.robot,
         floor_y=scenario.floor_y,
         robot_base=robot_base,
-        constrained=getattr(args, "constrained", False),
+        constrained=args.constrained,
     )
     return ctx, state, placement, landscape
 
@@ -274,10 +268,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     start, stop, step = _csv_floats(args.range, 3, "--range")
     if step <= 0.0 or stop < start:
         raise ValidationError("--range must satisfy start <= stop with step > 0")
-    try:
-        count = grid_points(start, stop, step)
-    except OverflowError:  # span / step is beyond the float range
-        count = math.inf
+    count = grid_points(start, stop, step)
     if count > MAX_SWEEP_VALUES:
         raise ValidationError(
             f"--range makes {count:.3g} values, more than the {MAX_SWEEP_VALUES} a sweep may solve")
@@ -298,7 +289,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{placement.handle.x!r},{placement.handle.y!r}"
         )
         print(f"{_g(value):>10} {_g(t5):>12} {_g(t6):>12} {_g(placement.objective_value):>14}")
-        stem = f"landscape_{args.param}_{value:.6g}"
+        stem = f"landscape_a_{value:.6g}"
         write_landscape_csv(landscape, out / f"{stem}.csv")
         (out / f"{stem}.svg").write_text(render_landscape(landscape, placement.argmax_index))
     (out / "sweep.csv").write_text("\n".join(rows) + "\n")
@@ -313,38 +304,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a scenario file and print findings")
-    _add_common(p)
-    _add_overrides(p)
-    p.set_defaults(func=_cmd_validate)
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--scenario", required=True, help="scenario JSON file")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("analyze", help="print per-frame COM positions and velocities")
-    _add_common(p)
-    _add_overrides(p)
-    p.set_defaults(func=_cmd_analyze)
+    _add_overrides(command("validate", _cmd_validate, "check a scenario file and print findings"))
+    _add_output(command("analyze", _cmd_analyze, "print per-frame COM positions and velocities"))
+    _add_solve(command("optimize", _cmd_optimize, "search the joint grid for the best handle point"))
 
-    p = sub.add_parser("optimize", help="search the joint grid for the best handle point")
-    _add_common(p)
-    _add_overrides(p)
-    p.set_defaults(func=_cmd_optimize)
-
-    p = sub.add_parser("render", help="draw one frame as an SVG scene")
-    _add_common(p)
-    _add_overrides(p)
+    p = command("render", _cmd_render, "draw one frame as an SVG scene")
+    _add_solve(p)
     p.add_argument("--frame", type=int, default=None,
                    help="frame index (default: the max-effort frame)")
     p.add_argument("--no-placement", action="store_true",
                    help="draw the recorded pose without the optimized arm overlay")
-    p.set_defaults(func=_cmd_render)
 
-    p = sub.add_parser("sweep", help="re-optimize across a parameter range")
-    _add_common(p)
-    _add_overrides(p)
-    p.add_argument("--param", choices=("a",), required=True,
-                   help="parameter to sweep")
+    p = command("sweep", _cmd_sweep, "re-optimize across a range of the elbow penalty a")
+    _add_solve(p)
     p.add_argument("--range", required=True, metavar="START,STOP,STEP",
-                   help="inclusive sweep range")
-    p.set_defaults(func=_cmd_sweep)
+                   help="inclusive sweep range of a")
     return parser
 
 
@@ -359,10 +339,10 @@ def main(argv=None) -> int:
         return _fail("schema", exc, 2)
     except ValidationError as exc:
         return _fail("validation", exc, 1)
+    except HandleOptError as exc:
+        return _fail("numeric", exc, 3)
     except argparse.ArgumentTypeError as exc:
         return _fail("usage", exc, 2)
-    except _NUMERIC_ERRORS as exc:
-        return _fail("numeric", exc, 3)
     except OSError as exc:
         return _fail("io", exc, 2)
 

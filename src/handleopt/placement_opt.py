@@ -145,13 +145,19 @@ def objective(theta5: float, theta6: float, ctx: PlacementContext, config: Objec
     return float(r.directed - _penalty(config, theta6))
 
 
-def grid_points(lo: float, hi: float, step: float) -> int:
-    """Number of points of grid_axis(lo, hi, step), computed without allocating."""
+def grid_points(lo: float, hi: float, step: float) -> int | float:
+    """Number of points of grid_axis(lo, hi, step), computed without allocating.
+
+    math.inf when (hi - lo) / step is beyond the float range.
+    """
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
         raise ValueError("grid bounds and step must be finite")
     if step <= 0.0:
         raise ValueError("grid step must be positive")
-    return int(math.floor((hi - lo) / step + 1e-9)) + 1 if hi > lo else 1
+    span = (hi - lo) / step
+    if span == math.inf:
+        return math.inf
+    return int(math.floor(span + 1e-9)) + 1 if hi > lo else 1
 
 
 def grid_axis(lo: float, hi: float, step: float) -> np.ndarray:

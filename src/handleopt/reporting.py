@@ -11,6 +11,7 @@ groups.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .body_model import (
     com_velocity,
     forward_kinematics,
     nonarm_com,
-    unit,
 )
 from .errors import DegenerateVelocity, IndexOutOfRange
 from .placement_opt import ObjectiveLandscape, Placement
@@ -114,16 +114,14 @@ def render_scene(scenario, frame_index: int, placement: Placement | None = None)
         lines.append(_circle(cv.x(p.x), cv.y(p.y), JOINT_RADIUS_PX, BODY_COLOR))
     lines.append("</g>")
 
-    if placement is None:
-        elbow, hand = geom.elbow, geom.wrist
-    else:
-        a5 = geom.trunk_angle + placement.theta5_opt
-        elbow = geom.shoulder + unit(a5) * scenario.segments.length(5)
-        hand = elbow + unit(a5 + placement.theta6_opt) * scenario.segments.length(6)
+    arm = geom
+    if placement is not None:
+        theta = (*frame.pose.theta[:4], placement.theta5_opt, placement.theta6_opt)
+        arm = forward_kinematics(replace(frame.pose, theta=theta), scenario.segments)
     lines.append('<g id="arm">')
-    lines.append(_polyline([cv.point(p) for p in (geom.shoulder, elbow, hand)],
+    lines.append(_polyline([cv.point(p) for p in (arm.shoulder, arm.elbow, arm.wrist)],
                            ARM_COLOR, ARM_WIDTH_PX))
-    for p in (elbow, hand):
+    for p in (arm.elbow, arm.wrist):
         lines.append(_circle(cv.x(p.x), cv.y(p.y), JOINT_RADIUS_PX, ARM_COLOR))
     lines.append("</g>")
 

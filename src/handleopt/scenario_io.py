@@ -35,8 +35,9 @@ from .body_model import (
     SegmentSet,
     Vec2,
     com_velocity,
+    shoulder_frame,
 )
-from .errors import DegenerateVelocity, IndexOutOfRange, ParseError, SchemaError, ValidationError
+from .errors import DegenerateVelocity, ParseError, SchemaError, ValidationError
 from .placement_opt import (
     ELBOW_LIMIT_MARGIN,
     MAX_GRID_CELLS,
@@ -356,11 +357,8 @@ def validate_scenario(s: Scenario) -> list[Finding]:
     if step <= 0.0:
         err("grid_step_positive", "grid step must be positive")
     elif limits_ordered and not non_finite:
-        try:
-            cells = (float(grid_points(lim.theta5_min, lim.theta5_max, step))
-                     * grid_points(lim.theta6_min, lim.theta6_max, step))
-        except OverflowError:  # span / step is beyond the float range
-            cells = math.inf
+        cells = (float(grid_points(lim.theta5_min, lim.theta5_max, step))
+                 * grid_points(lim.theta6_min, lim.theta6_max, step))
         if cells > MAX_GRID_CELLS:
             err("grid_too_large",
                 f"the joint limits at a {math.degrees(step):g} deg step make {cells:.3g} grid "
@@ -379,8 +377,6 @@ def validate_scenario(s: Scenario) -> list[Finding]:
             state = com_velocity(s.frames, s.segments, s.max_effort_index)
         except DegenerateVelocity as exc:
             err("degenerate_velocity", str(exc))
-        except IndexOutOfRange as exc:  # covered above, kept as a belt
-            err("max_effort_interior", str(exc))
         else:
             if state.speed < SLOW_COM_SPEED:
                 warn("slow_com",
@@ -395,10 +391,15 @@ def load_scenario(path) -> Scenario:
     Raises ParseError / SchemaError / ValidationError; warnings pass.
     """
     scenario = read_scenario_file(path)
-    errors = [f for f in validate_scenario(scenario) if f.is_error]
+    raise_on_errors(validate_scenario(scenario))
+    return scenario
+
+
+def raise_on_errors(findings: list[Finding]) -> None:
+    """Raise one ValidationError naming every error finding; warnings pass."""
+    errors = [f for f in findings if f.is_error]
     if errors:
         raise ValidationError("; ".join(f"{f.code}: {f.message}" for f in errors))
-    return scenario
 
 
 def fixture_path(name: str) -> Path:
@@ -415,8 +416,6 @@ def make_context(s: Scenario) -> tuple[PlacementContext, ComState]:
     """Placement context plus the COM state at the max-effort frame."""
     state = com_velocity(s.frames, s.segments, s.max_effort_index)
     pose = s.frames[s.max_effort_index].pose
-    from .body_model import shoulder_frame  # local to avoid a wide import list
-
     shoulder, theta_04 = shoulder_frame(pose, s.segments)
     ctx = PlacementContext(
         shoulder=shoulder,

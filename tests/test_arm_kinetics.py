@@ -313,6 +313,11 @@ def test_mechanical_advantage_scales_force_by_torque_norm():
         mechanical_advantage(Vec2(1.0, 0.0), TorqueSet(0.0, 0.0, 0.0))
 
 
+def test_mechanical_advantage_of_huge_torques_is_finite():
+    assert mechanical_advantage(Vec2(3e300, 4e300), TorqueSet(1e300, 1.0, 1.0)) == 5.0
+    assert TorqueSet(1.0, 1.0, 1.0).norm() == math.sqrt(3.0)
+
+
 def test_directed_advantage_projects_onto_the_direction(rng):
     # the kernel's directed figure is F.v = |F||v|cos(angle between) for
     # the force vector it reports, under both force models

@@ -1,8 +1,10 @@
+import argparse
 import copy
 import json
 import math
 import random
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +13,11 @@ import pytest
 
 import handleopt
 from handleopt import fixture_path
-from handleopt.cli import MAX_SWEEP_VALUES, main
+from handleopt.cli import MAX_SWEEP_VALUES, build_parser, main
 from handleopt.scenario_io import MAX_MAGNITUDE
 
 TOILET = str(fixture_path("toilet_sit_to_stand"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 TOILET_COM = (-0.04844583864267679, 0.5127204189511911)
 TOILET_DIRECTION = (0.2543456556912991, 0.9671133787881145)
@@ -140,10 +143,11 @@ def test_every_non_finite_number_is_rejected_with_a_code(capsys, tmp_path):
     (("optimize", "--limits-deg=-60,nan,5,175"), 2, "error[usage]: --limits-deg needs finite"),
     (("optimize", "--robot-base=nan,0"), 2, "error[usage]: --robot-base needs finite"),
     (("optimize", "--tau=1,nan,1"), 2, "error[usage]: --tau needs finite"),
-    (("sweep", "--param", "a", "--range=0,inf,0.2"), 2, "error[usage]: --range needs finite"),
+    (("sweep", "--range=0,inf,0.2"), 2, "error[usage]: --range needs finite"),
 ])
 def test_non_finite_overrides_are_rejected_with_a_code(capsys, tmp_path, argv, status, finding):
-    code, out, err = run(capsys, argv[0], "--scenario", TOILET, "--out", str(tmp_path), *argv[1:])
+    out_flag = () if argv[0] == "validate" else ("--out", str(tmp_path))  # validate writes nothing
+    code, out, err = run(capsys, argv[0], "--scenario", TOILET, *out_flag, *argv[1:])
     assert code == status
     assert finding in err
     assert "feasible" not in out
@@ -231,6 +235,42 @@ def test_missing_scenario_flag_is_an_argparse_exit():
     with pytest.raises(SystemExit) as exc:
         main(["optimize"])
     assert exc.value.code == 2
+
+
+OVERRIDES = {"--grid-step-deg", "--a", "--force-model", "--tau", "--limits-deg"}
+SOLVE = {"--scenario", "--out", "-v/--verbose", *OVERRIDES, "--constrained", "--robot-base"}
+COMMAND_FLAGS = {
+    "validate": {"--scenario", *OVERRIDES},
+    "analyze": {"--scenario", "--out", "-v/--verbose"},
+    "optimize": SOLVE,
+    "render": SOLVE | {"--frame", "--no-placement"},
+    "sweep": SOLVE | {"--range"},
+}
+
+
+def test_each_command_takes_only_the_flags_it_reads(capsys):
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {name: {"/".join(a.option_strings) for a in p._actions if a.dest != "help"}
+             for name, p in commands.items()}
+    assert flags == COMMAND_FLAGS
+    assert sum(len(f) for f in flags.values()) == 42
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--scenario", TOILET, "--robot-base=abc"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --robot-base=abc" in capsys.readouterr().err
+
+
+def test_readme_cli_quick_start_runs(capsys, tmp_path, monkeypatch):
+    section = README.read_text().split("## Quick start (CLI)", 1)[1].split("\n## ", 1)[0]
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", section, re.S)
+             for line in block.splitlines() if line.startswith("handleopt ")]
+    assert [line.split()[1] for line in lines] == [
+        "validate", "analyze", "optimize", "render", "sweep"]
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        argv = shlex.split(line.replace('"$SCENARIO"', shlex.quote(TOILET)))[1:]
+        assert run(capsys, *argv)[0] == 0, line
 
 
 def test_optimize_prints_summary_and_writes_report(capsys, tmp_path):
@@ -351,7 +391,7 @@ def test_render_out_of_range_frame_exits_three(capsys, tmp_path):
 def test_sweep_writes_per_value_landscapes(capsys, tmp_path):
     code, out, err = run(
         capsys, "sweep", "--scenario", TOILET, "--out", str(tmp_path),
-        "--param", "a", "--range", "0,0.4,0.2", "--grid-step-deg", "2",
+        "--range", "0,0.4,0.2", "--grid-step-deg", "2",
     )
     assert code == 0
     for stem in ("landscape_a_0", "landscape_a_0.2", "landscape_a_0.4"):
@@ -370,7 +410,7 @@ def test_sweep_writes_per_value_landscapes(capsys, tmp_path):
 def test_sweep_rejects_bad_range(capsys, tmp_path):
     code, out, err = run(
         capsys, "sweep", "--scenario", TOILET, "--out", str(tmp_path),
-        "--param", "a", "--range", "0.4,0.0,0.2",
+        "--range", "0.4,0.0,0.2",
     )
     assert code == 1
     assert err.startswith("error[validation]:")
@@ -382,7 +422,7 @@ def test_sweep_rejects_too_many_values_before_any_solve(capsys, tmp_path, spec):
     out_dir = tmp_path / "out"
     code, out, err = run(
         capsys, "sweep", "--scenario", TOILET, "--out", str(out_dir),
-        "--param", "a", f"--range={spec}",
+        f"--range={spec}",
     )
     assert code == 1
     assert err.startswith("error[validation]: --range makes")
@@ -395,7 +435,7 @@ def test_sweep_readme_range_keeps_its_values_and_file_names(capsys, tmp_path):
     # 3 * 0.2 is 0.6000000000000001; the values are rounded to 12 places
     code, out, err = run(
         capsys, "sweep", "--scenario", TOILET, "--out", str(tmp_path),
-        "--param", "a", "--range", "0,0.6,0.2", "--grid-step-deg", "5",
+        "--range", "0,0.6,0.2", "--grid-step-deg", "5",
     )
     assert code == 0
     sweep_lines = (tmp_path / "sweep.csv").read_text().splitlines()
@@ -408,7 +448,7 @@ def test_sweep_readme_range_keeps_its_values_and_file_names(capsys, tmp_path):
 def test_sweep_validates_every_swept_value(capsys, tmp_path):
     code, out, err = run(
         capsys, "sweep", "--scenario", TOILET, "--out", str(tmp_path),
-        "--param", "a", "--range=-1,0,0.5",
+        "--range=-1,0,0.5",
     )
     assert code == 1
     assert err.startswith("error[validation]: objective_a:")

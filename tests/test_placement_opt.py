@@ -117,6 +117,20 @@ def test_grid_points_rejects_non_finite_inputs(lo, hi, step):
         grid_points(lo, hi, step)
 
 
+def test_grid_points_beyond_the_float_range_is_infinite():
+    assert grid_points(0.0, 1e308, 1e-308) == math.inf
+    assert grid_points(-1e308, 1e308, 1.0) == math.inf
+
+
+def test_an_unknown_force_model_raises():
+    scenario, ctx = toilet_context()
+    config = replace(scenario.objective, force_model="LSQ")
+    with pytest.raises(ValueError, match="force model"):
+        optimize_placement(ctx, scenario.limits, config)
+    with pytest.raises(ValueError, match="force model"):
+        objective(math.radians(-42.0), math.radians(120.0), ctx, config)
+
+
 @pytest.mark.parametrize("step", [math.inf, math.nan])
 def test_optimize_placement_rejects_a_non_finite_step(step):
     scenario, ctx = toilet_context()
