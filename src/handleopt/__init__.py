@@ -23,7 +23,6 @@ from .errors import (
     ValidationError,
     ZeroTorque,
 )
-from .placement_opt import optimize_placement
 from .scenario_io import fixture_path, load_scenario, make_context
 
 __version__ = "0.1.0"
@@ -35,3 +34,13 @@ __all__ = [
     "ScenarioError", "ParseError", "SchemaError", "ValidationError",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """optimize_placement, imported on first use so that the package
+    root loads without numpy (PEP 562)."""
+    if name == "optimize_placement":
+        from .placement_opt import optimize_placement
+
+        return optimize_placement
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

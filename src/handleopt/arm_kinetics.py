@@ -33,9 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .body_model import Vec2
+from .config import FORCE_MODELS, PlacementContext, TorqueSet
 from .errors import IllConditioned, SingularChain, ZeroTorque
-
-FORCE_MODELS = ("expanded", "lsq")
 
 # A joint closer than this to the COM (meters) makes the chain singular.
 EPS_SINGULAR = 1e-6
@@ -46,41 +45,6 @@ SINGULAR_MESSAGE = f"a joint of the arm chain lies within {EPS_SINGULAR:.0e} m o
 ILL_CONDITIONED_MESSAGE = (
     f"J J^T condition number exceeds {COND_LIMIT:.0e}; levers are nearly parallel"
 )
-
-
-@dataclass(frozen=True)
-class TorqueSet:
-    """Signed joint torques in newton meters."""
-
-    tau5: float
-    tau6: float
-    tau7: float
-
-    def norm(self) -> float:
-        return math.hypot(self.tau5, self.tau6, self.tau7)
-
-
-@dataclass(frozen=True)
-class PlacementContext:
-    """Everything the objective needs about the body at max effort."""
-
-    shoulder: Vec2
-    theta_04: float
-    com: Vec2
-    v: Vec2
-    upper_len: float
-    fore_len: float
-
-    def rotated(self, phi: float) -> "PlacementContext":
-        """World frame rotated about the origin; used by equivariance tests."""
-        return PlacementContext(
-            shoulder=self.shoulder.rotated(phi),
-            theta_04=self.theta_04 + phi,
-            com=self.com.rotated(phi),
-            v=self.v.rotated(phi),
-            upper_len=self.upper_len,
-            fore_len=self.fore_len,
-        )
 
 
 @dataclass(frozen=True)

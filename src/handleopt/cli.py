@@ -4,7 +4,9 @@ Subcommands: validate, analyze, optimize, sweep, render. Every command
 takes --scenario and only the flags it reads; overrides are applied to
 the in-memory scenario and re-validated before any computation. Exit
 codes: 0 success, 1 failed validation, 2 parse/schema/usage/IO trouble,
-3 numeric failure.
+3 numeric failure. The numpy-backed solver and renderer are imported
+only by the commands that use them, so validate and analyze run without
+numpy.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .arm_kinetics import FORCE_MODELS
 from .body_model import Vec2, com_velocity, nonarm_com
+from .config import FORCE_MODELS, JointLimits, grid_points
 from .errors import (
     DegenerateVelocity,
     HandleOptError,
@@ -26,8 +28,6 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .placement_opt import JointLimits, grid_axis, grid_points, optimize_placement
-from .reporting import render_landscape, render_scene
 from .scenario_io import (
     Scenario,
     make_context,
@@ -205,6 +205,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _run_optimization(scenario: Scenario, args: argparse.Namespace, robot_base: Vec2 | None):
     """(ctx, COM state, placement, landscape) of one solve."""
+    from .placement_opt import optimize_placement
+
     ctx, state = make_context(scenario)
     placement, landscape = optimize_placement(
         ctx,
@@ -246,6 +248,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from .reporting import render_scene
+
     scenario = _load(args)
     frame = args.frame if args.frame is not None else scenario.max_effort_index
     if not 0 <= frame < len(scenario.frames):
@@ -264,6 +268,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .placement_opt import grid_axis
+    from .reporting import render_landscape
+
     scenario = _load(args)
     start, stop, step = _csv_floats(args.range, 3, "--range")
     if step <= 0.0 or stop < start:

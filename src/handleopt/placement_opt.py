@@ -19,111 +19,30 @@ memory beyond the landscape itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .arm_kinetics import (
-    ILL_CONDITIONED_MESSAGE,
-    SINGULAR_MESSAGE,
-    PlacementContext,
-    arm_forces,
-)
+from .arm_kinetics import ILL_CONDITIONED_MESSAGE, SINGULAR_MESSAGE, arm_forces
 from .body_model import Vec2
+from .config import (
+    JointLimits,
+    ObjectiveConfig,
+    ObjectiveLandscape,
+    Placement,
+    PlacementContext,
+    RobotParams,
+    Violation,
+    grid_points,
+    oversized_grid,
+)
 from .errors import IllConditioned, NoFeasiblePoint, ReachExceeded, SingularChain
-
-# The elbow grid must keep at least this margin from 0 and +-pi.
-ELBOW_LIMIT_MARGIN = math.radians(2.0)
 
 # Cells evaluated per vectorized block; bounds peak memory, not results.
 # A block's temporaries (about 200 bytes a cell) then stay in a core's L2
 # cache and are reused by the allocator from one block to the next, where
 # larger blocks are paged in afresh.
 _BLOCK_CELLS = 8_192
-
-# Largest grid a scenario may ask for; the full default joint range at a
-# 0.05 deg step (about 16.7M cells) still fits.
-MAX_GRID_CELLS = 2**24
-
-
-@dataclass(frozen=True)
-class JointLimits:
-    """Inclusive optimizer bounds for theta_5 and theta_6, radians."""
-
-    theta5_min: float = math.radians(-60.0)
-    theta5_max: float = math.radians(185.0)
-    theta6_min: float = math.radians(5.0)
-    theta6_max: float = math.radians(175.0)
-
-
-@dataclass(frozen=True)
-class ObjectiveConfig:
-    """Objective and search parameters.
-
-    torque_magnitudes is (|tau_5|, |tau_6|, |tau_7|) in newton meters;
-    signs are chosen per grid point. grid_step is radians.
-    """
-
-    a: float = 0.2
-    torque_magnitudes: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    force_model: str = "expanded"
-    grid_step: float = math.radians(0.5)
-
-
-@dataclass(frozen=True)
-class RobotParams:
-    """Support-robot geometry used by the feasibility report.
-
-    handle_height_range is (min, max) height of the handle above the
-    floor. The handlebar itself is 0.46 m long and 0.038 m in diameter,
-    and the arm can hold it up to 0.44 m from the robot's base point.
-    """
-
-    reach_limit: float = 0.44
-    handle_height_range: tuple[float, float] = (0.15, 1.60)
-    handle_length: float = 0.46
-    handle_diameter: float = 0.038
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One feasibility finding; value exceeded (or fell outside) limit."""
-
-    kind: str
-    message: str
-    value: float
-    limit: float
-
-
-@dataclass(frozen=True)
-class ObjectiveLandscape:
-    """Objective samples over the full grid.
-
-    objective[i5, i6] pairs theta5[i5] with theta6[i6]; singular cells
-    hold NaN. eligible marks cells that took part in the argmax.
-    """
-
-    theta5: np.ndarray
-    theta6: np.ndarray
-    objective: np.ndarray
-    eligible: np.ndarray
-
-
-@dataclass(frozen=True)
-class Placement:
-    """Optimization result at the max-effort frame.
-
-    argmax_index is the (i5, i6) landscape cell the optimum came from.
-    """
-
-    theta5_opt: float
-    theta6_opt: float
-    handle: Vec2
-    objective_value: float
-    f_arm: Vec2
-    torque_signs: tuple[int, int, int]
-    feasibility: tuple[Violation, ...]
-    argmax_index: tuple[int, int]
 
 
 def _penalty(config: ObjectiveConfig, theta6):
@@ -145,24 +64,16 @@ def objective(theta5: float, theta6: float, ctx: PlacementContext, config: Objec
     return float(r.directed - _penalty(config, theta6))
 
 
-def grid_points(lo: float, hi: float, step: float) -> int | float:
-    """Number of points of grid_axis(lo, hi, step), computed without allocating.
-
-    math.inf when (hi - lo) / step is beyond the float range.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
-        raise ValueError("grid bounds and step must be finite")
-    if step <= 0.0:
-        raise ValueError("grid step must be positive")
-    span = (hi - lo) / step
-    if span == math.inf:
-        return math.inf
-    return int(math.floor(span + 1e-9)) + 1 if hi > lo else 1
-
-
 def grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
-    """Inclusive grid lo, lo+step, ... reaching hi when the span divides."""
-    return lo + step * np.arange(grid_points(lo, hi, step), dtype=float)
+    """Inclusive grid lo, lo+step, ... reaching hi when the span divides.
+
+    Raises ValueError when the grid has more points than a float can count.
+    """
+    n = grid_points(lo, hi, step)
+    if n == math.inf:
+        raise ValueError(f"a grid over a span of {hi - lo!r} at a step of {step!r} "
+                         "has more points than a float can count")
+    return lo + step * np.arange(n, dtype=float)
 
 
 def robot_checks(hx, hy, robot: RobotParams, floor_y: float, robot_base: Vec2 | None = None):
@@ -197,8 +108,13 @@ def evaluate_grid(
 
     Singular cells are recorded as ineligible (NaN objective) instead of
     raising. Given a robot, cells whose handle violates its reach or
-    height window are evaluated but excluded from eligibility.
+    height window are evaluated but excluded from eligibility. Raises
+    ValueError, before allocating, for a grid of more than MAX_GRID_CELLS
+    cells.
     """
+    too_large = oversized_grid(limits, config.grid_step)
+    if too_large is not None:
+        raise ValueError(too_large)
     t5 = grid_axis(limits.theta5_min, limits.theta5_max, config.grid_step)
     t6 = grid_axis(limits.theta6_min, limits.theta6_max, config.grid_step)
     n5, n6 = t5.size, t6.size

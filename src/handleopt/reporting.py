@@ -22,8 +22,8 @@ from .body_model import (
     forward_kinematics,
     nonarm_com,
 )
+from .config import ObjectiveLandscape, Placement
 from .errors import DegenerateVelocity, IndexOutOfRange
-from .placement_opt import ObjectiveLandscape, Placement
 
 
 SCALE_PX_PER_M = 240.0

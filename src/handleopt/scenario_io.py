@@ -4,7 +4,8 @@ A scenario is a strict JSON document (schema_version "1"): unknown
 fields are rejected, all fields are required, angles are degrees and
 distances meters at the file boundary. In memory everything is radians
 and meters. Findings from validate_scenario come in two levels: errors
-block loading, warnings do not.
+block loading, warnings do not. Parsing, validation and make_context
+run without numpy; the force kernel is imported only to write a report.
 """
 
 from __future__ import annotations
@@ -16,13 +17,6 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .arm_kinetics import (
-    FORCE_MODELS,
-    ILL_CONDITIONED_MESSAGE,
-    TorqueSet,
-    arm_forces,
-    mechanical_advantage,
-)
 from .body_model import (
     FOREARM,
     NONARM_BAND,
@@ -37,18 +31,19 @@ from .body_model import (
     com_velocity,
     shoulder_frame,
 )
-from .errors import DegenerateVelocity, ParseError, SchemaError, ValidationError
-from .placement_opt import (
+from .config import (
     ELBOW_LIMIT_MARGIN,
-    MAX_GRID_CELLS,
+    FORCE_MODELS,
     JointLimits,
     ObjectiveConfig,
     ObjectiveLandscape,
     Placement,
     PlacementContext,
     RobotParams,
-    grid_points,
+    TorqueSet,
+    oversized_grid,
 )
+from .errors import DegenerateVelocity, ParseError, SchemaError, ValidationError
 
 SCHEMA_VERSION = "1"
 
@@ -357,12 +352,9 @@ def validate_scenario(s: Scenario) -> list[Finding]:
     if step <= 0.0:
         err("grid_step_positive", "grid step must be positive")
     elif limits_ordered and not non_finite:
-        cells = (float(grid_points(lim.theta5_min, lim.theta5_max, step))
-                 * grid_points(lim.theta6_min, lim.theta6_max, step))
-        if cells > MAX_GRID_CELLS:
-            err("grid_too_large",
-                f"the joint limits at a {math.degrees(step):g} deg step make {cells:.3g} grid "
-                f"cells, more than the {MAX_GRID_CELLS} allowed")
+        too_large = oversized_grid(lim, step)
+        if too_large is not None:
+            err("grid_too_large", too_large)
     if s.objective.force_model not in FORCE_MODELS:
         err("force_model", f"force model must be one of {list(FORCE_MODELS)}")
 
@@ -407,11 +399,6 @@ def fixture_path(name: str) -> Path:
     return Path(str(resources.files("handleopt").joinpath("data", "scenarios", f"{name}.json")))
 
 
-def list_fixtures() -> list[str]:
-    root = resources.files("handleopt").joinpath("data", "scenarios")
-    return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
-
-
 def make_context(s: Scenario) -> tuple[PlacementContext, ComState]:
     """Placement context plus the COM state at the max-effort frame."""
     state = com_velocity(s.frames, s.segments, s.max_effort_index)
@@ -430,6 +417,8 @@ def make_context(s: Scenario) -> tuple[PlacementContext, ComState]:
 
 def _model_summary(ctx: PlacementContext, placement: Placement, config: ObjectiveConfig) -> dict:
     """Force figures at the optimum under both force models."""
+    from .arm_kinetics import ILL_CONDITIONED_MESSAGE, arm_forces, mechanical_advantage
+
     out = {}
     for model in FORCE_MODELS:
         r = arm_forces(ctx, placement.theta5_opt, placement.theta6_opt,

@@ -7,18 +7,15 @@ that agreement between the two is evidence rather than tautology.
 
 import cmath
 import math
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from handleopt import SingularChain
-from handleopt.arm_kinetics import (
-    PlacementContext,
-    TorqueSet,
-    arm_force_expanded,
-    build_chain,
-)
+from handleopt.arm_kinetics import arm_force_expanded, build_chain
 from handleopt.body_model import Vec2
+from handleopt.config import PlacementContext, TorqueSet
 
 
 def wrap_angle(a: float) -> float:
@@ -193,3 +190,9 @@ def write_landscape_csv_per_cell(landscape, path) -> None:
                 f"{d5},{d6},{repr(float(row_obj[i6]))},{'true' if row_elig[i6] else 'false'}"
             )
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def list_fixtures() -> list[str]:
+    """Bare names of the packaged scenario fixtures, sorted."""
+    root = resources.files("handleopt").joinpath("data", "scenarios")
+    return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))

@@ -14,25 +14,20 @@ import numpy as np
 import pytest
 
 from handleopt import fixture_path, load_scenario, make_context, optimize_placement
-from handleopt.arm_kinetics import (
-    PlacementContext,
-    TorqueSet,
-    arm_force_expanded,
-    arm_forces,
-    arm_jacobian,
-    build_chain,
-)
+from handleopt.arm_kinetics import arm_force_expanded, arm_forces, arm_jacobian, build_chain
 from handleopt.body_model import Vec2
 from handleopt.cli import main as cli_main
-from handleopt.placement_opt import (
-    JointLimits,
-    ObjectiveConfig,
-    evaluate_grid,
-    feasibility_check,
-)
-from handleopt.scenario_io import list_fixtures, read_scenario_file
+from handleopt.config import JointLimits, ObjectiveConfig, PlacementContext, TorqueSet
+from handleopt.placement_opt import evaluate_grid, feasibility_check
+from handleopt.scenario_io import read_scenario_file
 
-from oracles import best_sign_combo, context_of_chain, fd_com_jacobian, sample_chain
+from oracles import (
+    best_sign_combo,
+    context_of_chain,
+    fd_com_jacobian,
+    list_fixtures,
+    sample_chain,
+)
 
 
 def load_all():

@@ -5,7 +5,6 @@ import pytest
 
 from handleopt import IllConditioned, SingularChain, ZeroTorque
 from handleopt.arm_kinetics import (
-    TorqueSet,
     VirtualChain,
     arm_force_expanded,
     arm_force_lsq,
@@ -15,6 +14,7 @@ from handleopt.arm_kinetics import (
     mechanical_advantage,
 )
 from handleopt.body_model import Vec2, unit
+from handleopt.config import TorqueSet
 from oracles import (
     context_of_chain,
     fd_com_jacobian,

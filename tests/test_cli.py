@@ -16,6 +16,8 @@ from handleopt import fixture_path
 from handleopt.cli import MAX_SWEEP_VALUES, build_parser, main
 from handleopt.scenario_io import MAX_MAGNITUDE
 
+from oracles import list_fixtures
+
 TOILET = str(fixture_path("toilet_sit_to_stand"))
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -479,3 +481,47 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "0 error(s)" in proc.stdout
+
+
+# Runs in a fresh interpreter; prints whether numpy is loaded after a bare
+# import, after validate and analyze, and after optimize.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import handleopt
+loaded = ["numpy" in sys.modules]
+from handleopt.cli import main
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+fixtures, bad, analyze_out, optimize_out = json.loads(sys.argv[1])
+codes = [run("validate", "--scenario", str(handleopt.fixture_path(name))) for name in fixtures]
+codes.append(run("validate", "--scenario", bad))
+codes.append(run("analyze", "--scenario", str(handleopt.fixture_path(fixtures[0])),
+                 "--out", analyze_out))
+loaded.append("numpy" in sys.modules)
+codes.append(run("optimize", "--scenario", str(handleopt.fixture_path(fixtures[0])),
+                 "--out", optimize_out, "--grid-step-deg", "5"))
+loaded.append("numpy" in sys.modules)
+same = handleopt.optimize_placement is handleopt.placement_opt.optimize_placement
+print(json.dumps({"codes": codes, "loaded": loaded, "same": same}))
+"""
+
+
+def test_validate_analyze_and_import_leave_numpy_unloaded(tmp_path):
+    fixtures = list_fixtures()
+    bad = broken_scenario(tmp_path, lambda d: d.update(total_mass_kg=59.0))
+    job = [fixtures, bad, str(tmp_path / "analyze"), str(tmp_path / "optimize")]
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, json.dumps(job)],
+        capture_output=True, text=True, cwd=Path(handleopt.__file__).parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * len(fixtures) + [1, 0, 0]
+    # not after `import handleopt`, nor after validate and analyze; optimize loads it
+    assert result["loaded"] == [False, False, True]
+    assert result["same"] is True
+    assert (tmp_path / "analyze" / "com_state.json").exists()
+    assert (tmp_path / "optimize" / "placement_report.json").exists()

@@ -16,27 +16,28 @@ from handleopt import (
     optimize_placement,
     placement_opt,
 )
-from handleopt.arm_kinetics import (
-    FORCE_MODELS,
-    PlacementContext,
-    TorqueSet,
-    arm_forces,
-    build_chain,
-)
+from handleopt.arm_kinetics import arm_forces, build_chain
 from handleopt.body_model import FOREARM, UPPER_ARM, Vec2, unit
-from handleopt.placement_opt import (
+from handleopt.config import (
+    FORCE_MODELS,
+    MAX_GRID_CELLS,
     JointLimits,
     ObjectiveConfig,
     ObjectiveLandscape,
     Placement,
+    PlacementContext,
     RobotParams,
+    TorqueSet,
+    grid_points,
+)
+from handleopt.placement_opt import (
     argmax_lexicographic,
     evaluate_grid,
     feasibility_check,
     grid_axis,
-    grid_points,
     objective,
 )
+from handleopt.scenario_io import validate_scenario
 from oracles import (
     arm_force_atan2,
     best_sign_combo,
@@ -120,6 +121,25 @@ def test_grid_points_rejects_non_finite_inputs(lo, hi, step):
 def test_grid_points_beyond_the_float_range_is_infinite():
     assert grid_points(0.0, 1e308, 1e-308) == math.inf
     assert grid_points(-1e308, 1e308, 1.0) == math.inf
+
+
+def test_grid_axis_beyond_the_float_range_names_span_and_step():
+    with pytest.raises(ValueError, match=r"span of 1e\+308 at a step of 1e-308"):
+        grid_axis(0.0, 1e308, 1e-308)
+
+
+@pytest.mark.parametrize("step", [1e-12, 1e-309])
+def test_evaluate_grid_refuses_more_than_max_grid_cells(step):
+    """The rule and message of validate_scenario's grid_too_large, raised
+    before any allocation: at a 1e-12 step one axis alone is 7 TiB, and at
+    1e-309 its point count is beyond the float range."""
+    scenario, ctx = toilet_context()
+    limits = JointLimits(0.0, 1.0, 0.1, 1.1)
+    config = replace(scenario.objective, grid_step=step)
+    with pytest.raises(ValueError, match=f"more than the {MAX_GRID_CELLS} allowed") as exc:
+        evaluate_grid(ctx, limits, config)
+    findings = validate_scenario(replace(scenario, limits=limits, objective=config))
+    assert [f.message for f in findings if f.code == "grid_too_large"] == [str(exc.value)]
 
 
 def test_an_unknown_force_model_raises():

@@ -8,7 +8,7 @@ import pytest
 
 from handleopt import fixture_path, load_scenario, make_context, optimize_placement
 from handleopt.body_model import forward_kinematics, nonarm_com
-from handleopt.placement_opt import ObjectiveLandscape
+from handleopt.config import ObjectiveLandscape
 from handleopt.reporting import (
     SCALE_PX_PER_M,
     _Canvas,

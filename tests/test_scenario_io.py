@@ -18,12 +18,9 @@ from handleopt import (
     make_context,
     optimize_placement,
 )
-from handleopt.arm_kinetics import PlacementContext
 from handleopt.body_model import Vec2, shoulder_frame
+from handleopt.config import ObjectiveConfig, ObjectiveLandscape, Placement, PlacementContext
 from handleopt.placement_opt import (
-    ObjectiveConfig,
-    ObjectiveLandscape,
-    Placement,
     argmax_lexicographic,
     evaluate_grid,
     grid_axis,
@@ -31,7 +28,6 @@ from handleopt.placement_opt import (
 )
 from handleopt.scenario_io import (
     _model_summary,
-    list_fixtures,
     read_scenario_file,
     scenario_from_dict,
     scenario_to_dict,
@@ -39,7 +35,7 @@ from handleopt.scenario_io import (
     write_landscape_csv,
     write_placement_report,
 )
-from oracles import write_landscape_csv_per_cell
+from oracles import list_fixtures, write_landscape_csv_per_cell
 
 FIXTURE_NAMES = ["bathtub_stand", "lie_to_sit_bed", "sit_to_stand_bed", "toilet_sit_to_stand"]
 
