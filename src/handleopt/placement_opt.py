@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .arm_kinetics import ILL_CONDITIONED_MESSAGE, SINGULAR_MESSAGE, arm_forces
+from .arm_kinetics import ILL_CONDITIONED_MESSAGE, SINGULAR_MESSAGE, arm_forces, primitives_for
 from .body_model import Vec2
 from .config import (
     JointLimits,
@@ -46,8 +46,9 @@ _BLOCK_CELLS = 8_192
 
 
 def _penalty(config: ObjectiveConfig, theta6):
-    """Elbow penalty a * |cos theta_6|."""
-    return config.a * np.abs(np.cos(theta6))
+    """Elbow penalty a * |cos theta_6|, on a float or an array of angles,
+    with the primitives arm_forces uses for the same input."""
+    return config.a * abs(primitives_for(theta6).cos(theta6))
 
 
 def objective(theta5: float, theta6: float, ctx: PlacementContext, config: ObjectiveConfig) -> float:
@@ -61,7 +62,7 @@ def objective(theta5: float, theta6: float, ctx: PlacementContext, config: Objec
         raise SingularChain(SINGULAR_MESSAGE)
     if r.ill_conditioned:
         raise IllConditioned(ILL_CONDITIONED_MESSAGE)
-    return float(r.directed - _penalty(config, theta6))
+    return r.directed - _penalty(config, theta6)
 
 
 def grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
@@ -215,9 +216,9 @@ def optimize_placement(
     placement = Placement(
         theta5_opt=theta5,
         theta6_opt=theta6,
-        handle=Vec2(float(r.handle[0]), float(r.handle[1])),
+        handle=Vec2(*r.handle),
         objective_value=float(landscape.objective[i5, i6]),
-        f_arm=Vec2(float(r.force[0]), float(r.force[1])),
+        f_arm=Vec2(*r.force),
         torque_signs=tuple(int(s) for s in r.signs),
         feasibility=(),
         argmax_index=(i5, i6),

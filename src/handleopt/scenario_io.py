@@ -426,8 +426,8 @@ def _model_summary(ctx: PlacementContext, placement: Placement, config: Objectiv
         if r.ill_conditioned:
             out[model] = {"error": ILL_CONDITIONED_MESSAGE}
             continue
-        force = Vec2(float(r.force[0]), float(r.force[1]))
-        torques = TorqueSet(*(float(s * m) for s, m in zip(r.signs, config.torque_magnitudes)))
+        force = Vec2(*r.force)
+        torques = TorqueSet(*(s * m for s, m in zip(r.signs, config.torque_magnitudes)))
         out[model] = {
             "f_arm_n": [force.x, force.y],
             "directed_n": force.dot(ctx.v),

@@ -273,14 +273,9 @@ def test_objective_scalar_matches_grid_cells(ctx, config, t5, t6, span5, span6):
     assert_objective_matches_grid(ctx, limits, config)
 
 
-@property_settings
-@given(ctx=contexts(), config=configs, t5=finite(-math.pi, math.pi),
-       t6=finite(-math.pi, math.pi), joint=st.sampled_from(("shoulder", "elbow", "handle")),
-       gap=finite(0.0, 3e-6), angle=finite(-math.pi, math.pi), step=finite(1e-7, 1e-5))
-def test_objective_matches_grid_with_a_joint_near_the_com(ctx, config, t5, t6, joint, gap,
-                                                          angle, step):
-    # the COM sits within a few EPS_SINGULAR of one joint at the first cell,
-    # so the 3x3 grid straddles the singularity guard
+def near_joint_case(ctx, config, t5, t6, joint, gap, angle, step):
+    """(ctx, limits, config) with the COM within a few EPS_SINGULAR of one
+    joint at the first cell, so the 3x3 grid straddles the singularity guard."""
     phi5 = ctx.theta_04 + t5
     point = ctx.shoulder
     if joint != "shoulder":
@@ -288,20 +283,110 @@ def test_objective_matches_grid_with_a_joint_near_the_com(ctx, config, t5, t6, j
     if joint == "handle":
         point = point + ctx.fore_len * Vec2(float(np.cos(phi5 + t6)), float(np.sin(phi5 + t6)))
     ctx = replace(ctx, com=point + gap * unit(angle))
-    assert_objective_matches_grid(ctx, corner_limits(t5, t6, step), replace(config, grid_step=step))
+    return ctx, corner_limits(t5, t6, step), replace(config, grid_step=step)
+
+
+def condition_limit_case(ctx, mags, a, t5, reach, offset, step):
+    """(ctx, limits, config) for a nearly straight arm with the COM a few
+    micrometres off its line: lambda_max / lambda_min of J J^T sits near
+    COND_LIMIT across the 3x3 lsq grid."""
+    phi5 = ctx.theta_04 + t5
+    com = ctx.shoulder + reach * unit(phi5) + offset * unit(phi5 + math.pi / 2.0)
+    ctx = replace(ctx, com=com)
+    config = ObjectiveConfig(a=a, torque_magnitudes=mags, force_model="lsq", grid_step=step)
+    return ctx, corner_limits(t5, -step, step), config
+
+
+@property_settings
+@given(ctx=contexts(), config=configs, t5=finite(-math.pi, math.pi),
+       t6=finite(-math.pi, math.pi), joint=st.sampled_from(("shoulder", "elbow", "handle")),
+       gap=finite(0.0, 3e-6), angle=finite(-math.pi, math.pi), step=finite(1e-7, 1e-5))
+def test_objective_matches_grid_with_a_joint_near_the_com(ctx, config, t5, t6, joint, gap,
+                                                          angle, step):
+    assert_objective_matches_grid(*near_joint_case(ctx, config, t5, t6, joint, gap, angle, step))
 
 
 @property_settings
 @given(ctx=contexts(), mags=magnitudes, a=finite(0.0, 1.0), t5=finite(-math.pi, math.pi),
        reach=finite(0.05, 1.5), offset=finite(-3e-6, 3e-6), step=finite(1e-8, 1e-5))
 def test_lsq_objective_matches_grid_at_the_condition_limit(ctx, mags, a, t5, reach, offset, step):
-    # a nearly straight arm with the COM a few micrometres off its line:
-    # lambda_max / lambda_min of J J^T sits near COND_LIMIT across the grid
-    phi5 = ctx.theta_04 + t5
-    com = ctx.shoulder + reach * unit(phi5) + offset * unit(phi5 + math.pi / 2.0)
-    ctx = replace(ctx, com=com)
-    config = ObjectiveConfig(a=a, torque_magnitudes=mags, force_model="lsq", grid_step=step)
-    assert_objective_matches_grid(ctx, corner_limits(t5, -step, step), config)
+    assert_objective_matches_grid(*condition_limit_case(ctx, mags, a, t5, reach, offset, step))
+
+
+def bits(x) -> str:
+    return float(x).hex()
+
+
+def assert_arm_forces_match_grid(ctx, limits, config):
+    """Every ArmForces field of a point query equals its element of the grid
+    call bit for bit, singular and rejected cells included. The expanded
+    grid computes no force vector, so force is compared under lsq only."""
+    t5 = grid_axis(limits.theta5_min, limits.theta5_max, config.grid_step)
+    t6 = grid_axis(limits.theta6_min, limits.theta6_max, config.grid_step)
+    mags, model = config.torque_magnitudes, config.force_model
+    grid = arm_forces(ctx, t5[:, None], t6[None, :], mags, model)
+    shape = (t5.size, t6.size)
+    for i5, c5 in enumerate(t5):
+        for i6, c6 in enumerate(t6):
+            def at(x):
+                return np.broadcast_to(x, shape)[i5, i6]
+
+            point = arm_forces(ctx, float(c5), float(c6), mags, model)
+            assert bits(point.directed) == bits(at(grid.directed))
+            assert [bits(s) for s in point.signs] == [bits(at(s)) for s in grid.signs]
+            assert point.singular == bool(at(grid.singular))
+            assert point.ill_conditioned == bool(at(grid.ill_conditioned))
+            assert [bits(h) for h in point.handle] == [bits(at(h)) for h in grid.handle]
+            if model == "lsq":
+                assert [bits(f) for f in point.force] == [bits(at(f)) for f in grid.force]
+
+
+# three setups share the examples, so each gets about as many as the tests above
+@settings(property_settings, max_examples=300)
+@given(ctx=contexts(), config=configs, setup=st.sampled_from(("free", "near_joint", "lsq_limit")),
+       t5=finite(-math.pi, math.pi), t6=finite(-math.pi, math.pi),
+       span5=finite(0.0, math.pi), span6=finite(0.0, math.pi),
+       joint=st.sampled_from(("shoulder", "elbow", "handle")), gap=finite(0.0, 3e-6), angle=finite(-math.pi, math.pi),
+       step=finite(1e-7, 1e-5), reach=finite(0.05, 1.5), offset=finite(-3e-6, 3e-6))
+def test_point_arm_forces_match_grid_in_every_field(ctx, config, setup, t5, t6, span5, span6,
+                                                    joint, gap, angle, step, reach, offset):
+    # the report's handle and f_arm come from a point query, not from the grid
+    if setup == "free":
+        limits = JointLimits(theta5_min=t5, theta5_max=t5 + span5,
+                             theta6_min=t6, theta6_max=t6 + span6)
+        case = ctx, limits, config
+    elif setup == "near_joint":
+        case = near_joint_case(ctx, config, t5, t6, joint, gap, angle, step)
+    else:
+        case = condition_limit_case(ctx, config.torque_magnitudes, config.a, t5, reach, offset,
+                                    step)
+    assert_arm_forces_match_grid(*case)
+
+
+def test_point_queries_return_builtin_floats_and_bools():
+    """A NumPy scalar in a point query would give the same bits but cost
+    the time the float path saves."""
+    _, toilet = toilet_context()
+    com_on_shoulder = replace(toilet, com=toilet.shoulder)
+    straight = PlacementContext(
+        shoulder=Vec2(0.0, 0.0), theta_04=0.0, com=Vec2(0.5, 0.0),
+        v=Vec2(1.0, 0.0), upper_len=0.32, fore_len=0.30,
+    )
+    cases = [(toilet, math.radians(-42.0), math.radians(120.0)),
+             (com_on_shoulder, 0.3, 1.2), (straight, 0.0, 0.0)]
+    seen = set()
+    for ctx, t5, t6 in cases:
+        for model in FORCE_MODELS:
+            config = ObjectiveConfig(a=0.2, force_model=model)
+            r = arm_forces(ctx, t5, t6, config.torque_magnitudes, model)
+            values = (r.directed, *r.force, *r.signs, *r.handle)
+            assert [type(x) for x in values] == [float] * len(values), (ctx, model)
+            assert type(r.singular) is bool and type(r.ill_conditioned) is bool
+            seen.add((r.singular, r.ill_conditioned))
+            if not (r.singular or r.ill_conditioned):
+                assert type(objective(t5, t6, ctx, config)) is float
+    # regular, singular and rejected points all came through
+    assert {(False, False), (True, False), (False, True)} <= seen
 
 
 def test_evaluate_grid_shapes_and_axes():
