@@ -346,8 +346,9 @@ def assert_arm_forces_match_grid(ctx, limits, config):
 @given(ctx=contexts(), config=configs, setup=st.sampled_from(("free", "near_joint", "lsq_limit")),
        t5=finite(-math.pi, math.pi), t6=finite(-math.pi, math.pi),
        span5=finite(0.0, math.pi), span6=finite(0.0, math.pi),
-       joint=st.sampled_from(("shoulder", "elbow", "handle")), gap=finite(0.0, 3e-6), angle=finite(-math.pi, math.pi),
-       step=finite(1e-7, 1e-5), reach=finite(0.05, 1.5), offset=finite(-3e-6, 3e-6))
+       joint=st.sampled_from(("shoulder", "elbow", "handle")), gap=finite(0.0, 3e-6),
+       angle=finite(-math.pi, math.pi), step=finite(1e-7, 1e-5), reach=finite(0.05, 1.5),
+       offset=finite(-3e-6, 3e-6))
 def test_point_arm_forces_match_grid_in_every_field(ctx, config, setup, t5, t6, span5, span6,
                                                     joint, gap, angle, step, reach, offset):
     # the report's handle and f_arm come from a point query, not from the grid
