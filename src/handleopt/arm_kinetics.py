@@ -28,8 +28,14 @@ rounded in CPython and NumPy alike, max, min, abs and comparisons, which
 are exact, and the shoulder's lever and angle, which are floats in both
 paths. So a point query equals its grid cell bit for bit by construction,
 while it skips the cost of NumPy scalars.
-build_chain, arm_force_expanded and arm_force_lsq are float-valued views
-of its geometry and force helpers.
+
+build_chain (returning a VirtualChain), arm_force_expanded and
+arm_force_lsq are float-valued views of the same geometry and force
+helpers, one configuration at a time. No command or solve calls them: the
+tests use them to check the chain piece by piece, and the benchmark's
+tracer (perfbench/tracing.py) looks them up by name, so they stay until it
+traces arm_forces instead. The Jacobian has no view of its own; the tests
+read the columns that the lsq model solves with from _jacobian_columns.
 """
 
 from __future__ import annotations
@@ -214,8 +220,10 @@ def _expanded_force(levers, units, tau5, tau6, tau7) -> tuple:
 
 
 def _jacobian_columns(shoulder, elbow, handle, com) -> tuple:
-    """Jacobian columns (handle, elbow, shoulder): the +90 degree rotation
-    of each joint-to-COM vector, as (x, y) pairs."""
+    """Columns of the 2x3 Jacobian of the COM point w.r.t. the chain's joint
+    angles, as (x, y) pairs. The chain is anchored at the handle, so they
+    are ordered (handle, elbow, shoulder) to match (tau_7, tau_6, tau_5).
+    Each is the +90 degree rotation of that joint's vector to the COM."""
     cx, cy = com
     (sx, sy), (ex, ey), (hx, hy) = shoulder, elbow, handle
     return (-(cy - hy), cx - hx), (-(cy - ey), cx - ex), (-(cy - sy), cx - sx)
@@ -332,24 +340,12 @@ def arm_force_expanded(chain: VirtualChain, torques: TorqueSet) -> Vec2:
     return Vec2(fx, fy)
 
 
-def arm_jacobian(chain: VirtualChain) -> np.ndarray:
-    """2x3 Jacobian of the COM point w.r.t. the chain's joint angles.
-
-    The chain is anchored at the handle, so the columns are ordered
-    (handle joint, elbow, shoulder) to match a torque vector
-    (tau_7, tau_6, tau_5). Each column is the +90 degree rotation of the
-    vector from that joint to the COM; its magnitude equals the lever.
-    """
-    return np.array(_jacobian_columns(
-        (chain.shoulder.x, chain.shoulder.y), (chain.elbow.x, chain.elbow.y),
-        (chain.handle.x, chain.handle.y), (chain.com.x, chain.com.y),
-    ), dtype=float).T
-
-
 def arm_force_lsq(chain: VirtualChain, torques: TorqueSet) -> Vec2:
     """Least-squares force: F = (J J^T)^-1 J tau, tau = (tau_7, tau_6, tau_5)."""
-    fx, fy, ill = _lsq_force(_ON_FLOATS, arm_jacobian(chain).T.tolist(),
-                             torques.tau5, torques.tau6, torques.tau7)
+    columns = _jacobian_columns(
+        (chain.shoulder.x, chain.shoulder.y), (chain.elbow.x, chain.elbow.y),
+        (chain.handle.x, chain.handle.y), (chain.com.x, chain.com.y))
+    fx, fy, ill = _lsq_force(_ON_FLOATS, columns, torques.tau5, torques.tau6, torques.tau7)
     if ill:
         raise IllConditioned(ILL_CONDITIONED_MESSAGE)
     return Vec2(fx, fy)

@@ -29,11 +29,6 @@ from .errors import DegenerateVelocity, IndexOutOfRange
 
 FOOT, SHANK, THIGH, TRUNK, HEAD, UPPER_ARM, FOREARM = range(7)
 
-SEGMENT_NAMES = (
-    "foot", "shank", "thigh", "trunk_pelvis", "head_neck",
-    "upper_arm", "forearm_hand",
-)
-
 # Non-arm links must carry 90..95% of body mass for a default-like build.
 NONARM_BAND = (0.90, 0.95)
 MASS_CLOSURE_RTOL = 1e-9
@@ -53,9 +48,6 @@ class Vec2:
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x - other.x, self.y - other.y)
 
-    def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
-
     def __mul__(self, k: float) -> "Vec2":
         return Vec2(self.x * k, self.y * k)
 
@@ -64,34 +56,8 @@ class Vec2:
     def dot(self, other: "Vec2") -> float:
         return self.x * other.x + self.y * other.y
 
-    def cross(self, other: "Vec2") -> float:
-        """z component of the 3D cross product; sign tells left/right."""
-        return self.x * other.y - self.y * other.x
-
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
-
-    def angle(self) -> float:
-        """World angle in (-pi, pi], 0 along +x, counterclockwise positive."""
-        return math.atan2(self.y, self.x)
-
-    def perp(self) -> "Vec2":
-        """Rotation by +90 degrees."""
-        return Vec2(-self.y, self.x)
-
-    def normalized(self) -> "Vec2":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize a zero vector")
-        return Vec2(self.x / n, self.y / n)
-
-    def rotated(self, phi: float, about: "Vec2 | None" = None) -> "Vec2":
-        c, s = math.cos(phi), math.sin(phi)
-        px, py = (self.x, self.y) if about is None else (self.x - about.x, self.y - about.y)
-        rx, ry = c * px - s * py, s * px + c * py
-        if about is None:
-            return Vec2(rx, ry)
-        return Vec2(rx + about.x, ry + about.y)
 
 
 def unit(angle: float) -> Vec2:
@@ -107,7 +73,6 @@ class LinkSegment:
     chain-proximal joint (the joint nearer the ankle) divided by length.
     """
 
-    index: int
     name: str
     length: float
     mass: float
@@ -129,9 +94,6 @@ class SegmentSet:
     def __post_init__(self) -> None:
         if len(self.segments) != 7:
             raise ValueError(f"expected 7 segments, got {len(self.segments)}")
-        for i, seg in enumerate(self.segments):
-            if seg.index != i:
-                raise ValueError(f"segment {i} carries index {seg.index}")
 
     def length(self, i: int) -> float:
         return self.segments[i].length
@@ -167,18 +129,6 @@ class BodyPose:
     base: Vec2
     theta: tuple[float, float, float, float, float, float]
     foot_angle: float = 0.0
-
-    def rotated(self, phi: float, about: Vec2 | None = None) -> "BodyPose":
-        """Rigid rotation of the whole pose, foot included."""
-        pivot = about if about is not None else self.base
-        return BodyPose(
-            base=self.base.rotated(phi, about=pivot),
-            theta=self.theta,
-            foot_angle=self.foot_angle + phi,
-        )
-
-    def translated(self, d: Vec2) -> "BodyPose":
-        return BodyPose(base=self.base + d, theta=self.theta, foot_angle=self.foot_angle)
 
 
 def absolute_link_angles(pose: BodyPose) -> tuple[float, ...]:

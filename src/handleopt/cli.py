@@ -68,14 +68,12 @@ def _csv_floats(text: str, n: int, flag: str) -> list[float]:
 def _add_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output directory")
     sub.add_argument("-v", "--verbose", action="store_true",
-                     help="print validation warnings and extra progress")
+                     help="print validation warnings")
 
 
 def _add_overrides(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--grid-step-deg", type=float, default=None,
                      help="override the grid step, degrees")
-    sub.add_argument("--a", type=float, default=None,
-                     help="override the elbow-angle penalty weight")
     sub.add_argument("--force-model", choices=FORCE_MODELS, default=None,
                      help="override the force model")
     sub.add_argument("--tau", default=None, metavar="T5,T6,T7",
@@ -100,7 +98,7 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     obj = scenario.objective
     if args.grid_step_deg is not None:
         obj = replace(obj, grid_step=math.radians(args.grid_step_deg))
-    if args.a is not None:
+    if getattr(args, "a", None) is not None:  # sweep sets a itself and has no --a
         obj = replace(obj, a=args.a)
     if args.force_model is not None:
         obj = replace(obj, force_model=args.force_model)
@@ -280,6 +278,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValidationError(
             f"--range makes {count:.3g} values, more than the {MAX_SWEEP_VALUES} a sweep may solve")
     values = [round(float(v), 12) for v in grid_axis(start, stop, step)]
+    stems = {}  # landscape file stem -> value, in sweep order
+    for value in values:
+        stem = f"landscape_a_{value:.6g}"
+        if stem in stems:
+            raise ValidationError(
+                f"--range values {stems[stem]!r} and {value!r} share the landscape file stem "
+                f"{stem}; each value is named to 6 significant digits")
+        stems[stem] = value
     swept = [_validated(replace(scenario, objective=replace(scenario.objective, a=value)))
              for value in values]
     robot_base = _robot_base(args)
@@ -287,7 +293,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     rows = ["value,theta5_opt_deg,theta6_opt_deg,objective,handle_x_m,handle_y_m"]
     print(f"{'a':>10} {'theta5_deg':>12} {'theta6_deg':>12} {'objective':>14}")
-    for value, scenario_at in zip(values, swept):
+    for (stem, value), scenario_at in zip(stems.items(), swept):
         _, _, placement, landscape = _run_optimization(scenario_at, args, robot_base)
         t5 = math.degrees(placement.theta5_opt)
         t6 = math.degrees(placement.theta6_opt)
@@ -296,7 +302,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"{placement.handle.x!r},{placement.handle.y!r}"
         )
         print(f"{_g(value):>10} {_g(t5):>12} {_g(t6):>12} {_g(placement.objective_value):>14}")
-        stem = f"landscape_a_{value:.6g}"
         write_landscape_csv(landscape, out / f"{stem}.csv")
         (out / f"{stem}.svg").write_text(render_landscape(landscape, placement.argmax_index))
     (out / "sweep.csv").write_text("\n".join(rows) + "\n")
@@ -317,16 +322,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    _add_overrides(command("validate", _cmd_validate, "check a scenario file and print findings"))
+    validate = command("validate", _cmd_validate, "check a scenario file and print findings")
+    _add_overrides(validate)
     _add_output(command("analyze", _cmd_analyze, "print per-frame COM positions and velocities"))
-    _add_solve(command("optimize", _cmd_optimize, "search the joint grid for the best handle point"))
+    optimize = command("optimize", _cmd_optimize, "search the joint grid for the best handle point")
+    _add_solve(optimize)
 
-    p = command("render", _cmd_render, "draw one frame as an SVG scene")
-    _add_solve(p)
-    p.add_argument("--frame", type=int, default=None,
-                   help="frame index (default: the max-effort frame)")
-    p.add_argument("--no-placement", action="store_true",
-                   help="draw the recorded pose without the optimized arm overlay")
+    render = command("render", _cmd_render, "draw one frame as an SVG scene")
+    _add_solve(render)
+    render.add_argument("--frame", type=int, default=None,
+                        help="frame index (default: the max-effort frame)")
+    render.add_argument("--no-placement", action="store_true",
+                        help="draw the recorded pose without the optimized arm overlay")
+
+    # sweep sets a to each value of its range, so only the other commands take --a.
+    for p in (validate, optimize, render):
+        p.add_argument("--a", type=float, default=None,
+                       help="override the elbow-angle penalty weight")
 
     p = command("sweep", _cmd_sweep, "re-optimize across a range of the elbow penalty a")
     _add_solve(p)

@@ -50,17 +50,6 @@ class PlacementContext:
     upper_len: float
     fore_len: float
 
-    def rotated(self, phi: float) -> "PlacementContext":
-        """World frame rotated about the origin; used by equivariance tests."""
-        return PlacementContext(
-            shoulder=self.shoulder.rotated(phi),
-            theta_04=self.theta_04 + phi,
-            com=self.com.rotated(phi),
-            v=self.v.rotated(phi),
-            upper_len=self.upper_len,
-            fore_len=self.fore_len,
-        )
-
 
 @dataclass(frozen=True)
 class JointLimits:

@@ -139,7 +139,6 @@ def scenario_from_dict(data) -> Scenario:
         if not isinstance(entry["name"], str):
             raise SchemaError(f"{where}.name must be a string")
         segments.append(LinkSegment(
-            index=i,
             name=entry["name"],
             length=_number(entry, "length_m", where),
             mass=_number(entry, "mass_kg", where),
@@ -304,13 +303,13 @@ def validate_scenario(s: Scenario) -> list[Finding]:
 
     if s.segments.total_mass <= 0.0:
         err("total_mass_positive", f"total mass {s.segments.total_mass} kg must be positive")
-    for seg in s.segments.segments:
+    for i, seg in enumerate(s.segments.segments):
         if seg.length <= 0.0:
-            err("length_positive", f"segment {seg.index} ({seg.name}) length {seg.length} m must be positive")
+            err("length_positive", f"segment {i} ({seg.name}) length {seg.length} m must be positive")
         if seg.mass < 0.0:
-            err("mass_nonnegative", f"segment {seg.index} ({seg.name}) mass {seg.mass} kg is negative")
+            err("mass_nonnegative", f"segment {i} ({seg.name}) mass {seg.mass} kg is negative")
         if not 0.0 <= seg.com_fraction <= 1.0:
-            err("com_fraction_range", f"segment {seg.index} ({seg.name}) com_fraction {seg.com_fraction} is outside [0, 1]")
+            err("com_fraction_range", f"segment {i} ({seg.name}) com_fraction {seg.com_fraction} is outside [0, 1]")
 
     mass_sum = sum(seg.mass for seg in s.segments.segments)
     if s.segments.total_mass > 0.0:

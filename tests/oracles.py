@@ -13,14 +13,71 @@ from pathlib import Path
 import numpy as np
 
 from handleopt import SingularChain
-from handleopt.arm_kinetics import arm_force_expanded, build_chain
-from handleopt.body_model import Vec2
+from handleopt.arm_kinetics import _jacobian_columns, arm_force_expanded, build_chain
+from handleopt.body_model import BodyPose, Vec2
 from handleopt.config import PlacementContext, TorqueSet
+
+ORIGIN = Vec2(0.0, 0.0)
 
 
 def wrap_angle(a: float) -> float:
     """Map an angle to (-pi, pi]."""
     return math.atan2(math.sin(a), math.cos(a))
+
+
+def as_complex(v: Vec2) -> complex:
+    return complex(v.x, v.y)
+
+
+def as_vec2(z: complex) -> Vec2:
+    return Vec2(z.real, z.imag)
+
+
+def angle_of(v: Vec2) -> float:
+    """World angle of a vector in (-pi, pi], 0 along +x."""
+    return cmath.phase(as_complex(v))
+
+
+def cross(a: Vec2, b: Vec2) -> float:
+    """z component of a x b; positive when b turns left of a."""
+    return (as_complex(a).conjugate() * as_complex(b)).imag
+
+
+def perp(v: Vec2) -> Vec2:
+    """v turned by +90 degrees."""
+    return as_vec2(1j * as_complex(v))
+
+
+def rotate(v: Vec2, phi: float, about: Vec2 = ORIGIN) -> Vec2:
+    """v rotated by phi (counterclockwise) about a pivot."""
+    pivot = as_complex(about)
+    return as_vec2((as_complex(v) - pivot) * cmath.exp(1j * phi) + pivot)
+
+
+def rotate_pose(pose, phi: float, about: Vec2 | None = None):
+    """Rigid rotation of a whole pose, foot included, about a pivot (default
+    the ankle): the base moves, every link angle turns by phi."""
+    pivot = pose.base if about is None else about
+    return BodyPose(base=rotate(pose.base, phi, pivot), theta=pose.theta,
+                    foot_angle=pose.foot_angle + phi)
+
+
+def translate_pose(pose, d: Vec2):
+    """The pose with its ankle moved by d."""
+    return BodyPose(base=as_vec2(as_complex(pose.base) + as_complex(d)), theta=pose.theta,
+                    foot_angle=pose.foot_angle)
+
+
+def rotate_context(ctx: PlacementContext, phi: float) -> PlacementContext:
+    """A placement context in a world frame turned by phi about the origin."""
+    return PlacementContext(
+        shoulder=rotate(ctx.shoulder, phi),
+        theta_04=ctx.theta_04 + phi,
+        com=rotate(ctx.com, phi),
+        v=rotate(ctx.v, phi),
+        upper_len=ctx.upper_len,
+        fore_len=ctx.fore_len,
+    )
 
 
 def random_unit(rng) -> Vec2:
@@ -122,9 +179,9 @@ def sample_in_branch_chain(rng, margin=1e-3):
     while True:
         chain = sample_chain(rng)
         e, h, c = chain.elbow, chain.handle, chain.com
-        if (e - chain.shoulder).cross(c - e) < margin:
+        if cross(e - chain.shoulder, c - e) < margin:
             continue
-        if (h - e).cross(c - h) > -margin:
+        if cross(h - e, c - h) > -margin:
             continue
         return chain
 
@@ -141,7 +198,7 @@ def arm_force_atan2(chain, torques: TorqueSet) -> Vec2:
         (torques.tau6, chain.lever6, chain.elbow),
         (torques.tau7, chain.lever7, chain.handle),
     ):
-        ang = (chain.com - point).angle()
+        ang = angle_of(chain.com - point)
         fx += tau / lever * (-math.sin(ang))
         fy += tau / lever * math.cos(ang)
     return Vec2(fx, fy)
@@ -169,10 +226,16 @@ def fd_com_jacobian(chain, h=1e-6) -> np.ndarray:
     """
     cols = []
     for pivot in (chain.handle, chain.elbow, chain.shoulder):
-        plus = chain.com.rotated(h, about=pivot)
-        minus = chain.com.rotated(-h, about=pivot)
+        plus = rotate(chain.com, h, pivot)
+        minus = rotate(chain.com, -h, pivot)
         cols.append(((plus.x - minus.x) / (2.0 * h), (plus.y - minus.y) / (2.0 * h)))
     return np.array(cols, dtype=float).T
+
+
+def lsq_jacobian(chain) -> np.ndarray:
+    """The 2x3 Jacobian whose columns the lsq force model solves with."""
+    points = (chain.shoulder, chain.elbow, chain.handle, chain.com)
+    return np.array(_jacobian_columns(*((p.x, p.y) for p in points)), dtype=float).T
 
 
 def write_landscape_csv_per_cell(landscape, path) -> None:

@@ -9,16 +9,19 @@ from handleopt.arm_kinetics import (
     arm_force_expanded,
     arm_force_lsq,
     arm_forces,
-    arm_jacobian,
     build_chain,
     mechanical_advantage,
 )
 from handleopt.body_model import Vec2, unit
 from handleopt.config import TorqueSet
 from oracles import (
+    angle_of,
     context_of_chain,
     fd_com_jacobian,
+    lsq_jacobian,
+    perp,
     random_unit,
+    rotate,
     sample_chain,
     sample_in_branch_chain,
     wrap_angle,
@@ -38,7 +41,7 @@ def test_chain_geometry_closes(rng):
         assert chain.lever5 == (chain.com - chain.shoulder).norm()
         assert chain.lever6 == float(np.hypot(to_com6.x, to_com6.y))
         assert chain.lever7 == float(np.hypot(to_com7.x, to_com7.y))
-        assert chain.theta_com == (chain.com - chain.shoulder).angle()
+        assert chain.theta_com == angle_of(chain.com - chain.shoulder)
 
 
 def test_chain_preserves_arm_lengths(rng):
@@ -51,7 +54,7 @@ def test_chain_preserves_arm_lengths(rng):
         assert abs(r5.norm() - upper) <= 1e-14 * upper
         assert abs(r6.norm() - fore) <= 1e-14 * fore
         # the two arm links point theta6 apart
-        assert wrap_angle(r6.angle() - r5.angle() - wrap_angle(t6)) == pytest.approx(
+        assert wrap_angle(angle_of(r6) - angle_of(r5) - wrap_angle(t6)) == pytest.approx(
             0.0, abs=1e-9
         )
 
@@ -81,8 +84,8 @@ def test_degenerate_levers_raise():
 def test_subsidiary_angles_match_direct_geometry_in_branch(rng):
     for _ in range(60):
         chain = sample_in_branch_chain(rng)
-        elbow_angle = (chain.com - chain.elbow).angle()
-        handle_angle = (chain.com - chain.handle).angle()
+        elbow_angle = angle_of(chain.com - chain.elbow)
+        handle_angle = angle_of(chain.com - chain.handle)
         assert abs(wrap_angle(chain.theta_6com - elbow_angle)) < 1e-9
         assert abs(wrap_angle(chain.theta_7com - handle_angle)) < 1e-9
 
@@ -92,9 +95,9 @@ def test_isosceles_right_triangle_angles():
     chain = build_chain(Vec2(0.0, 0.0), 0.0, 0.0, -3.0 * math.pi / 4.0, 1.0, 1.0, Vec2(1.0, 1.0))
     assert chain.theta_6com == pytest.approx(-3.0 * math.pi / 2.0, abs=1e-12)
     assert wrap_angle(chain.theta_6com) == pytest.approx(math.pi / 2.0, abs=1e-12)
-    assert wrap_angle(chain.theta_6com) == pytest.approx((chain.com - chain.elbow).angle(), abs=1e-12)
+    assert wrap_angle(chain.theta_6com) == pytest.approx(angle_of(chain.com - chain.elbow), abs=1e-12)
     assert wrap_angle(chain.theta_7com) == pytest.approx(3.0 * math.pi / 8.0, abs=1e-12)
-    assert wrap_angle(chain.theta_7com) == pytest.approx((chain.com - chain.handle).angle(), abs=1e-12)
+    assert wrap_angle(chain.theta_7com) == pytest.approx(angle_of(chain.com - chain.handle), abs=1e-12)
 
 
 def test_collinear_com_beyond_elbow_hits_negative_cosine():
@@ -103,7 +106,7 @@ def test_collinear_com_beyond_elbow_hits_negative_cosine():
     assert (1.0 ** 2 + 1.0 ** 2 - 2.0 ** 2) / (2.0 * 1.0 * 1.0) == -1.0
     chain = build_chain(Vec2(0.0, 0.0), 0.0, 0.0, math.pi / 2.0, 1.0, 0.3, Vec2(2.0, 0.0))
     assert chain.theta_6com == pytest.approx(-2.0 * math.pi, abs=1e-12)
-    assert abs(wrap_angle(chain.theta_6com - (chain.com - chain.elbow).angle())) < 1e-12
+    assert abs(wrap_angle(chain.theta_6com - angle_of(chain.com - chain.elbow))) < 1e-12
 
 
 def test_collinear_com_between_joints_hits_positive_cosine():
@@ -111,7 +114,7 @@ def test_collinear_com_between_joints_hits_positive_cosine():
     assert (1.0 ** 2 + 0.5 ** 2 - 0.5 ** 2) / (2.0 * 1.0 * 0.5) == 1.0
     chain = build_chain(Vec2(0.0, 0.0), 0.0, 0.0, math.pi / 2.0, 1.0, 0.3, Vec2(0.5, 0.0))
     assert chain.theta_6com == pytest.approx(-math.pi, abs=1e-12)
-    assert abs(wrap_angle(chain.theta_6com - (chain.com - chain.elbow).angle())) < 1e-12
+    assert abs(wrap_angle(chain.theta_6com - angle_of(chain.com - chain.elbow))) < 1e-12
 
 
 def test_unit_directions_are_unit_length(rng):
@@ -156,13 +159,13 @@ def test_expanded_force_is_linear_in_torques(rng):
 def test_jacobian_columns_are_rotated_lever_vectors(rng):
     for _ in range(30):
         chain = sample_chain(rng)
-        jac = arm_jacobian(chain)
+        jac = lsq_jacobian(chain)
         assert jac.shape == (2, 3)
         for j, (point, lever) in enumerate(
             ((chain.handle, chain.lever7), (chain.elbow, chain.lever6),
              (chain.shoulder, chain.lever5))
         ):
-            col = (chain.com - point).perp()
+            col = perp(chain.com - point)
             assert jac[0, j] == col.x
             assert jac[1, j] == col.y
             assert math.hypot(jac[0, j], jac[1, j]) == pytest.approx(lever, rel=1e-12)
@@ -171,7 +174,7 @@ def test_jacobian_columns_are_rotated_lever_vectors(rng):
 def test_jacobian_shoulder_column_for_known_chain():
     chain = build_chain(Vec2(0.0, 0.0), 0.0, math.pi / 2.0, math.pi / 2.0,
                         0.32, 0.30, Vec2(0.5, 0.0))
-    jac = arm_jacobian(chain)
+    jac = lsq_jacobian(chain)
     assert jac[0, 2] == 0.0
     assert jac[1, 2] == 0.5
 
@@ -186,7 +189,7 @@ def test_jacobian_zero_lever_column_is_finite():
         lever5=0.32, lever6=0.0, lever7=0.30,
         theta_com=0.0, theta_6com=0.0, theta_7com=0.0,
     )
-    jac = arm_jacobian(chain)
+    jac = lsq_jacobian(chain)
     assert jac[0, 1] == 0.0 and jac[1, 1] == 0.0
     assert np.isfinite(jac).all()
 
@@ -194,7 +197,7 @@ def test_jacobian_zero_lever_column_is_finite():
 def test_jacobian_matches_finite_differences(rng):
     for _ in range(30):
         chain = sample_chain(rng)
-        jac = arm_jacobian(chain)
+        jac = lsq_jacobian(chain)
         fd = fd_com_jacobian(chain, h=1e-6)
         assert np.linalg.norm(fd - jac) <= 1e-5 * np.linalg.norm(jac)
 
@@ -203,7 +206,7 @@ def test_lsq_recovers_force_when_torques_are_consistent(rng):
     for _ in range(30):
         chain = sample_chain(rng)
         f0 = Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        jac = arm_jacobian(chain)
+        jac = lsq_jacobian(chain)
         tau = jac.T @ np.array([f0.x, f0.y])  # ordered (tau7, tau6, tau5)
         try:
             f = arm_force_lsq(chain, TorqueSet(tau5=tau[2], tau6=tau[1], tau7=tau[0]))
@@ -222,7 +225,7 @@ def test_lsq_matches_lstsq_reference(rng):
             f = arm_force_lsq(chain, torques)
         except IllConditioned:
             continue
-        jac = arm_jacobian(chain)
+        jac = lsq_jacobian(chain)
         sol, *_ = np.linalg.lstsq(
             jac.T, np.array([torques.tau7, torques.tau6, torques.tau5]), rcond=None
         )
@@ -272,11 +275,11 @@ def test_force_rotation_equivariance_both_models(rng):
         torques = TorqueSet(*rng.uniform(-2, 2, 3))
         phi = rng.uniform(-math.pi, math.pi)
         rotated = build_chain(
-            shoulder.rotated(phi), t04 + phi, t5, t6, 0.32, 0.30, com.rotated(phi)
+            rotate(shoulder, phi), t04 + phi, t5, t6, 0.32, 0.30, rotate(com, phi)
         )
         f = arm_force_expanded(chain, torques)
         fr = arm_force_expanded(rotated, torques)
-        assert (fr - f.rotated(phi)).norm() < 1e-9
+        assert (fr - rotate(f, phi)).norm() < 1e-9
         assert mechanical_advantage(fr, torques) == pytest.approx(
             mechanical_advantage(f, torques), rel=1e-12
         )
@@ -285,7 +288,7 @@ def test_force_rotation_equivariance_both_models(rng):
             gr = arm_force_lsq(rotated, torques)
         except IllConditioned:
             continue
-        assert (gr - g.rotated(phi)).norm() < 1e-9
+        assert (gr - rotate(g, phi)).norm() < 1e-9
 
 
 def test_both_force_models_stay_finite(rng):
@@ -331,6 +334,6 @@ def test_directed_advantage_projects_onto_the_direction(rng):
             if r.ill_conditioned:
                 continue
             force = Vec2(float(r.force[0]), float(r.force[1]))
-            angle = force.angle() - direction.angle()
+            angle = angle_of(force) - angle_of(direction)
             assert abs(r.directed - force.dot(direction)) < 1e-9
             assert abs(r.directed - force.norm() * direction.norm() * math.cos(angle)) < 1e-9

@@ -5,7 +5,6 @@ import pytest
 
 from handleopt import DegenerateVelocity, IndexOutOfRange, fixture_path, load_scenario
 from handleopt.body_model import (
-    SEGMENT_NAMES,
     BodyPose,
     LinkSegment,
     PoseFrame,
@@ -17,14 +16,25 @@ from handleopt.body_model import (
     nonarm_com,
     shoulder_frame,
 )
-from oracles import chain_points_complex, nonarm_com_complex, segment_coms_complex
+from oracles import (
+    ORIGIN,
+    chain_points_complex,
+    nonarm_com_complex,
+    perp,
+    rotate,
+    rotate_pose,
+    segment_coms_complex,
+    translate_pose,
+)
 
 JOINT_NAMES = ("toe", "ankle", "knee", "hip", "shoulder", "head_end", "elbow", "wrist")
+SEGMENT_NAMES = ("foot", "shank", "thigh", "trunk_pelvis", "head_neck", "upper_arm",
+                 "forearm_hand")
 
 
 def make_segments(lengths=(1.0,) * 7, masses=(1.0,) * 7, fractions=(0.5,) * 7, total=None):
     segs = tuple(
-        LinkSegment(index=i, name=SEGMENT_NAMES[i], length=lengths[i],
+        LinkSegment(name=SEGMENT_NAMES[i], length=lengths[i],
                     mass=masses[i], com_fraction=fractions[i])
         for i in range(7)
     )
@@ -47,37 +57,10 @@ def test_vec2_arithmetic():
     b = Vec2(-3.0, 0.5)
     assert a + b == Vec2(-2.0, 2.5)
     assert a - b == Vec2(4.0, 1.5)
-    assert -a == Vec2(-1.0, -2.0)
     assert a * 2.0 == Vec2(2.0, 4.0)
     assert 2.0 * a == a * 2.0
     assert a.dot(b) == -3.0 + 1.0
-    assert a.cross(b) == 1.0 * 0.5 - 2.0 * (-3.0)
-    assert a.perp() == Vec2(-2.0, 1.0)
-
-
-def test_vec2_norm_angle_normalized():
-    v = Vec2(3.0, 4.0)
-    assert v.norm() == 5.0
-    assert v.normalized().norm() == pytest.approx(1.0, abs=1e-15)
-    assert Vec2(0.0, 2.0).angle() == pytest.approx(math.pi / 2)
-    assert Vec2(-1.0, 0.0).angle() == pytest.approx(math.pi)
-    with pytest.raises(ValueError):
-        Vec2(0.0, 0.0).normalized()
-
-
-def test_vec2_rotation_about_point():
-    p = Vec2(2.0, 1.0)
-    q = p.rotated(math.pi / 2, about=Vec2(1.0, 1.0))
-    assert q.x == pytest.approx(1.0, abs=1e-15)
-    assert q.y == pytest.approx(2.0, abs=1e-15)
-    # rotating about the origin is the plain linear map
-    r = Vec2(1.0, 0.0).rotated(math.pi / 2)
-    assert r.x == pytest.approx(0.0, abs=1e-15)
-    assert r.y == pytest.approx(1.0, abs=1e-15)
-    # composition of two rotations about the same pivot
-    one = p.rotated(0.3, about=Vec2(0.2, -0.4)).rotated(0.5, about=Vec2(0.2, -0.4))
-    two = p.rotated(0.8, about=Vec2(0.2, -0.4))
-    assert (one - two).norm() < 1e-14
+    assert Vec2(3.0, 4.0).norm() == 5.0
 
 
 def test_absolute_angles_accumulate_relative_ones(rng):
@@ -136,7 +119,7 @@ def test_translation_moves_joints_rigidly(rng, segments):
     pose = random_pose(rng)
     d = Vec2(0.37, -0.21)
     before = joints_of(forward_kinematics(pose, segments))
-    after = joints_of(forward_kinematics(pose.translated(d), segments))
+    after = joints_of(forward_kinematics(translate_pose(pose, d), segments))
     for p, q in zip(before, after):
         assert (q - (p + d)).norm() < 1e-12
 
@@ -146,9 +129,9 @@ def test_rotation_moves_joints_rigidly(rng, segments):
     phi = 0.73
     pivot = Vec2(-0.4, 0.9)
     before = joints_of(forward_kinematics(pose, segments))
-    after = joints_of(forward_kinematics(pose.rotated(phi, about=pivot), segments))
+    after = joints_of(forward_kinematics(rotate_pose(pose, phi, about=pivot), segments))
     for p, q in zip(before, after):
-        assert (q - p.rotated(phi, about=pivot)).norm() < 1e-12
+        assert (q - rotate(p, phi, pivot)).norm() < 1e-12
 
 
 def test_link_lengths_preserved(rng, segments):
@@ -198,10 +181,10 @@ def test_nonarm_com_matches_complex_reference(segments):
 def test_nonarm_com_translation_scales_by_mass_fraction(rng, segments):
     pose = random_pose(rng)
     d = Vec2(0.83, -0.29)
-    shift = nonarm_com(pose.translated(d), segments) - nonarm_com(pose, segments)
+    shift = nonarm_com(translate_pose(pose, d), segments) - nonarm_com(pose, segments)
     assert (shift - d * segments.nonarm_fraction).norm() < 1e-12
     # with renormalization the point is a true centroid and shifts one-to-one
-    shift_true = (nonarm_com(pose.translated(d), segments, renormalize=True)
+    shift_true = (nonarm_com(translate_pose(pose, d), segments, renormalize=True)
                   - nonarm_com(pose, segments, renormalize=True))
     assert (shift_true - d).norm() < 1e-12
 
@@ -209,8 +192,8 @@ def test_nonarm_com_translation_scales_by_mass_fraction(rng, segments):
 def test_nonarm_com_rotation_about_origin_is_exact(rng, segments):
     pose = BodyPose(base=Vec2(0.3, 0.55), theta=tuple(rng.uniform(-math.pi, math.pi, 6)))
     for phi in (0.7, -1.9):
-        rotated = nonarm_com(pose.rotated(phi, about=Vec2(0.0, 0.0)), segments)
-        assert (rotated - nonarm_com(pose, segments).rotated(phi)).norm() < 1e-12
+        rotated = nonarm_com(rotate_pose(pose, phi, about=ORIGIN), segments)
+        assert (rotated - rotate(nonarm_com(pose, segments), phi)).norm() < 1e-12
 
 
 def test_nonarm_com_rotation_about_other_pivots_shifts_predictably(rng, segments):
@@ -221,19 +204,19 @@ def test_nonarm_com_rotation_about_other_pivots_shifts_predictably(rng, segments
     for phi in (0.7, -1.3):
         pivot = pose.base
         com0 = nonarm_com(pose, segments)
-        com1 = nonarm_com(pose.rotated(phi), segments)  # pivot defaults to the base
-        slip = com1 - com0.rotated(phi, about=pivot)
-        expected = (pivot - pivot.rotated(phi)) * (k - 1.0)
+        com1 = nonarm_com(rotate_pose(pose, phi), segments)  # pivot defaults to the base
+        slip = com1 - rotate(com0, phi, pivot)
+        expected = (pivot - rotate(pivot, phi)) * (k - 1.0)
         assert (slip - expected).norm() < 1e-12
         # the renormalized centroid is equivariant about any pivot
         true0 = nonarm_com(pose, segments, renormalize=True)
-        true1 = nonarm_com(pose.rotated(phi), segments, renormalize=True)
-        assert (true1 - true0.rotated(phi, about=pivot)).norm() < 1e-12
+        true1 = nonarm_com(rotate_pose(pose, phi), segments, renormalize=True)
+        assert (true1 - rotate(true0, phi, pivot)).norm() < 1e-12
 
 
 def uniform_frames(pose, d, dt=0.5, n=5):
     return tuple(
-        PoseFrame(pose=pose.translated(d * i), time=i * dt) for i in range(n)
+        PoseFrame(pose=translate_pose(pose, d * i), time=i * dt) for i in range(n)
     )
 
 
@@ -284,11 +267,11 @@ def test_com_velocity_is_tangent_on_circular_arc(segments):
     pose = BodyPose(base=Vec2(0.4, 0.1), theta=(1.3, -0.5, 0.8, 0.1, -2.2, 0.9))
     omega = 0.6
     frames = tuple(
-        PoseFrame(pose=pose.rotated(omega * t, about=Vec2(0.0, 0.0)), time=t)
+        PoseFrame(pose=rotate_pose(pose, omega * t, about=ORIGIN), time=t)
         for t in (0.0, 0.25, 0.5, 0.75, 1.0)
     )
     state = com_velocity(frames, segments, 2)
-    tangent = state.position.perp().normalized()
+    tangent = perp(state.position) * (1.0 / state.position.norm())
     assert (state.direction - tangent).norm() < 1e-12
 
 
@@ -299,18 +282,15 @@ def test_shoulder_frame_tracks_the_trunk(segments):
     assert origin == geom.shoulder
     assert angle == pytest.approx(math.pi / 2, abs=1e-15)
     phi = -0.83
-    origin_r, angle_r = shoulder_frame(pose.rotated(phi, about=Vec2(0.0, 0.0)), segments)
+    origin_r, angle_r = shoulder_frame(rotate_pose(pose, phi, about=ORIGIN), segments)
     assert angle_r == pytest.approx(angle + phi, abs=1e-12)
-    assert (origin_r - origin.rotated(phi)).norm() < 1e-12
+    assert (origin_r - rotate(origin, phi)).norm() < 1e-12
 
 
 def test_segment_set_structure_checks():
     segs = make_segments()
     with pytest.raises(ValueError):
         SegmentSet(segments=segs.segments[:6], total_mass=6.0)
-    shuffled = (segs.segments[1],) + (segs.segments[0],) + segs.segments[2:]
-    with pytest.raises(ValueError):
-        SegmentSet(segments=shuffled, total_mass=7.0)
 
 
 def test_default_segments_mass_bookkeeping(segments):

@@ -239,13 +239,13 @@ def test_missing_scenario_flag_is_an_argparse_exit():
     assert exc.value.code == 2
 
 
-OVERRIDES = {"--grid-step-deg", "--a", "--force-model", "--tau", "--limits-deg"}
+OVERRIDES = {"--grid-step-deg", "--force-model", "--tau", "--limits-deg"}
 SOLVE = {"--scenario", "--out", "-v/--verbose", *OVERRIDES, "--constrained", "--robot-base"}
-COMMAND_FLAGS = {
-    "validate": {"--scenario", *OVERRIDES},
+COMMAND_FLAGS = {  # sweep sets a itself, so it alone takes no --a
+    "validate": {"--scenario", "--a", *OVERRIDES},
     "analyze": {"--scenario", "--out", "-v/--verbose"},
-    "optimize": SOLVE,
-    "render": SOLVE | {"--frame", "--no-placement"},
+    "optimize": SOLVE | {"--a"},
+    "render": SOLVE | {"--a", "--frame", "--no-placement"},
     "sweep": SOLVE | {"--range"},
 }
 
@@ -256,7 +256,7 @@ def test_each_command_takes_only_the_flags_it_reads(capsys):
     flags = {name: {"/".join(a.option_strings) for a in p._actions if a.dest != "help"}
              for name, p in commands.items()}
     assert flags == COMMAND_FLAGS
-    assert sum(len(f) for f in flags.values()) == 42
+    assert sum(len(f) for f in flags.values()) == 41
     with pytest.raises(SystemExit) as exc:
         main(["validate", "--scenario", TOILET, "--robot-base=abc"])
     assert exc.value.code == 2
@@ -431,6 +431,19 @@ def test_sweep_rejects_too_many_values_before_any_solve(capsys, tmp_path, spec):
     assert f"more than the {MAX_SWEEP_VALUES}" in err
     assert out == ""
     assert not out_dir.exists()
+
+
+def test_sweep_refuses_values_that_share_a_file_name(capsys, tmp_path):
+    # 1.000001 .. 1.000004 all print as 1 to 6 significant digits
+    code, out, err = run(
+        capsys, "sweep", "--scenario", TOILET, "--out", str(tmp_path),
+        "--range=1,1.000004,0.000001",
+    )
+    assert code == 1
+    assert err == ("error[validation]: --range values 1.0 and 1.000001 share the landscape "
+                   "file stem landscape_a_1; each value is named to 6 significant digits\n")
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_readme_range_keeps_its_values_and_file_names(capsys, tmp_path):

@@ -43,6 +43,8 @@ from oracles import (
     best_sign_combo,
     context_of_chain,
     random_unit,
+    rotate,
+    rotate_context,
     sample_chain,
     sample_in_branch_chain,
 )
@@ -684,23 +686,11 @@ def test_constrained_mode_respects_a_fixed_base():
 def test_context_rotation_equivariance(rng):
     scenario, ctx = toilet_context()
     for phi in rng.uniform(-math.pi, math.pi, 3):
-        rotated = ctx.rotated(phi)
+        rotated = rotate_context(ctx, phi)
         a, _ = optimize_placement(ctx, scenario.limits, scenario.objective)
         b, _ = optimize_placement(rotated, scenario.limits, scenario.objective)
         assert abs(a.theta5_opt - b.theta5_opt) < 1e-9
         assert abs(a.theta6_opt - b.theta6_opt) < 1e-9
         assert abs(a.objective_value - b.objective_value) < 1e-9
-        assert (b.handle - a.handle.rotated(phi)).norm() < 1e-9
+        assert (b.handle - rotate(a.handle, phi)).norm() < 1e-9
 
-
-def test_placement_context_rotated_transforms_fields():
-    ctx = PlacementContext(
-        shoulder=Vec2(1.0, 0.0), theta_04=0.3, com=Vec2(0.5, 0.5),
-        v=Vec2(0.0, 1.0), upper_len=0.32, fore_len=0.30,
-    )
-    rot = ctx.rotated(math.pi / 2.0)
-    assert (rot.shoulder - Vec2(0.0, 1.0)).norm() < 1e-15
-    assert rot.theta_04 == 0.3 + math.pi / 2.0
-    assert (rot.com - Vec2(-0.5, 0.5)).norm() < 1e-15
-    assert (rot.v - Vec2(-1.0, 0.0)).norm() < 1e-15
-    assert rot.upper_len == 0.32 and rot.fore_len == 0.30

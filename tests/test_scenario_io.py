@@ -381,6 +381,18 @@ def test_bad_physical_values_are_flagged():
     assert "total_mass_positive" in error_codes(scenario_from_dict(data))
 
 
+@pytest.mark.parametrize("field, value, code, text", [
+    ("length_m", -0.42, "length_positive", "length -0.42 m must be positive"),
+    ("mass_kg", -1.0, "mass_nonnegative", "mass -1.0 kg is negative"),
+    ("com_fraction", 1.2, "com_fraction_range", "com_fraction 1.2 is outside [0, 1]"),
+])
+def test_segment_findings_name_the_segment_by_position(field, value, code, text):
+    data = minimal_dict()
+    data["segments"][2][field] = value
+    messages = [f.message for f in validate_scenario(scenario_from_dict(data)) if f.code == code]
+    assert messages == [f"segment 2 (thigh) {text}"]
+
+
 def test_packaged_fixtures_are_clean():
     assert list_fixtures() == FIXTURE_NAMES
     for name in FIXTURE_NAMES:
