@@ -15,9 +15,11 @@ from handleopt.body_model import (
     forward_kinematics,
     nonarm_com,
     shoulder_frame,
+    unit,
 )
 from oracles import (
     ORIGIN,
+    angle_of,
     chain_points_complex,
     nonarm_com_complex,
     perp,
@@ -60,7 +62,14 @@ def test_vec2_arithmetic():
     assert a * 2.0 == Vec2(2.0, 4.0)
     assert 2.0 * a == a * 2.0
     assert a.dot(b) == -3.0 + 1.0
+
+
+def test_vec2_norm_angle_normalized():
     assert Vec2(3.0, 4.0).norm() == 5.0
+    for angle in (0.0, 0.4, math.pi / 2, 2.5, math.pi, -1.1):
+        u = unit(angle)
+        assert u.norm() == pytest.approx(1.0, abs=1e-15)
+        assert angle_of(u) == pytest.approx(angle, abs=1e-15)
 
 
 def test_absolute_angles_accumulate_relative_ones(rng):
