@@ -16,7 +16,6 @@ from .errors import (
     IndexOutOfRange,
     NoFeasiblePoint,
     ParseError,
-    ReachExceeded,
     ScenarioError,
     SchemaError,
     SingularChain,
@@ -30,8 +29,8 @@ __version__ = "0.1.0"
 __all__ = [
     "load_scenario", "fixture_path", "make_context", "optimize_placement",
     "HandleOptError", "DegenerateVelocity", "IndexOutOfRange", "SingularChain",
-    "IllConditioned", "ZeroTorque", "NoFeasiblePoint", "ReachExceeded",
-    "ScenarioError", "ParseError", "SchemaError", "ValidationError",
+    "IllConditioned", "ZeroTorque", "NoFeasiblePoint", "ScenarioError",
+    "ParseError", "SchemaError", "ValidationError",
     "__version__",
 ]
 

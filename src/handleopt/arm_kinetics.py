@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -107,8 +106,7 @@ def primitives_for(*values) -> _Primitives:
     return _ON_FLOATS
 
 
-@dataclass(frozen=True)
-class VirtualChain:
+class VirtualChain(NamedTuple):
     """Geometry of the three-bar chain for one arm configuration.
 
     lever5/6/7 are the distances from shoulder, elbow and handle to the

@@ -22,8 +22,7 @@ be rotated rigidly as a whole.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegenerateVelocity, IndexOutOfRange
 
@@ -35,12 +34,16 @@ MASS_CLOSURE_RTOL = 1e-9
 DEGENERATE_SPEED = 1e-9
 
 
-@dataclass(frozen=True)
-class Vec2:
+class Vec2(NamedTuple):
     """Planar vector (meters unless stated otherwise)."""
 
     x: float
     y: float
+
+    # A tuple would otherwise be taken by NumPy as an array, so that
+    # np.float64(2.0) * Vec2(1.0, 2.0) gave array([2., 4.]); this makes NumPy
+    # defer to __rmul__, which keeps the product a Vec2.
+    __array_ufunc__ = None
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)
@@ -65,8 +68,7 @@ def unit(angle: float) -> Vec2:
     return Vec2(math.cos(angle), math.sin(angle))
 
 
-@dataclass(frozen=True)
-class LinkSegment:
+class LinkSegment(NamedTuple):
     """One rigid link.
 
     com_fraction locates the segment COM along the link, measured from the
@@ -79,8 +81,12 @@ class LinkSegment:
     com_fraction: float
 
 
-@dataclass(frozen=True)
-class SegmentSet:
+class _SegmentFields(NamedTuple):
+    segments: tuple[LinkSegment, ...]
+    total_mass: float
+
+
+class SegmentSet(_SegmentFields):
     """The seven links plus the expected whole-body mass.
 
     total_mass is carried separately so that mass bookkeeping can be
@@ -88,12 +94,12 @@ class SegmentSet:
     total_mass within 1e-9 relative.
     """
 
-    segments: tuple[LinkSegment, ...]
-    total_mass: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.segments) != 7:
-            raise ValueError(f"expected 7 segments, got {len(self.segments)}")
+    def __new__(cls, segments: tuple[LinkSegment, ...], total_mass: float) -> "SegmentSet":
+        if len(segments) != 7:
+            raise ValueError(f"expected 7 segments, got {len(segments)}")
+        return super().__new__(cls, segments, total_mass)
 
     def length(self, i: int) -> float:
         return self.segments[i].length
@@ -114,8 +120,7 @@ class SegmentSet:
         return self.length(UPPER_ARM) + self.length(FOREARM)
 
 
-@dataclass(frozen=True)
-class BodyPose:
+class BodyPose(NamedTuple):
     """Configuration of the chain at one instant.
 
     theta holds (theta_1 .. theta_6). theta_1 is the ankle angle of the
@@ -144,14 +149,12 @@ def absolute_link_angles(pose: BodyPose) -> tuple[float, ...]:
     return (a0, a1, a2, a3, a4, a5, a6)
 
 
-@dataclass(frozen=True)
-class PoseFrame:
+class PoseFrame(NamedTuple):
     pose: BodyPose
     time: float
 
 
-@dataclass(frozen=True)
-class BodyGeometry:
+class BodyGeometry(NamedTuple):
     """Joint positions and per-segment COM points for one pose."""
 
     toe: Vec2
@@ -222,8 +225,7 @@ def nonarm_com(pose: BodyPose, segments: SegmentSet, renormalize: bool = False) 
     return Vec2(sx / divisor, sy / divisor)
 
 
-@dataclass(frozen=True)
-class ComState:
+class ComState(NamedTuple):
     """COM position plus its motion direction at one frame.
 
     direction is unit length; speed is the raw central-difference

@@ -109,7 +109,7 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     if args.limits_deg is not None:
         v = _csv_floats(args.limits_deg, 4, "--limits-deg")
         limits = JointLimits(*(math.radians(x) for x in v))
-    return replace(scenario, objective=obj, limits=limits)
+    return scenario._replace(objective=obj, limits=limits)
 
 
 def _robot_base(args: argparse.Namespace) -> Vec2 | None:
@@ -269,7 +269,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .placement_opt import grid_axis
     from .reporting import render_landscape
 
-    scenario = _load(args)
+    # The file's own a is replaced by every swept value, so only the swept
+    # scenarios are validated.
+    scenario = _apply_overrides(read_scenario_file(args.scenario), args)
     start, stop, step = _csv_floats(args.range, 3, "--range")
     if step <= 0.0 or stop < start:
         raise ValidationError("--range must satisfy start <= stop with step > 0")
@@ -286,8 +288,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"--range values {stems[stem]!r} and {value!r} share the landscape file stem "
                 f"{stem}; each value is named to 6 significant digits")
         stems[stem] = value
-    swept = [_validated(replace(scenario, objective=replace(scenario.objective, a=value)))
+    swept = [scenario._replace(objective=replace(scenario.objective, a=value))
              for value in values]
+    for i, scenario_at in enumerate(swept):  # a changes no warning: print them once
+        _validated(scenario_at, args.verbose and i == 0)
     robot_base = _robot_base(args)
 
     out = _out_dir(args)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .body_model import Vec2
 
@@ -27,8 +27,7 @@ ELBOW_LIMIT_MARGIN = math.radians(2.0)
 MAX_GRID_CELLS = 2**24
 
 
-@dataclass(frozen=True)
-class TorqueSet:
+class TorqueSet(NamedTuple):
     """Signed joint torques in newton meters."""
 
     tau5: float
@@ -39,8 +38,7 @@ class TorqueSet:
         return math.hypot(self.tau5, self.tau6, self.tau7)
 
 
-@dataclass(frozen=True)
-class PlacementContext:
+class PlacementContext(NamedTuple):
     """Everything the objective needs about the body at max effort."""
 
     shoulder: Vec2
@@ -51,8 +49,7 @@ class PlacementContext:
     fore_len: float
 
 
-@dataclass(frozen=True)
-class JointLimits:
+class JointLimits(NamedTuple):
     """Inclusive optimizer bounds for theta_5 and theta_6, radians."""
 
     theta5_min: float = math.radians(-60.0)
@@ -61,6 +58,11 @@ class JointLimits:
     theta6_max: float = math.radians(175.0)
 
 
+# The one dataclass left: perfbench/child.py and perfbench/record_reference.py
+# build their per-model configs with dataclasses.replace(scenario.objective,
+# ...). The other value types are NamedTuples, which are much cheaper to
+# create at import; this one can follow once the benchmark stops calling
+# dataclasses.replace (ROADMAP item 1).
 @dataclass(frozen=True)
 class ObjectiveConfig:
     """Objective and search parameters.
@@ -75,8 +77,7 @@ class ObjectiveConfig:
     grid_step: float = math.radians(0.5)
 
 
-@dataclass(frozen=True)
-class RobotParams:
+class RobotParams(NamedTuple):
     """Support-robot geometry used by the feasibility report.
 
     handle_height_range is (min, max) height of the handle above the
@@ -90,8 +91,7 @@ class RobotParams:
     handle_diameter: float = 0.038
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One feasibility finding; value exceeded (or fell outside) limit."""
 
     kind: str
@@ -100,8 +100,7 @@ class Violation:
     limit: float
 
 
-@dataclass(frozen=True)
-class ObjectiveLandscape:
+class ObjectiveLandscape(NamedTuple):
     """Objective samples over the full grid.
 
     objective[i5, i6] pairs theta5[i5] with theta6[i6]; singular cells
@@ -114,8 +113,7 @@ class ObjectiveLandscape:
     eligible: np.ndarray
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     """Optimization result at the max-effort frame.
 
     argmax_index is the (i5, i6) landscape cell the optimum came from.

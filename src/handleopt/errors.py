@@ -29,10 +29,6 @@ class NoFeasiblePoint(HandleOptError):
     """Every grid point of an optimization run was singular or excluded."""
 
 
-class ReachExceeded(HandleOptError):
-    """A computed handle lies farther from the shoulder than the arm reaches."""
-
-
 class ScenarioError(HandleOptError):
     """Base class for scenario file problems."""
 

@@ -19,7 +19,6 @@ memory beyond the landscape itself.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from .config import (
     grid_points,
     oversized_grid,
 )
-from .errors import IllConditioned, NoFeasiblePoint, ReachExceeded, SingularChain
+from .errors import IllConditioned, NoFeasiblePoint, SingularChain
 
 # Cells evaluated per vectorized block; bounds peak memory, not results.
 # A block's temporaries (about 200 bytes a cell) then stay in a core's L2
@@ -223,14 +222,8 @@ def optimize_placement(
         feasibility=(),
         argmax_index=(i5, i6),
     )
-    arm_reach = ctx.upper_len + ctx.fore_len
     if robot is not None:
-        placement = replace(placement, feasibility=tuple(feasibility_check(
+        placement = placement._replace(feasibility=tuple(feasibility_check(
             placement, robot, floor_y, robot_base,
         )))
-    reach = (placement.handle - ctx.shoulder).norm()
-    if not reach <= arm_reach + 1e-12:
-        raise ReachExceeded(
-            f"optimal handle is {reach!r} m from the shoulder, beyond the {arm_reach!r} m arm"
-        )
     return placement, landscape

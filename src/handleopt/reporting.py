@@ -11,7 +11,6 @@ groups.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -117,7 +116,7 @@ def render_scene(scenario, frame_index: int, placement: Placement | None = None)
     arm = geom
     if placement is not None:
         theta = (*frame.pose.theta[:4], placement.theta5_opt, placement.theta6_opt)
-        arm = forward_kinematics(replace(frame.pose, theta=theta), scenario.segments)
+        arm = forward_kinematics(frame.pose._replace(theta=theta), scenario.segments)
     lines.append('<g id="arm">')
     lines.append(_polyline([cv.point(p) for p in (arm.shoulder, arm.elbow, arm.wrist)],
                            ARM_COLOR, ARM_WIDTH_PX))

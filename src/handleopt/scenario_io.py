@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .body_model import (
     FOREARM,
@@ -54,8 +54,7 @@ SLOW_COM_SPEED = 1e-3
 MAX_MAGNITUDE = 1e6
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     level: str  # "error" or "warning"
     code: str
     message: str
@@ -65,8 +64,7 @@ class Finding:
         return self.level == "error"
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     segments: SegmentSet
     frames: tuple[PoseFrame, ...]

@@ -205,8 +205,8 @@ def test_optimum_is_invariant_to_translating_the_scene():
     worst_angle = worst_obj = worst_handle = 0.0
     for dx in (1.0, 5.0):
         d = Vec2(dx, 0.0)
-        moved = replace(scenario, frames=tuple(
-            replace(frame, pose=translate_pose(frame.pose, d)) for frame in scenario.frames))
+        moved = scenario._replace(frames=tuple(
+            frame._replace(pose=translate_pose(frame.pose, d)) for frame in scenario.frames))
         moved_ctx, _ = make_context(moved)
         shifted, _ = optimize_placement(moved_ctx, moved.limits, moved.objective)
         worst_angle = max(

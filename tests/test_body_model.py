@@ -64,6 +64,15 @@ def test_vec2_arithmetic():
     assert a.dot(b) == -3.0 + 1.0
 
 
+def test_vec2_scaled_by_a_numpy_scalar_stays_a_vec2():
+    # Vec2 is a tuple; without Vec2.__array_ufunc__ = None NumPy would
+    # turn the left-hand product into array([2., 4.])
+    a = Vec2(1.0, 2.0)
+    for product in (np.float64(2.0) * a, a * np.float64(2.0)):
+        assert type(product) is Vec2
+        assert product == Vec2(2.0, 4.0)
+
+
 def test_vec2_norm_angle_normalized():
     assert Vec2(3.0, 4.0).norm() == 5.0
     for angle in (0.0, 0.4, math.pi / 2, 2.5, math.pi, -1.1):

@@ -470,12 +470,25 @@ def test_sweep_validates_every_swept_value(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_verbose_optimize_surfaces_warnings(capsys, tmp_path):
-    def slow(d):
-        for i, frame in enumerate(d["frames"]):
-            frame["base_xy_m"] = [i * 1e-5, 0.0]
-            frame["theta_deg"] = d["frames"][8]["theta_deg"]
+def test_sweep_ignores_the_files_own_a(capsys, tmp_path):
+    path = broken_scenario(tmp_path, lambda d: d["objective"].update(a=-1.0))
+    out_dir = tmp_path / "out"
+    code, out, err = run(
+        capsys, "sweep", "--scenario", path, "--out", str(out_dir),
+        "--range=0,0.2,0.2", "--grid-step-deg", "5",
+    )
+    assert (code, err) == (0, "")
+    sweep_lines = (out_dir / "sweep.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in sweep_lines[1:]] == ["0.0", "0.2"]
 
+
+def slow(d):
+    for i, frame in enumerate(d["frames"]):
+        frame["base_xy_m"] = [i * 1e-5, 0.0]
+        frame["theta_deg"] = d["frames"][8]["theta_deg"]
+
+
+def test_verbose_optimize_surfaces_warnings(capsys, tmp_path):
     path = broken_scenario(tmp_path, slow)
     code, out, err = run(
         capsys, "optimize", "--scenario", path, "--out", str(tmp_path),
@@ -483,6 +496,16 @@ def test_verbose_optimize_surfaces_warnings(capsys, tmp_path):
     )
     assert code == 0
     assert "warning[slow_com]:" in err
+
+
+def test_verbose_sweep_prints_each_warning_once(capsys, tmp_path):
+    path = broken_scenario(tmp_path, slow)
+    code, out, err = run(
+        capsys, "sweep", "--scenario", path, "--out", str(tmp_path / "out"),
+        "--range=0,0.4,0.2", "--grid-step-deg", "5", "-v",
+    )
+    assert code == 0
+    assert err.count("warning[slow_com]:") == 1
 
 
 def test_module_entry_point_runs():
@@ -497,7 +520,8 @@ def test_module_entry_point_runs():
 
 
 # Runs in a fresh interpreter; prints whether numpy is loaded after a bare
-# import, after validate and analyze, and after optimize.
+# import, after validate and analyze, and after optimize, and then, with
+# every handleopt module loaded, which classes they define are dataclasses.
 NUMPY_PROBE = """
 import contextlib, io, json, sys
 import handleopt
@@ -518,7 +542,12 @@ codes.append(run("optimize", "--scenario", str(handleopt.fixture_path(fixtures[0
                  "--out", optimize_out, "--grid-step-deg", "5"))
 loaded.append("numpy" in sys.modules)
 same = handleopt.optimize_placement is handleopt.placement_opt.optimize_placement
-print(json.dumps({"codes": codes, "loaded": loaded, "same": same}))
+import dataclasses, handleopt.placement_opt, handleopt.reporting
+found = sorted(f"{name}.{attr}" for name, mod in list(sys.modules.items())
+               if name.split(".")[0] == "handleopt" for attr, obj in vars(mod).items()
+               if isinstance(obj, type) and obj.__module__ == name
+               and dataclasses.is_dataclass(obj))
+print(json.dumps({"codes": codes, "loaded": loaded, "same": same, "dataclasses": found}))
 """
 
 
@@ -536,5 +565,7 @@ def test_validate_analyze_and_import_leave_numpy_unloaded(tmp_path):
     # not after `import handleopt`, nor after validate and analyze; optimize loads it
     assert result["loaded"] == [False, False, True]
     assert result["same"] is True
+    # the value types are NamedTuples, cheaper to create at start-up
+    assert result["dataclasses"] == ["handleopt.config.ObjectiveConfig"]
     assert (tmp_path / "analyze" / "com_state.json").exists()
     assert (tmp_path / "optimize" / "placement_report.json").exists()

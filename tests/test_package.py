@@ -1,8 +1,12 @@
-"""The package root's public surface and the README's library example."""
+"""The package root's public surface, the README's library example and the
+value types."""
 
+import dataclasses
 import math
 import re
 from pathlib import Path
+
+import pytest
 
 import handleopt
 
@@ -11,14 +15,14 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 ROOT_NAMES = {
     "load_scenario", "fixture_path", "make_context", "optimize_placement",
     "HandleOptError", "DegenerateVelocity", "IndexOutOfRange", "SingularChain",
-    "IllConditioned", "ZeroTorque", "NoFeasiblePoint", "ReachExceeded",
-    "ScenarioError", "ParseError", "SchemaError", "ValidationError",
+    "IllConditioned", "ZeroTorque", "NoFeasiblePoint", "ScenarioError",
+    "ParseError", "SchemaError", "ValidationError",
     "__version__",
 }
 
 
 def test_root_exports_only_the_documented_names():
-    assert len(handleopt.__all__) == len(ROOT_NAMES) == 17
+    assert len(handleopt.__all__) == len(ROOT_NAMES) == 16
     assert set(handleopt.__all__) == ROOT_NAMES
     for name in handleopt.__all__:
         assert getattr(handleopt, name) is not None
@@ -35,3 +39,32 @@ def test_readme_library_quick_start_runs(capsys):
     theta5, theta6, handle = capsys.readouterr().out.split(" ", 2)
     assert math.isfinite(float(theta5)) and math.isfinite(float(theta6))
     assert handle.startswith("Vec2(")
+
+
+def test_value_types_are_immutable_and_replace_keeps_the_type():
+    from handleopt.arm_kinetics import build_chain
+    from handleopt.body_model import Vec2, forward_kinematics
+    from handleopt.config import TorqueSet
+    from handleopt.scenario_io import Finding
+
+    scenario = handleopt.load_scenario(handleopt.fixture_path("toilet_sit_to_stand"))
+    ctx, state = handleopt.make_context(scenario)
+    config = dataclasses.replace(scenario.objective, grid_step=math.radians(5.0))
+    placement, landscape = handleopt.optimize_placement(
+        ctx, scenario.limits, config, robot=scenario.robot, robot_base=Vec2(9.0, 9.0))
+    frame = scenario.frames[0]
+    values = [
+        scenario, scenario.segments, scenario.segments.segments[0], frame, frame.pose,
+        frame.pose.base, forward_kinematics(frame.pose, scenario.segments), state, ctx,
+        scenario.limits, scenario.robot, TorqueSet(1.0, 1.0, 1.0), placement,
+        placement.feasibility[0], landscape, Finding("warning", "code", "message"),
+        build_chain(ctx.shoulder, ctx.theta_04, 0.5, 1.5, ctx.upper_len, ctx.fore_len, ctx.com),
+    ]
+    assert len({type(v) for v in values}) == len(values) == 17
+    for v in values:
+        field = v._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(v, field, getattr(v, field))
+        copy = v._replace(**{field: getattr(v, field)})
+        assert type(copy) is type(v)
+        assert all(a is b for a, b in zip(copy, v))

@@ -140,7 +140,7 @@ def test_evaluate_grid_refuses_more_than_max_grid_cells(step):
     config = replace(scenario.objective, grid_step=step)
     with pytest.raises(ValueError, match=f"more than the {MAX_GRID_CELLS} allowed") as exc:
         evaluate_grid(ctx, limits, config)
-    findings = validate_scenario(replace(scenario, limits=limits, objective=config))
+    findings = validate_scenario(scenario._replace(limits=limits, objective=config))
     assert [f.message for f in findings if f.code == "grid_too_large"] == [str(exc.value)]
 
 
@@ -284,7 +284,7 @@ def near_joint_case(ctx, config, t5, t6, joint, gap, angle, step):
         point = point + ctx.upper_len * Vec2(float(np.cos(phi5)), float(np.sin(phi5)))
     if joint == "handle":
         point = point + ctx.fore_len * Vec2(float(np.cos(phi5 + t6)), float(np.sin(phi5 + t6)))
-    ctx = replace(ctx, com=point + gap * unit(angle))
+    ctx = ctx._replace(com=point + gap * unit(angle))
     return ctx, corner_limits(t5, t6, step), replace(config, grid_step=step)
 
 
@@ -294,7 +294,7 @@ def condition_limit_case(ctx, mags, a, t5, reach, offset, step):
     COND_LIMIT across the 3x3 lsq grid."""
     phi5 = ctx.theta_04 + t5
     com = ctx.shoulder + reach * unit(phi5) + offset * unit(phi5 + math.pi / 2.0)
-    ctx = replace(ctx, com=com)
+    ctx = ctx._replace(com=com)
     config = ObjectiveConfig(a=a, torque_magnitudes=mags, force_model="lsq", grid_step=step)
     return ctx, corner_limits(t5, -step, step), config
 
@@ -370,7 +370,7 @@ def test_point_queries_return_builtin_floats_and_bools():
     """A NumPy scalar in a point query would give the same bits but cost
     the time the float path saves."""
     _, toilet = toilet_context()
-    com_on_shoulder = replace(toilet, com=toilet.shoulder)
+    com_on_shoulder = toilet._replace(com=toilet.shoulder)
     straight = PlacementContext(
         shoulder=Vec2(0.0, 0.0), theta_04=0.0, com=Vec2(0.5, 0.0),
         v=Vec2(1.0, 0.0), upper_len=0.32, fore_len=0.30,
@@ -623,13 +623,13 @@ def test_constrained_search_and_feasibility_report_share_one_rule(ctx, config, t
     robot, base = RobotParams(), None
     height = handle.y - floor_y
     if bound == "low":
-        robot = replace(robot, handle_height_range=(height, height + 1.0))
+        robot = robot._replace(handle_height_range=(height, height + 1.0))
     elif bound == "high":
-        robot = replace(robot, handle_height_range=(height - 1.0, height))
+        robot = robot._replace(handle_height_range=(height - 1.0, height))
     else:
-        robot = replace(robot, handle_height_range=(height - 1.0, height + 1.0))
+        robot = robot._replace(handle_height_range=(height - 1.0, height + 1.0))
         base = handle + 0.3 * unit(direction)
-        robot = replace(robot, reach_limit=(handle - base).norm())
+        robot = robot._replace(reach_limit=(handle - base).norm())
     landscape = evaluate_grid(ctx, limits, config, robot=robot, floor_y=floor_y,
                               robot_base=base)
     for i5, c5 in enumerate(landscape.theta5):
@@ -644,7 +644,7 @@ def test_constrained_search_and_feasibility_report_share_one_rule(ctx, config, t
 
 def test_constrained_mode_excludes_but_still_scores():
     scenario, ctx = toilet_context()
-    robot = replace(scenario.robot, handle_height_range=(0.9, 1.2))
+    robot = scenario.robot._replace(handle_height_range=(0.9, 1.2))
     free = evaluate_grid(ctx, scenario.limits, scenario.objective)
     tight = evaluate_grid(ctx, scenario.limits, scenario.objective,
                           robot=robot, floor_y=scenario.floor_y)
@@ -661,7 +661,7 @@ def test_constrained_mode_excludes_but_still_scores():
 
 def test_constrained_mode_with_impossible_window_raises():
     scenario, ctx = toilet_context()
-    robot = replace(scenario.robot, handle_height_range=(10.0, 11.0))
+    robot = scenario.robot._replace(handle_height_range=(10.0, 11.0))
     with pytest.raises(NoFeasiblePoint):
         optimize_placement(ctx, scenario.limits, scenario.objective,
                            robot=robot, floor_y=scenario.floor_y, constrained=True)

@@ -66,8 +66,7 @@ def upright_scenario():
 
 
 def coarse(scenario, step_deg=5.0):
-    return dataclasses.replace(
-        scenario,
+    return scenario._replace(
         objective=dataclasses.replace(
             scenario.objective, grid_step=math.radians(step_deg)
         ),

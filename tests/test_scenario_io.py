@@ -132,15 +132,9 @@ def test_saving_arbitrary_radians_loses_below_picoradians(tmp_path):
     # file angles are decimal degrees, so an in-memory pi/7 offset cannot
     # round-trip exactly; the loss stays far below any physical tolerance
     s = load_scenario(fixture_path("toilet_sit_to_stand"))
-    import dataclasses
-
     frame = s.frames[0]
-    pose = dataclasses.replace(
-        frame.pose, theta=tuple(t + math.pi / 7.0 for t in frame.pose.theta)
-    )
-    shifted = dataclasses.replace(
-        s, frames=(dataclasses.replace(frame, pose=pose),) + s.frames[1:]
-    )
+    pose = frame.pose._replace(theta=tuple(t + math.pi / 7.0 for t in frame.pose.theta))
+    shifted = s._replace(frames=(frame._replace(pose=pose),) + s.frames[1:])
     back = scenario_from_dict(scenario_to_dict(shifted))
     worst = max(
         abs(a - b) for a, b in zip(back.frames[0].pose.theta, shifted.frames[0].pose.theta)
@@ -485,8 +479,7 @@ def test_landscape_csv_layout(tmp_path):
     scenario = load_scenario(fixture_path("toilet_sit_to_stand"))
     import dataclasses
 
-    small = dataclasses.replace(
-        scenario,
+    small = scenario._replace(
         objective=dataclasses.replace(scenario.objective, grid_step=math.radians(10.0)),
     )
     ctx, state = make_context(small)
