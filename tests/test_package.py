@@ -9,6 +9,10 @@ from pathlib import Path
 import pytest
 
 import handleopt
+from handleopt.arm_kinetics import build_chain
+from handleopt.body_model import Vec2, forward_kinematics
+from handleopt.config import TorqueSet
+from handleopt.scenario_io import Finding
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -42,11 +46,6 @@ def test_readme_library_quick_start_runs(capsys):
 
 
 def test_value_types_are_immutable_and_replace_keeps_the_type():
-    from handleopt.arm_kinetics import build_chain
-    from handleopt.body_model import Vec2, forward_kinematics
-    from handleopt.config import TorqueSet
-    from handleopt.scenario_io import Finding
-
     scenario = handleopt.load_scenario(handleopt.fixture_path("toilet_sit_to_stand"))
     ctx, state = handleopt.make_context(scenario)
     config = dataclasses.replace(scenario.objective, grid_step=math.radians(5.0))
