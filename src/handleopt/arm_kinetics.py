@@ -29,6 +29,15 @@ are exact, and the shoulder's lever and angle, which are floats in both
 paths. So a point query equals its grid cell bit for bit by construction,
 while it skips the cost of NumPy scalars.
 
+The grid search (placement_opt.evaluate_grid) runs the same kernel text
+through _arm_forces with the primitives of a GridTrig, built once per grid.
+The handle angle phi6 = phi5 + theta6 takes only a few values per
+anti-diagonal of the grid, so GridTrig tables np.cos and np.sin per
+diagonal and serves a cell from the table only where its phi6 has the very
+bits of a table entry. Every other cell is computed directly. Either way a
+cell holds np.cos and np.sin of its own phi6, so parity still holds by
+construction, and the grid makes two libm calls a cell fewer.
+
 build_chain (returning a VirtualChain), arm_force_expanded and
 arm_force_lsq are float-valued views of the same geometry and force
 helpers, one configuration at a time. No command or solve calls them: the
@@ -45,6 +54,7 @@ import operator
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .body_model import Vec2
 from .config import FORCE_MODELS, PlacementContext, TorqueSet
@@ -64,6 +74,7 @@ ILL_CONDITIONED_MESSAGE = (
 class _Primitives(NamedTuple):
     """The kernel's operations whose form depends on the input type."""
 
+    cos_sin_sum: Callable  # (phi5, theta6) -> (phi6, cos phi6, sin phi6), phi6 = phi5 + theta6
     cos: Callable
     sin: Callable
     arccos: Callable
@@ -75,8 +86,18 @@ class _Primitives(NamedTuple):
     invert: Callable  # logical not
 
 
+def _cos_sin_sum(phi5, theta6):
+    phi6 = phi5 + theta6
+    return phi6, np.cos(phi6), np.sin(phi6)
+
+
+def _cos_sin_sum_float(phi5, theta6):
+    phi6 = phi5 + theta6
+    return phi6, float(np.cos(phi6)), float(np.sin(phi6))
+
+
 _ON_ARRAYS = _Primitives(
-    cos=np.cos, sin=np.sin, arccos=np.arccos, hypot=np.hypot,
+    cos_sin_sum=_cos_sin_sum, cos=np.cos, sin=np.sin, arccos=np.arccos, hypot=np.hypot,
     maximum=np.maximum, minimum=np.minimum, sqrt=np.sqrt,
     where=np.where, invert=np.invert,
 )
@@ -88,6 +109,7 @@ _ON_ARRAYS = _Primitives(
 # nothing promises that on another build. math.sqrt, max, min and the
 # conditional are correctly rounded or exact, as their NumPy forms are.
 _ON_FLOATS = _Primitives(
+    cos_sin_sum=_cos_sin_sum_float,
     cos=lambda x: float(np.cos(x)),
     sin=lambda x: float(np.sin(x)),
     arccos=lambda x: float(np.arccos(x)),
@@ -104,6 +126,66 @@ def primitives_for(*values) -> _Primitives:
         if isinstance(x, np.ndarray):
             return _ON_ARRAYS
     return _ON_FLOATS
+
+
+# GridTrig tables each anti-diagonal's reference sum and the _ULPS floats on
+# either side of it.
+_ULPS = 2
+_SLOTS = 2 * _ULPS + 1
+
+
+class GridTrig:
+    """cos and sin of phi6 = phi5[i] + theta6[j] over one grid, from a table.
+
+    With one grid step on both axes, the sums along an anti-diagonal
+    i + j = d are one angle up to rounding, a few floats apart. The table
+    holds np.cos and np.sin of the _SLOTS consecutive floats centred on the
+    sum at the middle cell of each diagonal. A cell whose phi6 has one of
+    those bit patterns (a hit) takes the table's value, which is np.cos and
+    np.sin of its own bits; any other cell (a miss, such as where phi6
+    crosses zero) is computed directly. Every value is therefore the one
+    the ufuncs give, whatever the steps. Build it once per grid: rows(lo, hi)
+    returns the array primitives for the grid rows lo:hi.
+    """
+
+    def __init__(self, phi5: np.ndarray, theta6: np.ndarray):
+        n5, n6 = phi5.size, theta6.size
+        d = np.arange(n5 + n6 - 1)
+        mid = (np.maximum(d - (n6 - 1), 0) + np.minimum(d, n5 - 1)) // 2
+        ref = (phi5[mid] + theta6[d - mid]).view(np.int64)
+        # int64 arithmetic wraps, so some slots next to -0.0 or the largest
+        # floats hold NaN bit patterns, which no finite phi6 has.
+        low = ref - _ULPS
+        with np.errstate(invalid="ignore"):
+            angles = (low[:, None] + np.arange(_SLOTS)).view(float)
+            self._cos = np.cos(angles).ravel()
+            self._sin = np.sin(angles).ravel()
+        # Row i of these views holds the values of diagonals i .. i + n6 - 1.
+        self._low = sliding_window_view(low, n6)
+        self._offset = sliding_window_view(_SLOTS * d, n6)
+
+    def rows(self, lo: int, hi: int) -> _Primitives:
+        """The array primitives for grid rows lo:hi."""
+        low, offset = self._low[lo:hi], self._offset[lo:hi]
+
+        def cos_sin_sum(phi5, theta6):
+            phi6 = phi5 + theta6
+            # Slot of each cell within its diagonal's table row. The
+            # difference wraps, so a cell hits only when its bits are one of
+            # the slots'.
+            k = phi6.view(np.int64) - low
+            hit = k.view(np.uint64) < _SLOTS
+            k += offset
+            c = self._cos.take(k, mode="clip")
+            s = self._sin.take(k, mode="clip")
+            if not hit.all():
+                miss = np.flatnonzero(~hit)
+                angles = phi6.take(miss)
+                np.put(c, miss, np.cos(angles))
+                np.put(s, miss, np.sin(angles))
+            return phi6, c, s
+
+        return _ON_ARRAYS._replace(cos_sin_sum=cos_sin_sum)
 
 
 class VirtualChain(NamedTuple):
@@ -178,11 +260,11 @@ def _geometry(ops: _Primitives, shoulder: Vec2, theta_04: float, com: Vec2, uppe
     cx, cy = com.x, com.y
     l5, l6 = upper_len, fore_len
     phi5 = theta_04 + theta5
-    phi6 = phi5 + theta6
+    phi6, cos6, sin6 = ops.cos_sin_sum(phi5, theta6)
     ex = sx + l5 * ops.cos(phi5)
     ey = sy + l5 * ops.sin(phi5)
-    hx = ex + l6 * ops.cos(phi6)
-    hy = ey + l6 * ops.sin(phi6)
+    hx = ex + l6 * cos6
+    hy = ey + l6 * sin6
 
     d5 = math.hypot(cx - sx, cy - sy)
     d6 = ops.hypot(cx - ex, cy - ey)
@@ -264,9 +346,14 @@ def arm_forces(ctx: PlacementContext, theta5, theta6,
     is >= 0; the lsq model uses the same signs. Raises ValueError for a
     model outside FORCE_MODELS.
     """
+    return _arm_forces(primitives_for(theta5, theta6), ctx, theta5, theta6, magnitudes, model)
+
+
+def _arm_forces(ops: _Primitives, ctx: PlacementContext, theta5, theta6,
+                magnitudes: tuple[float, float, float], model: str) -> ArmForces:
+    """arm_forces, computed with ops."""
     if model not in FORCE_MODELS:
         raise ValueError(f"force model must be one of {list(FORCE_MODELS)}, got {model!r}")
-    ops = primitives_for(theta5, theta6)
     g = _geometry(ops, ctx.shoulder, ctx.theta_04, ctx.com, ctx.upper_len, ctx.fore_len,
                   theta5, theta6)
     vx, vy = ctx.v.x, ctx.v.y

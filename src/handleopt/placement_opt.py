@@ -13,7 +13,10 @@ vectorized in blocks, and the reduction is a pure elementwise argmax
 with a lexicographic tie-break (smaller theta_6, then smaller theta_5),
 so results do not depend on evaluation order or chunk size. One block of
 at most _BLOCK_CELLS cells is in flight at a time, which bounds peak
-memory beyond the landscape itself.
+memory beyond the landscape itself. The blocks share one
+arm_kinetics.GridTrig, built per grid, which serves the cosine and sine of
+the handle angle from a table of exact-bit hits; every cell still equals
+objective() at its angles bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +25,14 @@ import math
 
 import numpy as np
 
-from .arm_kinetics import ILL_CONDITIONED_MESSAGE, SINGULAR_MESSAGE, arm_forces, primitives_for
+from .arm_kinetics import (
+    ILL_CONDITIONED_MESSAGE,
+    SINGULAR_MESSAGE,
+    GridTrig,
+    _arm_forces,
+    arm_forces,
+    primitives_for,
+)
 from .body_model import Vec2
 from .config import (
     JointLimits,
@@ -123,19 +133,20 @@ def evaluate_grid(
     eligible = np.empty((n5, n6), dtype=bool)
     pen = _penalty(config, t6)[None, :]
 
+    trig = GridTrig(ctx.theta_04 + t5, t6)
     rows_per_block = max(1, _BLOCK_CELLS // max(n6, 1))
     for lo in range(0, n5, rows_per_block):
         hi = min(lo + rows_per_block, n5)
-        r = arm_forces(ctx, t5[lo:hi, None], t6[None, :],
-                       config.torque_magnitudes, config.force_model)
-        ok = ~(r.singular | r.ill_conditioned)
-        block = r.directed - pen
-        block[~ok] = np.nan
+        r = _arm_forces(trig.rows(lo, hi), ctx, t5[lo:hi, None], t6[None, :],
+                        config.torque_magnitudes, config.force_model)
+        bad = r.singular | r.ill_conditioned
+        block = np.subtract(r.directed, pen, out=obj[lo:hi])
+        if bad.any():
+            block[bad] = np.nan
+        ok = np.invert(bad, out=eligible[lo:hi])
         if robot is not None:
             for _, _, _, violated in robot_checks(*r.handle, robot, floor_y, robot_base):
-                ok = ok & ~violated
-        obj[lo:hi] = block
-        eligible[lo:hi] = ok
+                ok &= ~violated
 
     return ObjectiveLandscape(theta5=t5, theta6=t6, objective=obj, eligible=eligible)
 
@@ -145,15 +156,19 @@ def argmax_lexicographic(landscape: ObjectiveLandscape) -> tuple[int, int]:
 
     Exact-value ties resolve to the smallest theta_6, then the smallest
     theta_5, matching a sequential scan in that order regardless of how
-    the grid was evaluated.
+    the grid was evaluated. One pass finds the maximum over the eligible
+    cells, and a second finds the first cell holding it in the transposed,
+    (theta_6, theta_5) order. Raises NoFeasiblePoint when no eligible cell
+    has a finite value, or when an eligible cell is NaN, which evaluate_grid
+    never makes.
     """
-    vals = np.where(landscape.eligible, landscape.objective, -np.inf)
-    best = vals.max() if vals.size else -np.inf
+    obj, eligible = landscape.objective, landscape.eligible
+    best = np.max(obj, where=eligible, initial=-np.inf)
     if not np.isfinite(best):
         raise NoFeasiblePoint("every grid point is singular or excluded")
-    i5s, i6s = np.nonzero(vals == best)
-    k = np.lexsort((i5s, i6s))[0]
-    return int(i5s[k]), int(i6s[k])
+    # The first winner in (theta_6, theta_5) order, read along the transpose.
+    i6, i5 = np.unravel_index(((obj == best) & eligible).T.argmax(), obj.T.shape)
+    return int(i5), int(i6)
 
 
 def feasibility_check(

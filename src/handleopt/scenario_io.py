@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -393,6 +392,9 @@ def raise_on_errors(findings: list[Finding]) -> None:
 
 def fixture_path(name: str) -> Path:
     """Path of a packaged scenario fixture by bare name."""
+    # Imported here: importlib.resources is slow to load, and only this needs it.
+    from importlib import resources
+
     return Path(str(resources.files("handleopt").joinpath("data", "scenarios", f"{name}.json")))
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from handleopt import SingularChain
+from handleopt import NoFeasiblePoint, SingularChain
 from handleopt.arm_kinetics import _jacobian_columns, arm_force_expanded, build_chain
 from handleopt.body_model import BodyPose, Vec2
 from handleopt.config import PlacementContext, TorqueSet
@@ -253,6 +253,22 @@ def write_landscape_csv_per_cell(landscape, path) -> None:
                 f"{d5},{d6},{repr(float(row_obj[i6]))},{'true' if row_elig[i6] else 'false'}"
             )
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def argmax_sequential_scan(objective, eligible) -> tuple[int, int]:
+    """The best eligible cell by a scan over theta_6, then theta_5, keeping
+    the first cell of the largest value; raises NoFeasiblePoint when no
+    cell is eligible. The objective of an eligible cell must not be NaN,
+    as evaluate_grid never makes one."""
+    n5, n6 = len(objective), len(objective[0])
+    best = None
+    for i6 in range(n6):
+        for i5 in range(n5):
+            if eligible[i5][i6] and (best is None or objective[i5][i6] > best[0]):
+                best = (objective[i5][i6], i5, i6)
+    if best is None:
+        raise NoFeasiblePoint("no eligible cell")
+    return best[1], best[2]
 
 
 def list_fixtures() -> list[str]:

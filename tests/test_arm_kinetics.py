@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handleopt import IllConditioned, SingularChain, ZeroTorque
 from handleopt.arm_kinetics import (
+    _SLOTS,
+    GridTrig,
     VirtualChain,
     arm_force_expanded,
     arm_force_lsq,
@@ -337,3 +341,70 @@ def test_directed_advantage_projects_onto_the_direction(rng):
             angle = angle_of(force) - angle_of(direction)
             assert abs(r.directed - force.dot(direction)) < 1e-9
             assert abs(r.directed - force.norm() * direction.norm() * math.cos(angle)) < 1e-9
+
+
+def grid_trig_values(phi5, t6, rows):
+    """(phi6, cos, sin) of the whole grid from one GridTrig, in blocks of rows."""
+    trig = GridTrig(phi5, t6)
+    blocks = [trig.rows(lo, min(lo + rows, phi5.size)).cos_sin_sum(phi5[lo:lo + rows, None],
+                                                                    t6[None, :])
+              for lo in range(0, phi5.size, rows)]
+    return [np.concatenate(part) for part in zip(*blocks)]
+
+
+def assert_grid_trig_is_exact(phi5, t6, rows):
+    phi6 = phi5[:, None] + t6[None, :]
+    for have, want in zip(grid_trig_values(phi5, t6, rows), (phi6, np.cos(phi6), np.sin(phi6))):
+        np.testing.assert_array_equal(have.view(np.int64), want.view(np.int64))
+
+
+def diagonal_spreads(phi5, t6):
+    """Per anti-diagonal i + j, how many floats apart its extreme sums are.
+    Where that is _SLOTS or more, no window of _SLOTS consecutive floats
+    holds them all, so some cell of the diagonal misses the table."""
+    flipped = (phi5[:, None] + t6[None, :]).view(np.int64)[:, ::-1]
+    return [int(d.max()) - int(d.min())
+            for d in (np.diagonal(flipped, t6.size - 1 - k) for k in range(phi5.size + t6.size - 1))]
+
+
+def finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def trig_grids(draw):
+    """(phi5, theta6, rows per block): regular grids as evaluate_grid makes
+    them, some placed so that the sums cross zero, and irregular ones."""
+    n5, n6 = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        phi5 = np.array(draw(st.lists(finite(-50.0, 50.0), min_size=n5, max_size=n5)))
+        t6 = np.array(draw(st.lists(finite(-7.0, 7.0), min_size=n6, max_size=n6)))
+    else:
+        step = draw(finite(1e-6, 0.1))
+        theta_04, lo5 = draw(finite(-math.pi, math.pi)), draw(finite(-46.0, 46.0))
+        phi5 = theta_04 + (lo5 + step * np.arange(n5))
+        if draw(st.booleans()):
+            lo6 = -(theta_04 + lo5) - step * draw(st.integers(0, n5 + n6 - 2))
+        else:
+            lo6 = draw(finite(-math.pi, math.pi))
+        t6 = lo6 + step * np.arange(n6)
+    return phi5, t6, draw(st.integers(1, n5))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(grid=trig_grids())
+def test_grid_trig_equals_the_ufuncs_bit_for_bit(grid):
+    assert_grid_trig_is_exact(*grid)
+
+
+@pytest.mark.parametrize("n5, n6", [(300, 250), (1, 250), (300, 1), (1, 1)])
+def test_grid_trig_is_exact_where_the_sums_cross_zero(n5, n6):
+    # half-degree axes whose sums pass through zero on the middle diagonal
+    step = math.radians(0.5)
+    theta_04 = 0.7
+    phi5 = theta_04 + (-1.0 + step * np.arange(n5))
+    t6 = (1.0 - theta_04 - step * ((n5 + n6) // 2)) + step * np.arange(n6)
+    if n5 > 1 and n6 > 1:
+        assert max(diagonal_spreads(phi5, t6)) >= _SLOTS  # the table misses there
+    for rows in (1, 7, n5):
+        assert_grid_trig_is_exact(phi5, t6, rows)

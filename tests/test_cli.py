@@ -569,3 +569,22 @@ def test_validate_analyze_and_import_leave_numpy_unloaded(tmp_path):
     assert result["dataclasses"] == ["handleopt.config.ObjectiveConfig"]
     assert (tmp_path / "analyze" / "com_state.json").exists()
     assert (tmp_path / "optimize" / "placement_report.json").exists()
+
+
+# Without site, nothing loads importlib.resources before handleopt does.
+RESOURCES_PROBE = """
+import sys
+import handleopt, handleopt.cli
+loaded = "importlib.resources" in sys.modules
+print(loaded, handleopt.fixture_path("toilet_sit_to_stand").is_file())
+"""
+
+
+def test_import_leaves_importlib_resources_unloaded():
+    # only fixture_path needs it, and it is slow to import on a plain install
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", RESOURCES_PROBE],
+        capture_output=True, text=True, cwd=Path(handleopt.__file__).parents[1],
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

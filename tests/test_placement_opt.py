@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from handleopt import (
@@ -16,7 +16,7 @@ from handleopt import (
     optimize_placement,
     placement_opt,
 )
-from handleopt.arm_kinetics import arm_forces, build_chain
+from handleopt.arm_kinetics import GridTrig, _arm_forces, arm_forces, build_chain
 from handleopt.body_model import FOREARM, UPPER_ARM, Vec2, unit
 from handleopt.config import (
     FORCE_MODELS,
@@ -39,6 +39,7 @@ from handleopt.placement_opt import (
 )
 from handleopt.scenario_io import validate_scenario
 from oracles import (
+    argmax_sequential_scan,
     arm_force_atan2,
     best_sign_combo,
     context_of_chain,
@@ -319,6 +320,17 @@ def bits(x) -> str:
     return float(x).hex()
 
 
+def grid_blocks(ctx, t5, t6, mags, model):
+    """(lo, ArmForces of the grid rows lo:hi), computed as evaluate_grid does,
+    through one GridTrig, in two blocks of rows when there are two rows or
+    more."""
+    trig = GridTrig(ctx.theta_04 + t5, t6)
+    rows = (t5.size + 1) // 2
+    for lo in range(0, t5.size, rows):
+        hi = min(lo + rows, t5.size)
+        yield lo, _arm_forces(trig.rows(lo, hi), ctx, t5[lo:hi, None], t6[None, :], mags, model)
+
+
 def assert_arm_forces_match_grid(ctx, limits, config):
     """Every ArmForces field of a point query equals its element of the grid
     call bit for bit, singular and rejected cells included. The expanded
@@ -326,21 +338,21 @@ def assert_arm_forces_match_grid(ctx, limits, config):
     t5 = grid_axis(limits.theta5_min, limits.theta5_max, config.grid_step)
     t6 = grid_axis(limits.theta6_min, limits.theta6_max, config.grid_step)
     mags, model = config.torque_magnitudes, config.force_model
-    grid = arm_forces(ctx, t5[:, None], t6[None, :], mags, model)
-    shape = (t5.size, t6.size)
-    for i5, c5 in enumerate(t5):
-        for i6, c6 in enumerate(t6):
-            def at(x):
-                return np.broadcast_to(x, shape)[i5, i6]
+    for lo, grid in grid_blocks(ctx, t5, t6, mags, model):
+        shape = grid.directed.shape
+        for i5, c5 in enumerate(t5[lo:lo + shape[0]]):
+            for i6, c6 in enumerate(t6):
+                def at(x):
+                    return np.broadcast_to(x, shape)[i5, i6]
 
-            point = arm_forces(ctx, float(c5), float(c6), mags, model)
-            assert bits(point.directed) == bits(at(grid.directed))
-            assert [bits(s) for s in point.signs] == [bits(at(s)) for s in grid.signs]
-            assert point.singular == bool(at(grid.singular))
-            assert point.ill_conditioned == bool(at(grid.ill_conditioned))
-            assert [bits(h) for h in point.handle] == [bits(at(h)) for h in grid.handle]
-            if model == "lsq":
-                assert [bits(f) for f in point.force] == [bits(at(f)) for f in grid.force]
+                point = arm_forces(ctx, float(c5), float(c6), mags, model)
+                assert bits(point.directed) == bits(at(grid.directed))
+                assert [bits(s) for s in point.signs] == [bits(at(s)) for s in grid.signs]
+                assert point.singular == bool(at(grid.singular))
+                assert point.ill_conditioned == bool(at(grid.ill_conditioned))
+                assert [bits(h) for h in point.handle] == [bits(at(h)) for h in grid.handle]
+                if model == "lsq":
+                    assert [bits(f) for f in point.force] == [bits(at(f)) for f in grid.force]
 
 
 # three setups share the examples, so each gets about as many as the tests above
@@ -499,6 +511,33 @@ def test_argmax_raises_when_nothing_is_eligible():
     nan_grid = hand_landscape(np.full((2, 2), np.nan))
     with pytest.raises(NoFeasiblePoint):
         argmax_lexicographic(nan_grid)
+
+
+# (objective, eligible) of a cell: values from a 3-element set, so that exact
+# ties are common (-0.0 ties with 0.0), and NaN only where evaluate_grid puts
+# it, in an ineligible cell
+CELLS = [(v, e) for v in (-0.0, 0.0, 1.0) for e in (True, False)] + [(math.nan, False)]
+LANDSCAPE_SHAPES = st.one_of(st.tuples(st.just(1), st.integers(1, 6)),
+                             st.tuples(st.integers(1, 6), st.just(1)),
+                             st.tuples(st.integers(1, 6), st.integers(1, 6)))
+
+
+@property_settings
+@given(shape=LANDSCAPE_SHAPES, cells=st.lists(st.sampled_from(CELLS), min_size=36, max_size=36))
+@example(shape=(2, 3), cells=[(1.0, False)] * 36)
+@example(shape=(3, 2), cells=[(math.nan, False)] * 36)
+def test_argmax_matches_a_sequential_scan(shape, cells):
+    n5, n6 = shape
+    obj = np.array([v for v, _ in cells[:n5 * n6]]).reshape(shape)
+    eligible = np.array([e for _, e in cells[:n5 * n6]]).reshape(shape)
+    landscape = hand_landscape(obj, eligible)
+    try:
+        want = argmax_sequential_scan(obj.tolist(), eligible.tolist())
+    except NoFeasiblePoint:
+        with pytest.raises(NoFeasiblePoint):
+            argmax_lexicographic(landscape)
+    else:
+        assert argmax_lexicographic(landscape) == want
 
 
 def test_optimum_dominates_every_grid_cell():
