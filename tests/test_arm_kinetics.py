@@ -363,8 +363,8 @@ def diagonal_spreads(phi5, t6):
     Where that is _SLOTS or more, no window of _SLOTS consecutive floats
     holds them all, so some cell of the diagonal misses the table."""
     flipped = (phi5[:, None] + t6[None, :]).view(np.int64)[:, ::-1]
-    return [int(d.max()) - int(d.min())
-            for d in (np.diagonal(flipped, t6.size - 1 - k) for k in range(phi5.size + t6.size - 1))]
+    diagonals = [np.diagonal(flipped, t6.size - 1 - k) for k in range(phi5.size + t6.size - 1)]
+    return [int(d.max()) - int(d.min()) for d in diagonals]
 
 
 def finite(lo, hi):

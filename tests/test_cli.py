@@ -573,10 +573,8 @@ def test_validate_analyze_and_import_leave_numpy_unloaded(tmp_path):
 
 # Without site, nothing loads importlib.resources before handleopt does.
 RESOURCES_PROBE = """
-import sys
-import handleopt, handleopt.cli
-loaded = "importlib.resources" in sys.modules
-print(loaded, handleopt.fixture_path("toilet_sit_to_stand").is_file())
+import sys, handleopt, handleopt.cli
+print("importlib.resources" in sys.modules, handleopt.fixture_path("toilet_sit_to_stand").is_file())
 """
 
 
