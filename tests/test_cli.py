@@ -1,7 +1,11 @@
 import argparse
+import ast
 import copy
+import gc
+import importlib
 import json
 import math
+import os
 import random
 import re
 import shlex
@@ -12,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import handleopt
+import handleopt.__main__ as handleopt_main
 from handleopt import fixture_path
 from handleopt.cli import MAX_SWEEP_VALUES, build_parser, main
 from handleopt.scenario_io import MAX_MAGNITUDE
@@ -20,6 +25,7 @@ from oracles import list_fixtures
 
 TOILET = str(fixture_path("toilet_sit_to_stand"))
 README = Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.parent / "pyproject.toml"
 
 TOILET_COM = (-0.04844583864267679, 0.5127204189511911)
 TOILET_DIRECTION = (0.2543456556912991, 0.9671133787881145)
@@ -508,15 +514,124 @@ def test_verbose_sweep_prints_each_warning_once(capsys, tmp_path):
     assert err.count("warning[slow_com]:") == 1
 
 
-def test_module_entry_point_runs():
-    # run from the directory holding the imported package, so the child
-    # process finds the same source without an installed copy
-    proc = subprocess.run(
-        [sys.executable, "-m", "handleopt", "validate", "--scenario", TOILET],
-        capture_output=True, text=True, cwd=Path(handleopt.__file__).parents[1],
-    )
-    assert proc.returncode == 0
-    assert "0 error(s)" in proc.stdout
+SRC = Path(handleopt.__file__).parents[1]
+
+
+def entry_point_cases(tmp_path):
+    """(argv, exit code, stdout, stderr) for each exit path of the CLI."""
+    (tmp_path / "broken.json").write_text("{ not json")
+    (tmp_path / "mass.json").write_text(
+        Path(broken_scenario(tmp_path, lambda d: d.update(total_mass_kg=59.0))).read_text())
+    optimize_out = "\n".join([
+        "scenario: toilet_sit_to_stand", "theta5_opt_deg: -40", "theta6_opt_deg: 120",
+        "handle_xy_m: 0.28405401 1.04215721", "objective: 3.99534054",
+        "f_arm_n: -1.70639688 4.68337558", "f_along_v_n: 4.09534054",
+        "torque_signs: -1 -1 +1", "feasible: yes",
+        "wrote out/placement_report.json and out/landscape.csv", ""])
+    return [
+        (["validate", "--scenario", TOILET], 0,
+         "toilet_sit_to_stand: 0 error(s), 0 warning(s)\n", ""),
+        (["optimize", "--scenario", TOILET, "--out", "out", "--grid-step-deg", "5"], 0,
+         optimize_out, ""),
+        (["validate", "--scenario", "mass.json"], 1,
+         "toilet_sit_to_stand: 1 error(s), 0 warning(s)\n",
+         "error[mass_closure]: segment masses sum to 59.99999999999999 kg"
+         " but total_mass_kg is 59.0\n"),
+        (["validate", "--scenario", "broken.json"], 2, "",
+         "error[parse]: broken.json: invalid JSON at line 1 column 3:"
+         " Expecting property name enclosed in double quotes\n"),
+        (["validate", "--scenario", TOILET, "--robot-base=abc"], 2, "",
+         "usage: handleopt [-h] {validate,analyze,optimize,render,sweep} ...\n"
+         "handleopt: error: unrecognized arguments: --robot-base=abc\n"),
+        (["render", "--scenario", TOILET, "--out", "out", "--frame", "99", "--no-placement"], 3,
+         "", "error[numeric]: frame 99 is out of range for 17 frames\n"),
+    ]
+
+
+def test_module_entry_point_runs(tmp_path):
+    # every exit path of a fresh `python -m handleopt`, read through pipes,
+    # so the process entry's own handling of the collector and of exit
+    # keeps each byte and exit code. Without PYTHONUNBUFFERED the output
+    # sits in a buffer until the normal flush at exit; PYTHONPATH finds
+    # the same source without an installed copy.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for argv, code, out, err in entry_point_cases(tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "handleopt", *argv],
+            capture_output=True, text=True, cwd=tmp_path, env=env,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
+
+
+def test_console_script_is_the_module_entry():
+    text = PYPROJECT.read_text()
+    if sys.version_info >= (3, 11):
+        import tomllib
+
+        target = tomllib.loads(text)["project"]["scripts"]["handleopt"]
+    else:
+        target = re.search(r'^handleopt\s*=\s*"([^"]+)"', text, re.M).group(1)
+    module, attr = target.split(":")
+    # the function that `if __name__ == "__main__":` in __main__.py calls
+    tree = ast.parse(Path(handleopt_main.__file__).read_text())
+    guard = next(node for node in tree.body if isinstance(node, ast.If)
+                 and ast.unparse(node.test) == "__name__ == '__main__'")
+    called = {node.func.id for node in ast.walk(guard)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert module == "handleopt.__main__"
+    assert called == {attr}
+    assert getattr(importlib.import_module(module), attr) is handleopt_main.run
+
+
+@pytest.mark.parametrize("mutate, status", [(lambda d: None, 0),
+                                            (lambda d: d.update(total_mass_kg=59.0), 1)])
+def test_main_leaves_the_callers_collector_alone(capsys, tmp_path, mutate, status):
+    before = (gc.isenabled(), gc.get_freeze_count())
+    assert run(capsys, "validate", "--scenario", broken_scenario(tmp_path, mutate))[0] == status
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_run_disables_the_collector_and_freezes_the_heap(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["handleopt", "validate", "--scenario", TOILET])
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    try:
+        assert handleopt_main.run() == 0
+        assert not gc.isenabled()
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+    assert capsys.readouterr().out == "toilet_sit_to_stand: 0 error(s), 0 warning(s)\n"
+
+
+def test_cli_runs_leave_no_garbage_per_swept_value(capsys, tmp_path):
+    # with the collector off for the whole process, what a run leaves in
+    # cycles must not grow with the work: a 12-value sweep leaves what the
+    # parser alone does, so a sweep of up to MAX_SWEEP_VALUES keeps none
+    def sweep(n, out):
+        stop = f"{0.1 * (n - 1):.1f}"
+        return lambda: main(["sweep", "--scenario", TOILET, "--out", str(tmp_path / out),
+                             f"--range=0,{stop},0.1", "--grid-step-deg", "5"])
+
+    enabled = gc.isenabled()
+
+    def garbage_after(job):
+        gc.collect()
+        gc.disable()
+        try:
+            job()
+            return gc.collect()
+        finally:
+            if enabled:
+                gc.enable()
+
+    sweep(2, "warm")()  # first-use imports and caches are not per value
+    counts = [garbage_after(job) for job in (build_parser, sweep(2, "two"), sweep(12, "twelve"))]
+    capsys.readouterr()
+    assert len(list((tmp_path / "twelve").glob("landscape_a_*.csv"))) == 12
+    assert counts[1] == counts[2] == counts[0], counts
 
 
 # Runs in a fresh interpreter; prints whether numpy is loaded after a bare
@@ -557,7 +672,7 @@ def test_validate_analyze_and_import_leave_numpy_unloaded(tmp_path):
     job = [fixtures, bad, str(tmp_path / "analyze"), str(tmp_path / "optimize")]
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_PROBE, json.dumps(job)],
-        capture_output=True, text=True, cwd=Path(handleopt.__file__).parents[1],
+        capture_output=True, text=True, cwd=SRC,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
@@ -582,7 +697,7 @@ def test_import_leaves_importlib_resources_unloaded():
     # only fixture_path needs it, and it is slow to import on a plain install
     proc = subprocess.run(
         [sys.executable, "-S", "-c", RESOURCES_PROBE],
-        capture_output=True, text=True, cwd=Path(handleopt.__file__).parents[1],
+        capture_output=True, text=True, cwd=SRC,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True"]
