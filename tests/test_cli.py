@@ -2,7 +2,6 @@ import argparse
 import ast
 import copy
 import gc
-import importlib
 import json
 import math
 import os
@@ -517,35 +516,30 @@ def test_verbose_sweep_prints_each_warning_once(capsys, tmp_path):
 SRC = Path(handleopt.__file__).parents[1]
 
 
-def entry_point_cases(tmp_path):
-    """(argv, exit code, stdout, stderr) for each exit path of the CLI."""
-    (tmp_path / "broken.json").write_text("{ not json")
-    (tmp_path / "mass.json").write_text(
-        Path(broken_scenario(tmp_path, lambda d: d.update(total_mass_kg=59.0))).read_text())
-    optimize_out = "\n".join([
-        "scenario: toilet_sit_to_stand", "theta5_opt_deg: -40", "theta6_opt_deg: 120",
-        "handle_xy_m: 0.28405401 1.04215721", "objective: 3.99534054",
-        "f_arm_n: -1.70639688 4.68337558", "f_along_v_n: 4.09534054",
-        "torque_signs: -1 -1 +1", "feasible: yes",
-        "wrote out/placement_report.json and out/landscape.csv", ""])
-    return [
-        (["validate", "--scenario", TOILET], 0,
-         "toilet_sit_to_stand: 0 error(s), 0 warning(s)\n", ""),
-        (["optimize", "--scenario", TOILET, "--out", "out", "--grid-step-deg", "5"], 0,
-         optimize_out, ""),
-        (["validate", "--scenario", "mass.json"], 1,
-         "toilet_sit_to_stand: 1 error(s), 0 warning(s)\n",
-         "error[mass_closure]: segment masses sum to 59.99999999999999 kg"
-         " but total_mass_kg is 59.0\n"),
-        (["validate", "--scenario", "broken.json"], 2, "",
-         "error[parse]: broken.json: invalid JSON at line 1 column 3:"
-         " Expecting property name enclosed in double quotes\n"),
-        (["validate", "--scenario", TOILET, "--robot-base=abc"], 2, "",
-         "usage: handleopt [-h] {validate,analyze,optimize,render,sweep} ...\n"
-         "handleopt: error: unrecognized arguments: --robot-base=abc\n"),
-        (["render", "--scenario", TOILET, "--out", "out", "--frame", "99", "--no-placement"], 3,
-         "", "error[numeric]: frame 99 is out of range for 17 frames\n"),
-    ]
+# (argv, exit code, stdout, stderr) for each exit path of the CLI, run in a
+# directory holding scenario.json (fails validation) and broken.json
+ENTRY_CASES = [
+    (["validate", "--scenario", TOILET], 0,
+     "toilet_sit_to_stand: 0 error(s), 0 warning(s)\n", ""),
+    (["optimize", "--scenario", TOILET, "--out", "out", "--grid-step-deg", "5"], 0,
+     "scenario: toilet_sit_to_stand\ntheta5_opt_deg: -40\ntheta6_opt_deg: 120\n"
+     "handle_xy_m: 0.28405401 1.04215721\nobjective: 3.99534054\n"
+     "f_arm_n: -1.70639688 4.68337558\nf_along_v_n: 4.09534054\n"
+     "torque_signs: -1 -1 +1\nfeasible: yes\n"
+     "wrote out/placement_report.json and out/landscape.csv\n", ""),
+    (["validate", "--scenario", "scenario.json"], 1,
+     "toilet_sit_to_stand: 1 error(s), 0 warning(s)\n",
+     "error[mass_closure]: segment masses sum to 59.99999999999999 kg"
+     " but total_mass_kg is 59.0\n"),
+    (["validate", "--scenario", "broken.json"], 2, "",
+     "error[parse]: broken.json: invalid JSON at line 1 column 3:"
+     " Expecting property name enclosed in double quotes\n"),
+    (["validate", "--scenario", TOILET, "--robot-base=abc"], 2, "",
+     "usage: handleopt [-h] {validate,analyze,optimize,render,sweep} ...\n"
+     "handleopt: error: unrecognized arguments: --robot-base=abc\n"),
+    (["render", "--scenario", TOILET, "--out", "out", "--frame", "99", "--no-placement"], 3,
+     "", "error[numeric]: frame 99 is out of range for 17 frames\n"),
+]
 
 
 def test_module_entry_point_runs(tmp_path):
@@ -554,9 +548,11 @@ def test_module_entry_point_runs(tmp_path):
     # keeps each byte and exit code. Without PYTHONUNBUFFERED the output
     # sits in a buffer until the normal flush at exit; PYTHONPATH finds
     # the same source without an installed copy.
+    broken_scenario(tmp_path, lambda d: d.update(total_mass_kg=59.0))
+    (tmp_path / "broken.json").write_text("{ not json")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    for argv, code, out, err in entry_point_cases(tmp_path):
+    for argv, code, out, err in ENTRY_CASES:
         proc = subprocess.run(
             [sys.executable, "-m", "handleopt", *argv],
             capture_output=True, text=True, cwd=tmp_path, env=env,
@@ -579,9 +575,8 @@ def test_console_script_is_the_module_entry():
                  and ast.unparse(node.test) == "__name__ == '__main__'")
     called = {node.func.id for node in ast.walk(guard)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-    assert module == "handleopt.__main__"
-    assert called == {attr}
-    assert getattr(importlib.import_module(module), attr) is handleopt_main.run
+    assert (module, called) == (handleopt_main.__name__, {attr})
+    assert getattr(handleopt_main, attr) is handleopt_main.run
 
 
 @pytest.mark.parametrize("mutate, status", [(lambda d: None, 0),
