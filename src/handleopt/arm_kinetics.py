@@ -17,20 +17,18 @@ COM. Two force models are provided:
 The two maps are not algebraically identical for a general chain; tests
 record their ratio but the package does not pretend they agree.
 
-arm_forces is the one implementation of both models. It takes the arm
-angles as floats or as broadcastable arrays, so the optimizer's grid, a
-single objective query and the report all run the same arithmetic text.
-Each call picks its primitive set once (primitives_for): arrays run the
-NumPy ufuncs; a point query runs on Python floats, and takes every cosine,
-sine, arccosine and hypotenuse from the same NumPy ufunc, unwrapped to a
-float. The rest of the kernel is + - * / and math.sqrt, which are correctly
-rounded in CPython and NumPy alike, max, min, abs and comparisons, which
-are exact, and the shoulder's lever and angle, which are floats in both
-paths. So a point query equals its grid cell bit for bit by construction,
-while it skips the cost of NumPy scalars.
+_arm_forces is the one implementation of both models, and it has two
+callers, each with its own primitive set. A point query (arm_forces, behind
+objective(), the optimum and the report) runs on Python floats, and takes
+every cosine, sine, arccosine and hypotenuse from the same NumPy ufunc as
+the grid, unwrapped to a float. The rest of the kernel is + - * / and
+math.sqrt, which are correctly rounded in CPython and NumPy alike, max,
+min, abs and comparisons, which are exact, and the shoulder's lever and
+angle, which are floats in both paths. So a point query equals its grid
+cell bit for bit by construction, while it skips the cost of NumPy scalars.
 
 The grid search (placement_opt.evaluate_grid) runs the same kernel text
-through _arm_forces with the primitives of a GridTrig, built once per grid.
+on arrays, with the primitives of a GridTrig, built once per grid.
 The handle angle phi6 = phi5 + theta6 takes only a few values per
 anti-diagonal of the grid, so GridTrig tables np.cos and np.sin per
 diagonal and serves a cell from the table only where its phi6 has the very
@@ -72,7 +70,8 @@ ILL_CONDITIONED_MESSAGE = (
 
 
 class _Primitives(NamedTuple):
-    """The kernel's operations whose form depends on the input type."""
+    """The kernel's operations whose form differs between a point query
+    (_ON_FLOATS) and a grid block (GridTrig.rows)."""
 
     cos_sin_sum: Callable  # (phi5, theta6) -> (phi6, cos phi6, sin phi6), phi6 = phi5 + theta6
     cos: Callable
@@ -86,23 +85,13 @@ class _Primitives(NamedTuple):
     invert: Callable  # logical not
 
 
-def _cos_sin_sum(phi5, theta6):
-    phi6 = phi5 + theta6
-    return phi6, np.cos(phi6), np.sin(phi6)
-
-
 def _cos_sin_sum_float(phi5, theta6):
     phi6 = phi5 + theta6
     return phi6, float(np.cos(phi6)), float(np.sin(phi6))
 
 
-_ON_ARRAYS = _Primitives(
-    cos_sin_sum=_cos_sin_sum, cos=np.cos, sin=np.sin, arccos=np.arccos, hypot=np.hypot,
-    maximum=np.maximum, minimum=np.minimum, sqrt=np.sqrt,
-    where=np.where, invert=np.invert,
-)
 # Python floats take each transcendental value from the NumPy ufunc that the
-# arrays use, so both paths round it alike. Do not swap in math.acos or
+# grid uses, so both paths round it alike. Do not swap in math.acos or
 # math.hypot: with numpy 2.4 on an AVX-512 Xeon they differ from np.arccos
 # and np.hypot in the last bit on 9.4% and 0.6% of 200,000 random inputs.
 # math.cos and math.sin happened to agree with np.cos and np.sin there, but
@@ -118,14 +107,6 @@ _ON_FLOATS = _Primitives(
     where=lambda cond, a, b: a if cond else b,
     invert=operator.not_,
 )
-
-
-def primitives_for(*values) -> _Primitives:
-    """The NumPy primitives if any value is an array, else the float ones."""
-    for x in values:
-        if isinstance(x, np.ndarray):
-            return _ON_ARRAYS
-    return _ON_FLOATS
 
 
 # GridTrig tables each anti-diagonal's reference sum and the _ULPS floats on
@@ -145,7 +126,7 @@ class GridTrig:
     np.sin of its own bits; any other cell (a miss, such as where phi6
     crosses zero) is computed directly. Every value is therefore the one
     the ufuncs give, whatever the steps. Build it once per grid: rows(lo, hi)
-    returns the array primitives for the grid rows lo:hi.
+    returns the kernel's array primitives for the grid rows lo:hi.
     """
 
     def __init__(self, phi5: np.ndarray, theta6: np.ndarray):
@@ -185,7 +166,11 @@ class GridTrig:
                 np.put(s, miss, np.sin(angles))
             return phi6, c, s
 
-        return _ON_ARRAYS._replace(cos_sin_sum=cos_sin_sum)
+        return _Primitives(
+            cos_sin_sum=cos_sin_sum, cos=np.cos, sin=np.sin, arccos=np.arccos, hypot=np.hypot,
+            maximum=np.maximum, minimum=np.minimum, sqrt=np.sqrt,
+            where=np.where, invert=np.invert,
+        )
 
 
 class VirtualChain(NamedTuple):
@@ -233,8 +218,8 @@ class _Geometry(NamedTuple):
 
 
 class ArmForces(NamedTuple):
-    """Output of arm_forces: builtin floats and bools for float angles, else
-    arrays (or plain values) that broadcast over the angles.
+    """Output of _arm_forces: builtin floats and bools from arm_forces, else
+    arrays (or plain values) that broadcast over a grid block's angles.
 
     directed is F.v under the chosen model, with the torque signs chosen
     so that every expanded-model term pushes along v. force is (fx, fy):
@@ -337,16 +322,15 @@ def _lsq_force(ops: _Primitives, columns, tau5, tau6, tau7) -> tuple:
 
 def arm_forces(ctx: PlacementContext, theta5, theta6,
                magnitudes: tuple[float, float, float], model: str) -> ArmForces:
-    """Arm force along v at shoulder/elbow angles theta5, theta6.
+    """Arm force along v at the float shoulder/elbow angles theta5, theta6.
 
-    The angles are floats or arrays that broadcast against each other;
     magnitudes is (|tau_5|, |tau_6|, |tau_7|). Each torque sign is +1
     where that joint's lever-sum direction has a non-negative dot product
     with v, so every expanded-model term s_i |tau_i| / lever_i |u_i . v|
     is >= 0; the lsq model uses the same signs. Raises ValueError for a
     model outside FORCE_MODELS.
     """
-    return _arm_forces(primitives_for(theta5, theta6), ctx, theta5, theta6, magnitudes, model)
+    return _arm_forces(_ON_FLOATS, ctx, theta5, theta6, magnitudes, model)
 
 
 def _arm_forces(ops: _Primitives, ctx: PlacementContext, theta5, theta6,

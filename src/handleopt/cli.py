@@ -188,7 +188,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                     f"{i},{t!r},{com.x!r},{com.y!r},"
                     f"{state.speed!r},{state.direction.x!r},{state.direction.y!r}"
                 )
-        (out / "com_frames.csv").write_text("\n".join(lines) + "\n")
+        (out / "com_frames.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         state = rows[scenario.max_effort_index][3]
         (out / "com_state.json").write_text(json.dumps({
             "frame": scenario.max_effort_index,
@@ -196,7 +196,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "position_m": [state.position.x, state.position.y],
             "direction": [state.direction.x, state.direction.y],
             "speed_mps": state.speed,
-        }, indent=2) + "\n")
+        }, indent=2) + "\n", encoding="utf-8")
         print(f"wrote {out / 'com_frames.csv'} and {out / 'com_state.json'}")
     return 0
 
@@ -260,7 +260,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     svg = render_scene(scenario, frame, placement)
     out = _out_dir(args)
     path = out / f"scene_frame{frame:03d}.svg"
-    path.write_text(svg)
+    path.write_text(svg, encoding="utf-8")
     print(f"wrote {path}")
     return 0
 
@@ -307,8 +307,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         print(f"{_g(value):>10} {_g(t5):>12} {_g(t6):>12} {_g(placement.objective_value):>14}")
         write_landscape_csv(landscape, out / f"{stem}.csv")
-        (out / f"{stem}.svg").write_text(render_landscape(landscape, placement.argmax_index))
-    (out / "sweep.csv").write_text("\n".join(rows) + "\n")
+        (out / f"{stem}.svg").write_text(render_landscape(landscape, placement.argmax_index),
+                                         encoding="utf-8")
+    (out / "sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     print(f"wrote {out / 'sweep.csv'} and {2 * len(values)} landscape files")
     return 0
 

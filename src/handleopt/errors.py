@@ -34,7 +34,7 @@ class ScenarioError(HandleOptError):
 
 
 class ParseError(ScenarioError):
-    """The scenario file is not valid JSON."""
+    """The scenario file is not valid UTF-8 JSON."""
 
 
 class SchemaError(ScenarioError):

@@ -28,10 +28,10 @@ import numpy as np
 from .arm_kinetics import (
     ILL_CONDITIONED_MESSAGE,
     SINGULAR_MESSAGE,
+    _ON_FLOATS,
     GridTrig,
     _arm_forces,
     arm_forces,
-    primitives_for,
 )
 from .body_model import Vec2
 from .config import (
@@ -54,10 +54,10 @@ from .errors import IllConditioned, NoFeasiblePoint, SingularChain
 _BLOCK_CELLS = 8_192
 
 
-def _penalty(config: ObjectiveConfig, theta6):
-    """Elbow penalty a * |cos theta_6|, on a float or an array of angles,
-    with the primitives arm_forces uses for the same input."""
-    return config.a * abs(primitives_for(theta6).cos(theta6))
+def _penalty(config: ObjectiveConfig, cos6):
+    """Elbow penalty a * |cos theta_6|, given cos theta_6 as a float or an
+    array."""
+    return config.a * abs(cos6)
 
 
 def objective(theta5: float, theta6: float, ctx: PlacementContext, config: ObjectiveConfig) -> float:
@@ -71,7 +71,7 @@ def objective(theta5: float, theta6: float, ctx: PlacementContext, config: Objec
         raise SingularChain(SINGULAR_MESSAGE)
     if r.ill_conditioned:
         raise IllConditioned(ILL_CONDITIONED_MESSAGE)
-    return r.directed - _penalty(config, theta6)
+    return r.directed - _penalty(config, _ON_FLOATS.cos(theta6))
 
 
 def grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
@@ -131,7 +131,7 @@ def evaluate_grid(
 
     obj = np.empty((n5, n6), dtype=float)
     eligible = np.empty((n5, n6), dtype=bool)
-    pen = _penalty(config, t6)[None, :]
+    pen = _penalty(config, np.cos(t6))[None, :]
 
     trig = GridTrig(ctx.theta_04 + t5, t6)
     rows_per_block = max(1, _BLOCK_CELLS // max(n6, 1))

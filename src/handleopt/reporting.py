@@ -166,9 +166,10 @@ def render_scene(scenario, frame_index: int, placement: Placement | None = None)
         lines.append("</g>")
         speed_text = f"|v| = {state.speed:.4f} m/s"
 
+    name = scenario.name.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     lines.append('<g id="labels" font-family="sans-serif" font-size="14" fill="#333333">')
     lines.append(
-        f'<text x="12" y="20">{scenario.name}  frame {frame_index}  '
+        f'<text x="12" y="20">{name}  frame {frame_index}  '
         f't = {frame.time:.3f} s</text>'
     )
     if speed_text:

@@ -259,12 +259,22 @@ def scenario_to_dict(s: Scenario) -> dict:
 
 
 def read_scenario_file(path) -> Scenario:
-    """Parse and schema-check a scenario file without invariant validation."""
-    text = Path(path).read_text()
+    """Parse and schema-check a scenario file without invariant validation.
+
+    The file is UTF-8 JSON. Bytes that do not decode, nesting too deep for
+    the parser and integers too long to convert raise ParseError, as
+    malformed JSON does.
+    """
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: invalid JSON: nested too deeply") from exc
+    except ValueError as exc:
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     return scenario_from_dict(data)
 
 
@@ -501,7 +511,7 @@ def write_placement_report(
         },
     }
     report_path = out / "placement_report.json"
-    report_path.write_text(json.dumps(report, indent=2) + "\n")
+    report_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     csv_path = out / "landscape.csv"
     write_landscape_csv(landscape, csv_path)
     return report_path, csv_path

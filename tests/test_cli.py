@@ -79,13 +79,20 @@ def test_missing_file_exits_two(capsys, tmp_path):
     assert err.startswith("error[io]:")
 
 
-def test_bad_json_exits_two(capsys, tmp_path):
+@pytest.mark.parametrize("content, detail", [
+    (b"{ not json", "line 1 column"),
+    (b'{"name": "caf\xe9"}', "not UTF-8 text"),
+    (b"[" * 100_000, "nested too deeply"),
+    (b"1" * 5_000, "integer string conversion"),
+], ids=["not-json", "not-utf8", "deep-nesting", "long-integer"])
+def test_bad_json_exits_two(capsys, tmp_path, content, detail):
     path = tmp_path / "broken.json"
-    path.write_text("{ not json")
+    path.write_bytes(content)
     code, out, err = run(capsys, "optimize", "--scenario", str(path))
     assert code == 2
-    assert err.startswith("error[parse]:")
-    assert "line 1 column" in err
+    assert err.startswith(f"error[parse]: {path}: ")
+    assert detail in err
+    assert err.count("\n") == 1
 
 
 def test_unknown_key_exits_two(capsys, tmp_path):
@@ -516,11 +523,45 @@ def test_verbose_sweep_prints_each_warning_once(capsys, tmp_path):
 SRC = Path(handleopt.__file__).parents[1]
 
 
-# (argv, exit code, stdout, stderr) for each exit path of the CLI, run in a
-# directory holding scenario.json (fails validation) and broken.json
+# `analyze --out` on the toilet fixture, as a fresh process prints it
+TOILET_ANALYZE_OUT = (
+    "frame    time_s      com_x_m      com_y_m    speed_mps     dir_x     dir_y\n"
+    "    0         0 -0.195609425  0.571411315            -         -         -\n"
+    "    1    0.0875 -0.171566917  0.568907914  0.275545393 0.984706859 -0.174219408\n"
+    "    2     0.175 -0.148126423  0.563010378  0.275525702 0.94991173 -0.312518329\n"
+    "    3    0.2625 -0.125765025  0.553839218  0.275500393 0.895797425 -0.444462567\n"
+    "    4      0.35 -0.104937728  0.541581696  0.230158494 0.89016897 -0.455630557\n"
+    "    5    0.4375 -0.0899110337  0.535487451  0.184055984 0.915399006 -0.402547711\n"
+    "    6     0.525 -0.075452912  0.528615716  0.181624086 0.890251913 -0.455468475\n"
+    "    7    0.6125 -0.0616150754  0.521010743  0.179071753 0.861811707 -0.507228332\n"
+    "    8       0.7 -0.0484458386  0.512720419  0.291137897 0.254345656 0.967113379 *\n"
+    "    9    0.7875 -0.0486563851   0.57028433  0.638615267 0.0617493419 0.998091689\n"
+    "   10     0.875 -0.041544876  0.624264822  0.601327765 0.199164514 0.979966069\n"
+    "   11    0.9625 -0.0276978334  0.673408471  0.561466648 0.342456401 0.939533721\n"
+    "   12      1.05 -0.00789625269  0.716580271  0.507840465 0.396213716 0.918158315\n"
+    "   13    1.1375 0.00751450417  0.755007111  0.440107286 0.435941908 0.899974807\n"
+    "   14     1.225  0.025679459  0.785895228  0.376637258 0.580396935 0.814333714\n"
+    "   15    1.3125 0.0457693484  0.808681084  0.316780291 0.74354069 0.668690693\n"
+    "   16       1.4 0.0668987903  0.822965134            -         -         -\n"
+    "* max-effort frame\n"
+    "wrote out/com_frames.csv and out/com_state.json\n"
+)
+
+# (argv, exit code, stdout, stderr) for each exit path of the CLI and each
+# command that writes a file, run in a directory holding scenario.json (fails
+# validation) and broken.json
 ENTRY_CASES = [
     (["validate", "--scenario", TOILET], 0,
      "toilet_sit_to_stand: 0 error(s), 0 warning(s)\n", ""),
+    (["analyze", "--scenario", TOILET, "--out", "out"], 0, TOILET_ANALYZE_OUT, ""),
+    (["render", "--scenario", TOILET, "--out", "out", "--grid-step-deg", "5"], 0,
+     "wrote out/scene_frame008.svg\n", ""),
+    (["sweep", "--scenario", TOILET, "--out", "out", "--range=0,0.2,0.2",
+      "--grid-step-deg", "5"], 0,
+     "         a   theta5_deg   theta6_deg      objective\n"
+     "         0          -40          120     4.09534054\n"
+     "       0.2          -40          120     3.99534054\n"
+     "wrote out/sweep.csv and 4 landscape files\n", ""),
     (["optimize", "--scenario", TOILET, "--out", "out", "--grid-step-deg", "5"], 0,
      "scenario: toilet_sit_to_stand\ntheta5_opt_deg: -40\ntheta6_opt_deg: 120\n"
      "handle_xy_m: 0.28405401 1.04215721\nobjective: 3.99534054\n"
@@ -547,14 +588,16 @@ def test_module_entry_point_runs(tmp_path):
     # so the process entry's own handling of the collector and of exit
     # keeps each byte and exit code. Without PYTHONUNBUFFERED the output
     # sits in a buffer until the normal flush at exit; PYTHONPATH finds
-    # the same source without an installed copy.
+    # the same source without an installed copy. An EncodingWarning is an
+    # error, so every file the CLI writes names its encoding.
     broken_scenario(tmp_path, lambda d: d.update(total_mass_kg=59.0))
     (tmp_path / "broken.json").write_text("{ not json")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     for argv, code, out, err in ENTRY_CASES:
         proc = subprocess.run(
-            [sys.executable, "-m", "handleopt", *argv],
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "handleopt", *argv],
             capture_output=True, text=True, cwd=tmp_path, env=env,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv

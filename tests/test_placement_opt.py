@@ -249,16 +249,18 @@ property_settings = settings(derandomize=True, database=None, deadline=None, max
 
 
 def assert_objective_matches_grid(ctx, limits, config):
-    """Every cell: objective() equals it bit for bit, or raises where it is NaN."""
+    """Every cell: objective() equals it bit for bit, or raises where it is NaN,
+    whether the angles come as floats or as the axes' own np.float64 values."""
     landscape = evaluate_grid(ctx, limits, config)
     for i5, t5 in enumerate(landscape.theta5):
         for i6, t6 in enumerate(landscape.theta6):
             cell = float(landscape.objective[i5, i6])
-            if math.isnan(cell):
-                with pytest.raises((SingularChain, IllConditioned)):
-                    objective(float(t5), float(t6), ctx, config)
-            else:
-                assert objective(float(t5), float(t6), ctx, config).hex() == cell.hex()
+            for angles in ((float(t5), float(t6)), (t5, t6)):
+                if math.isnan(cell):
+                    with pytest.raises((SingularChain, IllConditioned)):
+                        objective(*angles, ctx, config)
+                else:
+                    assert float(objective(*angles, ctx, config)).hex() == cell.hex()
 
 
 def corner_limits(theta5, theta6, step):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -137,6 +138,11 @@ def test_frame_label_text():
     idx = s.max_effort_index
     svg = render_scene(s, idx)
     assert f"{s.name}  frame {idx}  t = {s.frames[idx].time:.3f} s" in svg
+    # markup characters in the name are escaped, so the SVG stays well-formed
+    odd = s._replace(name="Tom & Jerry <1>")
+    root = ElementTree.fromstring(render_scene(odd, idx))
+    texts = [el.text for el in root.iter() if el.tag.endswith("text")]
+    assert f"Tom & Jerry <1>  frame {idx}  t = {s.frames[idx].time:.3f} s" in texts
 
 
 def test_placement_overlay_changes_only_arm_and_handle():
