@@ -320,7 +320,7 @@ def _lsq_force(ops: _Primitives, columns, tau5, tau6, tau7) -> tuple:
     return fx, fy, ops.invert(ok)
 
 
-def arm_forces(ctx: PlacementContext, theta5, theta6,
+def arm_forces(ctx: PlacementContext, theta5: float, theta6: float,
                magnitudes: tuple[float, float, float], model: str) -> ArmForces:
     """Arm force along v at the float shoulder/elbow angles theta5, theta6.
 
