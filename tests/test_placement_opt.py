@@ -260,7 +260,7 @@ def assert_objective_matches_grid(ctx, limits, config):
                     with pytest.raises((SingularChain, IllConditioned)):
                         objective(*angles, ctx, config)
                 else:
-                    assert float(objective(*angles, ctx, config)).hex() == cell.hex()
+                    assert objective(*angles, ctx, config).hex() == cell.hex()
 
 
 def corner_limits(theta5, theta6, step):
