@@ -36,6 +36,17 @@ bits of a table entry. Every other cell is computed directly. Either way a
 cell holds np.cos and np.sin of its own phi6, so parity still holds by
 construction, and the grid makes two libm calls a cell fewer.
 
+What remains per grid cell is the handle term; the shoulder and elbow terms
+depend on theta5 alone and are computed once per row. The expanded model
+makes four transcendental calls a cell: np.hypot for the handle's lever,
+then np.arccos, np.sin and np.cos for its lever angle and direction. The
+lsq model uses that direction only for the sign s7 of its projection on v,
+which it takes from the angle-sum form of _lsq_handle_dot (a square root
+and products). It makes np.hypot a cell, and the three angle calls only
+for the cells where that form lies within SIGN_BAND (1e-9) of zero, where
+its sign could differ from the angle form's; a float point query takes
+the same branch. The packaged fixtures' grids hold no such cell.
+
 build_chain (returning a VirtualChain), arm_force_expanded and
 arm_force_lsq are float-valued views of the same geometry and force
 helpers, one configuration at a time. No command or solve calls them: the
@@ -62,6 +73,9 @@ from .errors import IllConditioned, SingularChain, ZeroTorque
 EPS_SINGULAR = 1e-6
 # Ceiling on lambda_max / lambda_min of J J^T for the least-squares system.
 COND_LIMIT = 1e12
+# Half-width of the band around u7 . v = 0 where the lsq model takes the
+# handle torque's sign from the handle's lever angle (see _lsq_handle_dot).
+SIGN_BAND = 1e-9
 
 SINGULAR_MESSAGE = f"a joint of the arm chain lies within {EPS_SINGULAR:.0e} m of the COM"
 ILL_CONDITIONED_MESSAGE = (
@@ -83,6 +97,9 @@ class _Primitives(NamedTuple):
     sqrt: Callable
     where: Callable  # where(cond, a, b): a where cond holds, else b
     invert: Callable  # logical not
+    # in_band(a, exact, *args): a, except where not |a| > SIGN_BAND (NaN
+    # included), where it is exact(*args) with each arg taken there
+    in_band: Callable
 
 
 def _cos_sin_sum_float(phi5, theta6):
@@ -106,7 +123,17 @@ _ON_FLOATS = _Primitives(
     maximum=max, minimum=min, sqrt=math.sqrt,
     where=lambda cond, a, b: a if cond else b,
     invert=operator.not_,
+    in_band=lambda a, exact, *args: a if abs(a) > SIGN_BAND else exact(*args),
 )
+
+
+def _in_band_rows(a, exact, *args):
+    """in_band on a grid block: exact runs on the in-band cells alone."""
+    out = np.abs(a) > SIGN_BAND
+    if not out.all():
+        miss = np.flatnonzero(~out)
+        np.put(a, miss, exact(*(x.take(miss) for x in args)))
+    return a
 
 
 # GridTrig tables each anti-diagonal's reference sum and the _ULPS floats on
@@ -169,7 +196,7 @@ class GridTrig:
         return _Primitives(
             cos_sin_sum=cos_sin_sum, cos=np.cos, sin=np.sin, arccos=np.arccos, hypot=np.hypot,
             maximum=np.maximum, minimum=np.minimum, sqrt=np.sqrt,
-            where=np.where, invert=np.invert,
+            where=np.where, invert=np.invert, in_band=_in_band_rows,
         )
 
 
@@ -208,13 +235,20 @@ class VirtualChain(NamedTuple):
 
 
 class _Geometry(NamedTuple):
+    """The chain as the kernel needs it. The handle's lever angle
+    theta_7com is left to its users (_theta_7com), since the lsq grid
+    needs only the sign of its direction's projection on v."""
+
     elbow: tuple
     handle: tuple
     levers: tuple  # (d5, d6, d7), floored at EPS_SINGULAR
     singular: object
     theta_com: float
     theta_6com: object
-    theta_7com: object
+    phi6: object  # world angle of the forearm, phi5 + theta6
+    cos6: object  # cos phi6
+    sin6: object  # sin phi6
+    c7: object  # cosine of the handle's angle in the elbow-handle-COM triangle
 
 
 class ArmForces(NamedTuple):
@@ -225,9 +259,12 @@ class ArmForces(NamedTuple):
     so that every expanded-model term pushes along v. force is (fx, fy):
     the lsq model always has it, the expanded model only at a single
     point, because the grid needs only its projection. signs holds
-    (s5, s6, s7), each +1.0 or -1.0. directed and force mean nothing where
-    singular (a joint within EPS_SINGULAR of the COM) or ill_conditioned
-    (the lsq system rejected; always False under the expanded model).
+    (s5, s6, s7), each +1.0 or -1.0, the sign of u_i . v for each torque
+    term's unit direction u_i; both models give the same signs, although
+    the lsq model computes s7 from an angle-sum form (_lsq_handle_dot).
+    directed and force mean nothing where singular (a joint within
+    EPS_SINGULAR of the COM) or ill_conditioned (the lsq system rejected;
+    always False under the expanded model).
     """
 
     directed: object
@@ -273,8 +310,44 @@ def _geometry(ops: _Primitives, shoulder: Vec2, theta_04: float, com: Vec2, uppe
         singular=singular,
         theta_com=math.atan2(cy - sy, cx - sx),
         theta_6com=phi5 - math.pi - ops.arccos(c6),
-        theta_7com=phi6 - math.pi + ops.arccos(c7),
+        phi6=phi6, cos6=cos6, sin6=sin6, c7=c7,
     )
+
+
+def _theta_7com(ops: _Primitives, phi6, c7):
+    """The handle term's lever angle, phi6 - pi + arccos(c7)."""
+    return phi6 - math.pi + ops.arccos(c7)
+
+
+def _handle_term(ops: _Primitives, phi6, c7, vx: float, vy: float) -> tuple:
+    """(u7, u7 . v): the handle term's unit force direction
+    u7 = (-sin a, cos a) at its lever angle a, and its projection on v."""
+    a = _theta_7com(ops, phi6, c7)
+    u7 = (-ops.sin(a), ops.cos(a))
+    return u7, u7[0] * vx + u7[1] * vy
+
+
+def _lsq_handle_dot(ops: _Primitives, g: _Geometry, vx: float, vy: float):
+    """u7 . v for the lsq model, which uses u7 only through its sign s7.
+
+    With alpha = arccos(c7) the lever angle is phi6 - pi + alpha, so the
+    angle-sum identity gives u7 . v = sin(phi6 + alpha) vx - cos(phi6 + alpha) vy,
+    where cos alpha = c7, sin alpha = sqrt((1 - c7)(1 + c7)), and the cosine
+    and sine of phi6 are at hand: no arccos, sin or cos. For a unit v and
+    |c7| <= 1, this form lies within 4e-16 of the exact u7 . v of the same
+    phi6 and c7, and _handle_term's within 1.2e-15 for |phi6| <= pi (the
+    largest gap between the two over 2M random inputs: 1.3e-15). The
+    latter's error grows with |phi6| through the rounding of phi6 - pi, to
+    1.3e-11 at |phi6| = 1e5 rad, which bounds every phi6 validate admits.
+    So where this form exceeds SIGN_BAND in magnitude the two have one
+    sign, and where it does not (NaN included) _handle_term is computed and
+    decides. s7 keeps the bits of the angle form in every cell, and a grid
+    computes that form only for the cells in the band.
+    """
+    c7, cos6, sin6 = g.c7, g.cos6, g.sin6
+    r7 = ops.sqrt((1.0 - c7) * (1.0 + c7))
+    dot = (sin6 * c7 + cos6 * r7) * vx - (cos6 * c7 - sin6 * r7) * vy
+    return ops.in_band(dot, lambda phi6, c7: _handle_term(ops, phi6, c7, vx, vy)[1], g.phi6, c7)
 
 
 def _expanded_force(levers, units, tau5, tau6, tau7) -> tuple:
@@ -347,10 +420,12 @@ def _arm_forces(ops: _Primitives, ctx: PlacementContext, theta5, theta6,
     # Unit force direction (-sin a, cos a) of each torque term.
     u5 = (-math.sin(g.theta_com), math.cos(g.theta_com))
     u6 = (-ops.sin(g.theta_6com), ops.cos(g.theta_6com))
-    u7 = (-ops.sin(g.theta_7com), ops.cos(g.theta_7com))
     u5v = u5[0] * vx + u5[1] * vy
     u6v = u6[0] * vx + u6[1] * vy
-    u7v = u7[0] * vx + u7[1] * vy
+    if model == "lsq":
+        u7v = _lsq_handle_dot(ops, g, vx, vy)
+    else:
+        u7, u7v = _handle_term(ops, g.phi6, g.c7, vx, vy)
     s5 = 1.0 if u5v >= 0.0 else -1.0
     s6 = 2.0 * (u6v >= 0.0) - 1.0
     s7 = 2.0 * (u7v >= 0.0) - 1.0
@@ -395,7 +470,7 @@ def build_chain(
         lever5=d5, lever6=d6, lever7=d7,
         theta_com=g.theta_com,
         theta_6com=g.theta_6com,
-        theta_7com=g.theta_7com,
+        theta_7com=_theta_7com(_ON_FLOATS, g.phi6, g.c7),
     )
 
 

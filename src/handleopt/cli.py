@@ -33,6 +33,7 @@ from .scenario_io import (
     make_context,
     raise_on_errors,
     read_scenario_file,
+    shown_name,
     validate_scenario,
     write_landscape_csv,
     write_placement_report,
@@ -149,7 +150,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print(f"{f.level}[{f.code}]: {f.message}", file=stream)
     errors = sum(1 for f in findings if f.is_error)
     warnings = len(findings) - errors
-    print(f"{scenario.name}: {errors} error(s), {warnings} warning(s)")
+    print(f"{shown_name(scenario.name)}: {errors} error(s), {warnings} warning(s)")
     return 1 if errors else 0
 
 
@@ -251,8 +252,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
     scenario = _load(args)
     frame = args.frame if args.frame is not None else scenario.max_effort_index
     if not 0 <= frame < len(scenario.frames):
-        raise IndexOutOfRange(
-            f"frame {frame} is out of range for {len(scenario.frames)} frames"
+        raise argparse.ArgumentTypeError(
+            f"--frame {frame} is out of range for {len(scenario.frames)} frames"
         )
     placement = None
     if not args.no_placement:

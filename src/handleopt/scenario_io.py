@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -51,6 +52,11 @@ SLOW_COM_SPEED = 1e-3
 # s, deg, N*m). Far beyond a human body, yet small enough that the
 # model's squares and products stay finite.
 MAX_MAGNITUDE = 1e6
+# Characters no name may hold: control characters (Unicode category Cc),
+# which would split a one-line finding and which XML 1.0 forbids in the
+# rendered scene; lone surrogates, which UTF-8 output cannot encode; and
+# U+FFFE and U+FFFF, which XML 1.0 forbids too.
+_NAME_FORBIDDEN = re.compile("[\x00-\x1f\x7f-\x9f\ud800-\udfff\ufffe\uffff]")
 
 
 class Finding(NamedTuple):
@@ -289,6 +295,12 @@ def _floats(node, path: str = "") -> list[tuple[str, float]]:
     return [found for sub, v in items for found in _floats(v, sub)]
 
 
+def shown_name(name: str) -> str:
+    """A scenario or segment name as findings and summaries print it, with
+    each character no name may hold written as a \\uXXXX escape."""
+    return _NAME_FORBIDDEN.sub(lambda m: f"\\u{ord(m[0]):04x}", name)
+
+
 def validate_scenario(s: Scenario) -> list[Finding]:
     """All invariant findings for a scenario, errors first where natural."""
     out: list[Finding] = []
@@ -308,15 +320,24 @@ def validate_scenario(s: Scenario) -> list[Finding]:
             err("too_large", f"{path} is {value!r}; every number must lie within "
                              f"+-{MAX_MAGNITUDE:g} of zero")
 
+    names = [("scenario name", s.name)]
+    names += [(f"segment {i} name", seg.name) for i, seg in enumerate(s.segments.segments)]
+    for where, name in names:
+        bad = _NAME_FORBIDDEN.search(name)
+        if bad:
+            err("name_characters",
+                f'{where} "{shown_name(name)}" holds U+{ord(bad[0]):04X}; a name may not hold a '
+                "control character, a lone surrogate, U+FFFE or U+FFFF")
+
     if s.segments.total_mass <= 0.0:
         err("total_mass_positive", f"total mass {s.segments.total_mass} kg must be positive")
     for i, seg in enumerate(s.segments.segments):
         if seg.length <= 0.0:
-            err("length_positive", f"segment {i} ({seg.name}) length {seg.length} m must be positive")
+            err("length_positive", f"segment {i} ({shown_name(seg.name)}) length {seg.length} m must be positive")
         if seg.mass < 0.0:
-            err("mass_nonnegative", f"segment {i} ({seg.name}) mass {seg.mass} kg is negative")
+            err("mass_nonnegative", f"segment {i} ({shown_name(seg.name)}) mass {seg.mass} kg is negative")
         if not 0.0 <= seg.com_fraction <= 1.0:
-            err("com_fraction_range", f"segment {i} ({seg.name}) com_fraction {seg.com_fraction} is outside [0, 1]")
+            err("com_fraction_range", f"segment {i} ({shown_name(seg.name)}) com_fraction {seg.com_fraction} is outside [0, 1]")
 
     mass_sum = sum(seg.mass for seg in s.segments.segments)
     if s.segments.total_mass > 0.0:

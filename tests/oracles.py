@@ -13,7 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from handleopt import NoFeasiblePoint, SingularChain
-from handleopt.arm_kinetics import _jacobian_columns, arm_force_expanded, build_chain
+from handleopt.arm_kinetics import (
+    EPS_SINGULAR,
+    _jacobian_columns,
+    arm_force_expanded,
+    build_chain,
+)
 from handleopt.body_model import BodyPose, Vec2
 from handleopt.config import PlacementContext, TorqueSet
 
@@ -215,6 +220,32 @@ def best_sign_combo(chain, v: Vec2, magnitudes, force=arm_force_expanded) -> flo
                 )
                 best = max(best, force(chain, torques).dot(v))
     return best
+
+
+def handle_sign_by_angle(ctx: PlacementContext, theta5, theta6) -> np.ndarray:
+    """s7, the handle torque's sign, from the handle's lever angle: +1.0
+    where u7 . v >= 0 and -1.0 elsewhere, with u7 = (-sin a, cos a) at
+    a = phi6 - pi + arccos(c7), each through the NumPy ufunc. theta5 and
+    theta6 broadcast.
+
+    This is how the package took s7 under both force models before the lsq
+    model's angle-sum form. Up to c7 it repeats the package's arithmetic
+    step for step, since a cell whose u7 . v is within rounding of zero
+    needs the very bits of phi6 and c7 that the package has.
+    """
+    phi5 = ctx.theta_04 + np.asarray(theta5, dtype=float)
+    phi6 = phi5 + np.asarray(theta6, dtype=float)
+    elbow_x = ctx.shoulder.x + ctx.upper_len * np.cos(phi5)
+    elbow_y = ctx.shoulder.y + ctx.upper_len * np.sin(phi5)
+    handle_x = elbow_x + ctx.fore_len * np.cos(phi6)
+    handle_y = elbow_y + ctx.fore_len * np.sin(phi6)
+    d6 = np.hypot(ctx.com.x - elbow_x, ctx.com.y - elbow_y)
+    d7 = np.hypot(ctx.com.x - handle_x, ctx.com.y - handle_y)
+    l6 = ctx.fore_len
+    c7 = np.clip((l6 * l6 + d7 * d7 - d6 * d6) / (2.0 * l6 * np.maximum(d7, EPS_SINGULAR)),
+                 -1.0, 1.0)
+    a = phi6 - math.pi + np.arccos(c7)
+    return np.where(-np.sin(a) * ctx.v.x + np.cos(a) * ctx.v.y >= 0.0, 1.0, -1.0)
 
 
 def fd_com_jacobian(chain, h=1e-6) -> np.ndarray:

@@ -168,6 +168,41 @@ def test_non_finite_overrides_are_rejected_with_a_code(capsys, tmp_path, argv, s
     assert list(tmp_path.iterdir()) == []
 
 
+BAD_NAMES = {"control": "a\u0001b", "surrogate": "a\ud800b", "noncharacter": "a\uffffb"}
+
+
+@pytest.mark.parametrize("name", BAD_NAMES.values(), ids=BAD_NAMES.keys())
+@pytest.mark.parametrize("where", ["scenario", "segment"])
+def test_a_name_no_output_can_carry_is_rejected_with_a_code(capsys, tmp_path, where, name):
+    # no finding or summary prints the raw name: a lone surrogate would
+    # end the run in a UnicodeEncodeError, a control character would reach
+    # the rendered SVG, where XML forbids it
+    def rename(d):
+        if where == "scenario":
+            d["name"] = name
+        else:  # another finding that names the segment prints it escaped too
+            d["segments"][6].update(name=name, com_fraction=2.0)
+
+    path = broken_scenario(tmp_path, rename)
+    shown = "a\\u%04xb" % ord(name[1])
+    label = "scenario name" if where == "scenario" else "segment 6 name"
+    finding = (f'name_characters: {label} "{shown}" holds U+{ord(name[1]):04X}; a name may not '
+               "hold a control character, a lone surrogate, U+FFFE or U+FFFF")
+    range_finding = f"com_fraction_range: segment 6 ({shown}) com_fraction 2.0 is outside [0, 1]"
+    findings = [finding] if where == "scenario" else [finding, range_finding]
+    summary = f"{shown if where == 'scenario' else 'toilet_sit_to_stand'}: {len(findings)} error(s)"
+
+    code, out, err = run(capsys, "validate", "--scenario", path)
+    assert (code, out) == (1, f"{summary}, 0 warning(s)\n")
+    assert err == "".join(f"error[{f.replace(':', ']:', 1)}\n" for f in findings)
+    for command in ("optimize", "render"):
+        out_dir = tmp_path / command
+        code, out, err = run(capsys, command, "--scenario", path, "--out", str(out_dir))
+        assert (code, out) == (1, "")
+        assert err == f"error[validation]: {'; '.join(findings)}\n"
+        assert not out_dir.exists()
+
+
 def test_every_too_large_number_is_rejected_with_a_code(capsys, tmp_path):
     base = json.loads(fixture_path("toilet_sit_to_stand").read_text())
     file = tmp_path / "scenario.json"
@@ -392,14 +427,15 @@ def test_render_no_placement_skips_overlay(capsys, tmp_path):
     assert '<g id="arm">' in svg
 
 
-def test_render_out_of_range_frame_exits_three(capsys, tmp_path):
-    code, out, err = run(
-        capsys, "render", "--scenario", TOILET, "--out", str(tmp_path),
-        "--frame", "99", "--no-placement",
-    )
-    assert code == 3
-    assert err.startswith("error[numeric]:")
-    assert "99" in err
+def test_render_out_of_range_frame_is_a_usage_error(capsys, tmp_path):
+    for frame in ("99", "17", "-1"):
+        code, out, err = run(
+            capsys, "render", "--scenario", TOILET, "--out", str(tmp_path),
+            "--frame", frame, "--no-placement",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error[usage]: --frame {frame} is out of range for 17 frames\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_writes_per_value_landscapes(capsys, tmp_path):
@@ -578,8 +614,8 @@ ENTRY_CASES = [
     (["validate", "--scenario", TOILET, "--robot-base=abc"], 2, "",
      "usage: handleopt [-h] {validate,analyze,optimize,render,sweep} ...\n"
      "handleopt: error: unrecognized arguments: --robot-base=abc\n"),
-    (["render", "--scenario", TOILET, "--out", "out", "--frame", "99", "--no-placement"], 3,
-     "", "error[numeric]: frame 99 is out of range for 17 frames\n"),
+    (["render", "--scenario", TOILET, "--out", "out", "--frame", "99", "--no-placement"], 2,
+     "", "error[usage]: --frame 99 is out of range for 17 frames\n"),
 ]
 
 

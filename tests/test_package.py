@@ -1,6 +1,7 @@
-"""The package root's public surface, the README's library example and the
-value types."""
+"""The package root's public surface, the README's library example, the
+value types and the oldest Python the package claims to run on."""
 
+import ast
 import dataclasses
 import math
 import re
@@ -14,7 +15,8 @@ from handleopt.body_model import Vec2, forward_kinematics
 from handleopt.config import TorqueSet
 from handleopt.scenario_io import Finding
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 ROOT_NAMES = {
     "load_scenario", "fixture_path", "make_context", "optimize_placement",
@@ -67,3 +69,14 @@ def test_value_types_are_immutable_and_replace_keeps_the_type():
         copy = v._replace(**{field: getattr(v, field)})
         assert type(copy) is type(v)
         assert all(a is b for a, b in zip(copy, v))
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    # pyproject.toml's requires-python; the suite itself may run on a newer one
+    version = re.search(r'^requires-python = ">=3\.(\d+)"$',
+                        (ROOT / "pyproject.toml").read_text(), re.M)
+    assert version is not None and version[1] == "10"
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert Path(__file__).resolve() in paths and ROOT / "src" / "handleopt" / "cli.py" in paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -16,7 +16,7 @@ from handleopt import (
     optimize_placement,
     placement_opt,
 )
-from handleopt.arm_kinetics import GridTrig, _arm_forces, arm_forces, build_chain
+from handleopt.arm_kinetics import SIGN_BAND, GridTrig, _arm_forces, arm_forces, build_chain
 from handleopt.body_model import FOREARM, UPPER_ARM, Vec2, unit
 from handleopt.config import (
     FORCE_MODELS,
@@ -43,6 +43,7 @@ from oracles import (
     arm_force_atan2,
     best_sign_combo,
     context_of_chain,
+    handle_sign_by_angle,
     random_unit,
     rotate,
     rotate_context,
@@ -378,6 +379,100 @@ def test_point_arm_forces_match_grid_in_every_field(ctx, config, setup, t5, t6, 
         case = condition_limit_case(ctx, config.torque_magnitudes, config.a, t5, reach, offset,
                                     step)
     assert_arm_forces_match_grid(*case)
+
+
+def grid_handle_signs(ctx, limits, config):
+    """(t5, t6, s7 of every cell) of the grid, as evaluate_grid computes it."""
+    t5 = grid_axis(limits.theta5_min, limits.theta5_max, config.grid_step)
+    t6 = grid_axis(limits.theta6_min, limits.theta6_max, config.grid_step)
+    blocks = grid_blocks(ctx, t5, t6, config.torque_magnitudes, config.force_model)
+    return t5, t6, np.concatenate([r.signs[2] for _, r in blocks])
+
+
+def assert_handle_signs_match_the_angle_form(ctx, limits, config):
+    """Every cell's s7, from the grid and from a point query, is the one the
+    handle's lever angle gives through arccos, sin and cos."""
+    t5, t6, grid = grid_handle_signs(ctx, limits, config)
+    want = handle_sign_by_angle(ctx, t5[:, None], t6[None, :])
+    np.testing.assert_array_equal(grid, want)
+    for i5, c5 in enumerate(t5):
+        for i6, c6 in enumerate(t6):
+            point = arm_forces(ctx, float(c5), float(c6), config.torque_magnitudes, "lsq")
+            assert point.signs[2] == want[i5, i6]
+
+
+def facing_handle_term(ctx, theta5, theta6, side):
+    """ctx with v along +-(cos a, sin a), a the handle's lever angle at
+    (theta5, theta6): there u7 . v is zero, so the lsq model's angle-sum
+    form lies in the band and the sign comes from the angle."""
+    a = build_chain(ctx.shoulder, ctx.theta_04, theta5, theta6, ctx.upper_len, ctx.fore_len,
+                    ctx.com).theta_7com
+    return ctx._replace(v=Vec2(side * float(np.cos(a)), side * float(np.sin(a))))
+
+
+def angle_sum_form(ctx, theta5, theta6):
+    """u7 . v as the lsq model first writes it, from cos and sin of phi6 and
+    the handle's cosine c7 of the chain."""
+    chain = build_chain(ctx.shoulder, ctx.theta_04, theta5, theta6, ctx.upper_len, ctx.fore_len,
+                        ctx.com)
+    l6, d6, d7 = chain.fore_len, chain.lever6, chain.lever7
+    c7 = min(max((l6 * l6 + d7 * d7 - d6 * d6) / (2.0 * l6 * d7), -1.0), 1.0)
+    phi6 = ctx.theta_04 + theta5 + theta6
+    cos6, sin6 = float(np.cos(phi6)), float(np.sin(phi6))
+    r7 = math.sqrt((1.0 - c7) * (1.0 + c7))
+    return (sin6 * c7 + cos6 * r7) * ctx.v.x - (cos6 * c7 - sin6 * r7) * ctx.v.y
+
+
+def test_lsq_handle_sign_in_the_band_comes_from_the_angle():
+    """Cells built to sit in the band around u7 . v = 0: both callers give
+    the angle form's sign there, and the angle-sum form alone would not
+    always have."""
+    config = ObjectiveConfig(force_model="lsq", grid_step=math.radians(5.0))
+    flips = 0
+    for name in FIXTURE_OPTIMA:
+        scenario = load_scenario(fixture_path(name))
+        ctx, _ = make_context(scenario)
+        lim = scenario.limits
+        for theta5, theta6 in ((lim.theta5_min, lim.theta6_min), (lim.theta5_max, lim.theta6_max),
+                               (0.5 * (lim.theta5_min + lim.theta5_max), 1.3)):
+            for side in (1.0, -1.0):
+                at = facing_handle_term(ctx, theta5, theta6, side)
+                form = angle_sum_form(at, theta5, theta6)
+                assert abs(form) <= SIGN_BAND
+                want = handle_sign_by_angle(at, theta5, theta6)
+                flips += (form >= 0.0) != (want > 0.0)
+                limits = corner_limits(theta5, theta6, config.grid_step)
+                assert grid_handle_signs(at, limits, config)[2][0, 0] == want
+                assert arm_forces(at, theta5, theta6, config.torque_magnitudes, "lsq").signs[2] == want
+                assert_arm_forces_match_grid(at, limits, config)
+    assert flips > 0
+
+
+@pytest.mark.parametrize("limits", ["scenario", "full"])
+@pytest.mark.parametrize("name", list(FIXTURE_OPTIMA))
+def test_lsq_handle_signs_of_fixture_grids_equal_the_angle_form(name, limits):
+    scenario = load_scenario(fixture_path(name))
+    ctx, _ = make_context(scenario)
+    lim = scenario.limits if limits == "scenario" else JointLimits()
+    config = replace(scenario.objective, force_model="lsq")
+    t5, t6, grid = grid_handle_signs(ctx, lim, config)
+    np.testing.assert_array_equal(grid, handle_sign_by_angle(ctx, t5[:, None], t6[None, :]))
+
+
+@property_settings
+@given(ctx=contexts(), config=configs, t5=finite(-math.pi, math.pi),
+       t6=finite(-math.pi, math.pi), span5=finite(0.0, math.pi), span6=finite(0.0, math.pi),
+       side=st.sampled_from((None, 1.0, -1.0)))
+def test_lsq_handle_signs_equal_the_angle_form(ctx, config, t5, t6, span5, span6, side):
+    # side puts the first cell, unless it is singular, in the band around
+    # u7 . v = 0
+    if side is not None:
+        try:
+            ctx = facing_handle_term(ctx, t5, t6, side)
+        except SingularChain:
+            pass
+    limits = JointLimits(theta5_min=t5, theta5_max=t5 + span5, theta6_min=t6, theta6_max=t6 + span6)
+    assert_handle_signs_match_the_angle_form(ctx, limits, replace(config, force_model="lsq"))
 
 
 def test_point_queries_return_builtin_floats_and_bools():
