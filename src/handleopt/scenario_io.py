@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -52,11 +51,6 @@ SLOW_COM_SPEED = 1e-3
 # s, deg, N*m). Far beyond a human body, yet small enough that the
 # model's squares and products stay finite.
 MAX_MAGNITUDE = 1e6
-# Characters no name may hold: control characters (Unicode category Cc),
-# which would split a one-line finding and which XML 1.0 forbids in the
-# rendered scene; lone surrogates, which UTF-8 output cannot encode; and
-# U+FFFE and U+FFFF, which XML 1.0 forbids too.
-_NAME_FORBIDDEN = re.compile("[\x00-\x1f\x7f-\x9f\ud800-\udfff\ufffe\uffff]")
 
 
 class Finding(NamedTuple):
@@ -295,10 +289,24 @@ def _floats(node, path: str = "") -> list[tuple[str, float]]:
     return [found for sub, v in items for found in _floats(v, sub)]
 
 
+def _forbidden_in_name(c: str) -> bool:
+    """Whether no name may hold the character c: a control character
+    (Unicode category Cc), which would split a one-line finding and which
+    XML 1.0 forbids in the rendered scene; a lone surrogate, which UTF-8
+    output cannot encode; or U+FFFE or U+FFFF, which XML 1.0 forbids too.
+    None of them is printable, so str.isprintable clears a clean name in
+    C; compiling a regular expression of these ranges would cost every
+    process 1 ms at import."""
+    o = ord(c)
+    return o < 0x20 or 0x7F <= o <= 0x9F or 0xD800 <= o <= 0xDFFF or o in (0xFFFE, 0xFFFF)
+
+
 def shown_name(name: str) -> str:
     """A scenario or segment name as findings and summaries print it, with
     each character no name may hold written as a \\uXXXX escape."""
-    return _NAME_FORBIDDEN.sub(lambda m: f"\\u{ord(m[0]):04x}", name)
+    if name.isprintable():
+        return name
+    return "".join(f"\\u{ord(c):04x}" if _forbidden_in_name(c) else c for c in name)
 
 
 def validate_scenario(s: Scenario) -> list[Finding]:
@@ -323,7 +331,7 @@ def validate_scenario(s: Scenario) -> list[Finding]:
     names = [("scenario name", s.name)]
     names += [(f"segment {i} name", seg.name) for i, seg in enumerate(s.segments.segments)]
     for where, name in names:
-        bad = _NAME_FORBIDDEN.search(name)
+        bad = [] if name.isprintable() else [c for c in name if _forbidden_in_name(c)]
         if bad:
             err("name_characters",
                 f'{where} "{shown_name(name)}" holds U+{ord(bad[0]):04X}; a name may not hold a '
