@@ -331,11 +331,10 @@ def validate_scenario(s: Scenario) -> list[Finding]:
     names = [("scenario name", s.name)]
     names += [(f"segment {i} name", seg.name) for i, seg in enumerate(s.segments.segments)]
     for where, name in names:
-        bad = [] if name.isprintable() else [c for c in name if _forbidden_in_name(c)]
-        if bad:
-            err("name_characters",
-                f'{where} "{shown_name(name)}" holds U+{ord(bad[0]):04X}; a name may not hold a '
-                "control character, a lone surrogate, U+FFFE or U+FFFF")
+        shown = shown_name(name)
+        if shown != name:
+            err("name_characters", f'{where} "{shown}" holds a control character, a lone '
+                                   "surrogate, U+FFFE or U+FFFF, which no name may hold")
 
     if s.segments.total_mass <= 0.0:
         err("total_mass_positive", f"total mass {s.segments.total_mass} kg must be positive")

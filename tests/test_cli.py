@@ -186,8 +186,8 @@ def test_a_name_no_output_can_carry_is_rejected_with_a_code(capsys, tmp_path, wh
     path = broken_scenario(tmp_path, rename)
     shown = "a\\u%04xb" % ord(name[1])
     label = "scenario name" if where == "scenario" else "segment 6 name"
-    finding = (f'name_characters: {label} "{shown}" holds U+{ord(name[1]):04X}; a name may not '
-               "hold a control character, a lone surrogate, U+FFFE or U+FFFF")
+    finding = (f'name_characters: {label} "{shown}" holds a control character, a lone '
+               "surrogate, U+FFFE or U+FFFF, which no name may hold")
     range_finding = f"com_fraction_range: segment 6 ({shown}) com_fraction 2.0 is outside [0, 1]"
     findings = [finding] if where == "scenario" else [finding, range_finding]
     summary = f"{shown if where == 'scenario' else 'toilet_sit_to_stand'}: {len(findings)} error(s)"
