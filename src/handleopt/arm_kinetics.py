@@ -335,7 +335,7 @@ def _lsq_handle_dot(ops: _Primitives, g: _Geometry, vx: float, vy: float):
     where cos alpha = c7, sin alpha = sqrt((1 - c7)(1 + c7)), and the cosine
     and sine of phi6 are at hand: no arccos, sin or cos. For a unit v and
     |c7| <= 1, this form lies within 4e-16 of the exact u7 . v of the same
-    phi6 and c7, and _handle_term's within 1.2e-15 for |phi6| <= pi (the
+    phi6 and c7, and _handle_term's within 1.3e-15 for |phi6| <= pi (the
     largest gap between the two over 2M random inputs: 1.3e-15). The
     latter's error grows with |phi6| through the rounding of phi6 - pi, to
     1.3e-11 at |phi6| = 1e5 rad, which bounds every phi6 validate admits.
