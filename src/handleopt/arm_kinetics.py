@@ -17,18 +17,34 @@ COM. Two force models are provided:
 The two maps are not algebraically identical for a general chain; tests
 record their ratio but the package does not pretend they agree.
 
-_arm_forces is the one implementation of both models, and it has two
-callers, each with its own primitive set. A point query (arm_forces, behind
-objective(), the optimum and the report) runs on Python floats, and takes
-every cosine, sine, arccosine and hypotenuse from the same NumPy ufunc as
-the grid, unwrapped to a float. The rest of the kernel is + - * / and
-math.sqrt, which are correctly rounded in CPython and NumPy alike, max,
-min, abs and comparisons, which are exact, and the shoulder's lever and
-angle, which are floats in both paths. So a point query equals its grid
-cell bit for bit by construction, while it skips the cost of NumPy scalars.
+One kernel text implements both models, in three stages split by what
+each value depends on:
 
-The grid search (placement_opt.evaluate_grid) runs the same kernel text
-on arrays, with the primitives of a GridTrig, built once per grid.
+* context (_shoulder_terms): the shoulder's lever d5, the angle theta_com
+  from the shoulder to the COM, and the shoulder term's u5 . v;
+* row (_elbow_terms): the terms of theta5 alone, namely phi5, the elbow
+  point, the elbow's lever d6, the law-of-cosines c6 and lever angle
+  theta_6com, u6 . v and whether the shoulder or elbow is singular;
+* cell (_cell_forces): the terms of theta6, namely phi6, the handle point,
+  its lever d7, c7 and the handle term, then the force along v (and under
+  lsq the Jacobian columns and the 2x2 normal equations).
+
+The kernel has two callers, each with its own primitive set. A point query
+(arm_forces, behind objective(), the optimum and the report) runs the three
+stages on Python floats, and takes every cosine, sine, arccosine and
+hypotenuse from the same NumPy ufunc as the grid, unwrapped to a float. The
+rest of the kernel is + - * / and math.sqrt, which are correctly rounded in
+CPython and NumPy alike, max, min, abs and comparisons, which are exact,
+and the context stage, which is floats in both paths. So a point query
+equals its grid cell bit for bit by construction, while it skips the cost
+of NumPy scalars.
+
+The grid search (placement_opt.evaluate_grid) runs the same stages on
+arrays, with the primitives of a GridTrig, built once per grid: the context
+and row stages once per grid, the row stage on the whole theta5 axis as a
+column, and the cell stage once per block of rows, on those rows' slices of
+the row stage. Each element goes through the same operations in the same
+order wherever it is computed, so the stages change no bit.
 The handle angle phi6 = phi5 + theta6 takes only a few values per
 anti-diagonal of the grid, so GridTrig tables np.cos and np.sin per
 diagonal and serves a cell from the table only where its phi6 has the very
@@ -36,11 +52,10 @@ bits of a table entry. Every other cell is computed directly. Either way a
 cell holds np.cos and np.sin of its own phi6, so parity still holds by
 construction, and the grid makes two libm calls a cell fewer.
 
-What remains per grid cell is the handle term; the shoulder and elbow terms
-depend on theta5 alone and are computed once per row. The expanded model
-makes four transcendental calls a cell: np.hypot for the handle's lever,
-then np.arccos, np.sin and np.cos for its lever angle and direction. The
-lsq model uses that direction only for the sign s7 of its projection on v,
+What remains per grid cell is the cell stage. The expanded model makes
+four transcendental calls a cell: np.hypot for the handle's lever, then
+np.arccos, np.sin and np.cos for its lever angle and direction. The lsq
+model uses that direction only for the sign s7 of its projection on v,
 which it takes from the angle-sum form of _lsq_handle_dot (a square root
 and products). It makes np.hypot a cell, and the three angle calls only
 for the cells where that form lies within SIGN_BAND (1e-9) of zero, where
@@ -234,26 +249,10 @@ class VirtualChain(NamedTuple):
         )
 
 
-class _Geometry(NamedTuple):
-    """The chain as the kernel needs it. The handle's lever angle
-    theta_7com is left to its users (_theta_7com), since the lsq grid
-    needs only the sign of its direction's projection on v."""
-
-    elbow: tuple
-    handle: tuple
-    levers: tuple  # (d5, d6, d7), floored at EPS_SINGULAR
-    singular: object
-    theta_com: float
-    theta_6com: object
-    phi6: object  # world angle of the forearm, phi5 + theta6
-    cos6: object  # cos phi6
-    sin6: object  # sin phi6
-    c7: object  # cosine of the handle's angle in the elbow-handle-COM triangle
-
-
 class ArmForces(NamedTuple):
-    """Output of _arm_forces: builtin floats and bools from arm_forces, else
-    arrays (or plain values) that broadcast over a grid block's angles.
+    """Output of the cell stage (_cell_forces): builtin floats and bools from
+    arm_forces, else arrays (or plain values) that broadcast over a grid
+    block's angles.
 
     directed is F.v under the chosen model, with the torque signs chosen
     so that every expanded-model term pushes along v. force is (fx, fy):
@@ -275,43 +274,79 @@ class ArmForces(NamedTuple):
     handle: tuple
 
 
-def _geometry(ops: _Primitives, shoulder: Vec2, theta_04: float, com: Vec2, upper_len: float,
-              fore_len: float, theta5, theta6) -> _Geometry:
-    """Joint points, levers and lever angles of the chain, computed with ops."""
-    sx, sy = shoulder.x, shoulder.y
-    cx, cy = com.x, com.y
-    l5, l6 = upper_len, fore_len
-    phi5 = theta_04 + theta5
-    phi6, cos6, sin6 = ops.cos_sin_sum(phi5, theta6)
-    ex = sx + l5 * ops.cos(phi5)
-    ey = sy + l5 * ops.sin(phi5)
-    hx = ex + l6 * cos6
-    hy = ey + l6 * sin6
+def _shoulder_terms(ctx: PlacementContext) -> tuple:
+    """The context stage: the shoulder's terms, floats of the context alone.
 
-    d5 = math.hypot(cx - sx, cy - sy)
-    d6 = ops.hypot(cx - ex, cy - ey)
-    d7 = ops.hypot(cx - hx, cy - hy)
-    singular = (d5 < EPS_SINGULAR) | (d6 < EPS_SINGULAR) | (d7 < EPS_SINGULAR)
+    Returns (d5, d5s, u5, u5v, s5, to_com5, theta_com): the shoulder's lever
+    and the same floored at EPS_SINGULAR, the shoulder term's unit force
+    direction u5, its projection on v and the sign s5 of that, the
+    shoulder's vector to the COM, and that vector's world angle theta_com.
+    """
+    sx, sy = ctx.shoulder
+    cx, cy = ctx.com
+    to_com5 = (cx - sx, cy - sy)
+    d5 = math.hypot(*to_com5)
+    theta_com = math.atan2(to_com5[1], to_com5[0])
+    u5 = (-math.sin(theta_com), math.cos(theta_com))
+    u5v = u5[0] * ctx.v.x + u5[1] * ctx.v.y
+    return d5, max(d5, EPS_SINGULAR), u5, u5v, 1.0 if u5v >= 0.0 else -1.0, to_com5, theta_com
+
+
+def _elbow_terms(ops: _Primitives, ctx: PlacementContext, shoulder: tuple, theta5) -> tuple:
+    """The row stage: the terms of theta5 alone, computed with ops on the
+    context stage's shoulder terms.
+
+    Returns (phi5, ex, ey, d6, singular, d6s, dx6, dy6, u6x, u6y, u6v, s6,
+    theta_6com): the upper arm's world angle, the elbow point, the elbow's
+    lever, whether the shoulder or the elbow lies within EPS_SINGULAR of the
+    COM, the lever floored, the elbow's vector to the COM, the elbow term's
+    unit force direction u6, its projection on v and the sign s6 of that,
+    and u6's lever angle theta_6com. _handle_terms reads the first five.
+    """
+    d5 = shoulder[0]
+    l5 = ctx.upper_len
+    phi5 = ctx.theta_04 + theta5
+    ex = ctx.shoulder.x + l5 * ops.cos(phi5)
+    ey = ctx.shoulder.y + l5 * ops.sin(phi5)
+    dx6, dy6 = ctx.com.x - ex, ctx.com.y - ey
+    d6 = ops.hypot(dx6, dy6)
     # Flooring the levers keeps the arithmetic finite where the chain is
     # singular; it changes no lever of a regular chain.
-    d5s = max(d5, EPS_SINGULAR)
     d6s = ops.maximum(d6, EPS_SINGULAR)
-    d7s = ops.maximum(d7, EPS_SINGULAR)
-
     # Law of cosines; clamping puts degenerate triangles on the boundary.
     # The ratio comes first in max and min, so that a NaN passes through
     # them as it does through np.maximum and np.minimum.
     c6 = ops.minimum(ops.maximum((l5 * l5 + d6 * d6 - d5 * d5) / (2.0 * l5 * d6s), -1.0), 1.0)
+    theta_6com = phi5 - math.pi - ops.arccos(c6)
+    u6x, u6y = -ops.sin(theta_6com), ops.cos(theta_6com)
+    u6v = u6x * ctx.v.x + u6y * ctx.v.y
+    singular = (d5 < EPS_SINGULAR) | (d6 < EPS_SINGULAR)
+    return (phi5, ex, ey, d6, singular, d6s, dx6, dy6, u6x, u6y, u6v, 2.0 * (u6v >= 0.0) - 1.0,
+            theta_6com)
+
+
+def _handle_terms(ops: _Primitives, ctx: PlacementContext, row: tuple, theta6) -> tuple:
+    """The cell stage's geometry: the handle at theta6 on a row of the row
+    stage's elbow terms, computed with ops.
+
+    Returns (phi6, cos6, sin6, hx, hy, dx7, dy7, d7s, singular, c7): the
+    forearm's world angle phi5 + theta6 with its cosine and sine, the handle
+    point, its vector to the COM, the handle's lever floored at EPS_SINGULAR,
+    whether any joint lies within EPS_SINGULAR of the COM, and the cosine of
+    the handle's angle in the elbow-handle-COM triangle. The handle's lever
+    angle is left to its users (_theta_7com), since the lsq model needs only
+    the sign of its direction's projection on v.
+    """
+    phi5, ex, ey, d6, singular = row[:5]
+    l6 = ctx.fore_len
+    phi6, cos6, sin6 = ops.cos_sin_sum(phi5, theta6)
+    hx = ex + l6 * cos6
+    hy = ey + l6 * sin6
+    dx7, dy7 = ctx.com.x - hx, ctx.com.y - hy
+    d7 = ops.hypot(dx7, dy7)
+    d7s = ops.maximum(d7, EPS_SINGULAR)
     c7 = ops.minimum(ops.maximum((l6 * l6 + d7 * d7 - d6 * d6) / (2.0 * l6 * d7s), -1.0), 1.0)
-    return _Geometry(
-        elbow=(ex, ey),
-        handle=(hx, hy),
-        levers=(d5s, d6s, d7s),
-        singular=singular,
-        theta_com=math.atan2(cy - sy, cx - sx),
-        theta_6com=phi5 - math.pi - ops.arccos(c6),
-        phi6=phi6, cos6=cos6, sin6=sin6, c7=c7,
-    )
+    return phi6, cos6, sin6, hx, hy, dx7, dy7, d7s, singular | (d7 < EPS_SINGULAR), c7
 
 
 def _theta_7com(ops: _Primitives, phi6, c7):
@@ -327,7 +362,7 @@ def _handle_term(ops: _Primitives, phi6, c7, vx: float, vy: float) -> tuple:
     return u7, u7[0] * vx + u7[1] * vy
 
 
-def _lsq_handle_dot(ops: _Primitives, g: _Geometry, vx: float, vy: float):
+def _lsq_handle_dot(ops: _Primitives, phi6, cos6, sin6, c7, vx: float, vy: float):
     """u7 . v for the lsq model, which uses u7 only through its sign s7.
 
     With alpha = arccos(c7) the lever angle is phi6 - pi + alpha, so the
@@ -344,10 +379,9 @@ def _lsq_handle_dot(ops: _Primitives, g: _Geometry, vx: float, vy: float):
     decides. s7 keeps the bits of the angle form in every cell, and a grid
     computes that form only for the cells in the band.
     """
-    c7, cos6, sin6 = g.c7, g.cos6, g.sin6
     r7 = ops.sqrt((1.0 - c7) * (1.0 + c7))
     dot = (sin6 * c7 + cos6 * r7) * vx - (cos6 * c7 - sin6 * r7) * vy
-    return ops.in_band(dot, lambda phi6, c7: _handle_term(ops, phi6, c7, vx, vy)[1], g.phi6, c7)
+    return ops.in_band(dot, lambda phi6, c7: _handle_term(ops, phi6, c7, vx, vy)[1], phi6, c7)
 
 
 def _expanded_force(levers, units, tau5, tau6, tau7) -> tuple:
@@ -357,14 +391,14 @@ def _expanded_force(levers, units, tau5, tau6, tau7) -> tuple:
     return k5 * u5[0] + k6 * u6[0] + k7 * u7[0], k5 * u5[1] + k6 * u6[1] + k7 * u7[1]
 
 
-def _jacobian_columns(shoulder, elbow, handle, com) -> tuple:
+def _jacobian_columns(to_com7, to_com6, to_com5) -> tuple:
     """Columns of the 2x3 Jacobian of the COM point w.r.t. the chain's joint
-    angles, as (x, y) pairs. The chain is anchored at the handle, so they
-    are ordered (handle, elbow, shoulder) to match (tau_7, tau_6, tau_5).
+    angles, as (x, y) pairs, from the handle's, the elbow's and the
+    shoulder's vectors to the COM. The chain is anchored at the handle, so
+    they are ordered (handle, elbow, shoulder) to match (tau_7, tau_6, tau_5).
     Each is the +90 degree rotation of that joint's vector to the COM."""
-    cx, cy = com
-    (sx, sy), (ex, ey), (hx, hy) = shoulder, elbow, handle
-    return (-(cy - hy), cx - hx), (-(cy - ey), cx - ex), (-(cy - sy), cx - sx)
+    (x7, y7), (x6, y6), (x5, y5) = to_com7, to_com6, to_com5
+    return (-y7, x7), (-y6, x6), (-y5, x5)
 
 
 def _lsq_force(ops: _Primitives, columns, tau5, tau6, tau7) -> tuple:
@@ -403,46 +437,42 @@ def arm_forces(ctx: PlacementContext, theta5: float, theta6: float,
     is >= 0; the lsq model uses the same signs. Raises ValueError for a
     model outside FORCE_MODELS.
     """
-    return _arm_forces(_ON_FLOATS, ctx, theta5, theta6, magnitudes, model)
+    shoulder = _shoulder_terms(ctx)
+    row = _elbow_terms(_ON_FLOATS, ctx, shoulder, theta5)
+    return _cell_forces(_ON_FLOATS, ctx, shoulder, row, theta6, magnitudes, model)
 
 
-def _arm_forces(ops: _Primitives, ctx: PlacementContext, theta5, theta6,
-                magnitudes: tuple[float, float, float], model: str) -> ArmForces:
-    """arm_forces, computed with ops."""
+def _cell_forces(ops: _Primitives, ctx: PlacementContext, shoulder: tuple, row: tuple, theta6,
+                 magnitudes: tuple[float, float, float], model: str) -> ArmForces:
+    """The cell stage: arm_forces at theta6 on a row of the row stage's
+    elbow terms, computed with ops."""
     if model not in FORCE_MODELS:
         raise ValueError(f"force model must be one of {list(FORCE_MODELS)}, got {model!r}")
-    g = _geometry(ops, ctx.shoulder, ctx.theta_04, ctx.com, ctx.upper_len, ctx.fore_len,
-                  theta5, theta6)
+    _, d5s, u5, u5v, s5, to_com5, _ = shoulder
+    _, _, _, _, _, d6s, dx6, dy6, u6x, u6y, u6v, s6, _ = row
+    phi6, cos6, sin6, hx, hy, dx7, dy7, d7s, singular, c7 = _handle_terms(ops, ctx, row, theta6)
     vx, vy = ctx.v.x, ctx.v.y
     m5, m6, m7 = magnitudes
-    d5, d6, d7 = g.levers
 
-    # Unit force direction (-sin a, cos a) of each torque term.
-    u5 = (-math.sin(g.theta_com), math.cos(g.theta_com))
-    u6 = (-ops.sin(g.theta_6com), ops.cos(g.theta_6com))
-    u5v = u5[0] * vx + u5[1] * vy
-    u6v = u6[0] * vx + u6[1] * vy
     if model == "lsq":
-        u7v = _lsq_handle_dot(ops, g, vx, vy)
+        u7v = _lsq_handle_dot(ops, phi6, cos6, sin6, c7, vx, vy)
     else:
-        u7, u7v = _handle_term(ops, g.phi6, g.c7, vx, vy)
-    s5 = 1.0 if u5v >= 0.0 else -1.0
-    s6 = 2.0 * (u6v >= 0.0) - 1.0
+        u7, u7v = _handle_term(ops, phi6, c7, vx, vy)
     s7 = 2.0 * (u7v >= 0.0) - 1.0
 
     if model == "lsq":
-        columns = _jacobian_columns(
-            (ctx.shoulder.x, ctx.shoulder.y), g.elbow, g.handle, (ctx.com.x, ctx.com.y))
+        columns = _jacobian_columns((dx7, dy7), (dx6, dy6), to_com5)
         fx, fy, ill = _lsq_force(ops, columns, m5 * s5, m6 * s6, m7 * s7)
         directed, force = fx * vx + fy * vy, (fx, fy)
     else:
         ill = False
-        directed = m5 / d5 * abs(u5v) + m6 / d6 * abs(u6v) + m7 / d7 * abs(u7v)
+        directed = m5 / d5s * abs(u5v) + m6 / d6s * abs(u6v) + m7 / d7s * abs(u7v)
         force = None
         if ops is _ON_FLOATS:
-            force = _expanded_force(g.levers, (u5, u6, u7), m5 * s5, m6 * s6, m7 * s7)
+            force = _expanded_force((d5s, d6s, d7s), (u5, (u6x, u6y), u7),
+                                    m5 * s5, m6 * s6, m7 * s7)
     return ArmForces(directed=directed, force=force, signs=(s5, s6, s7),
-                     singular=g.singular, ill_conditioned=ill, handle=g.handle)
+                     singular=singular, ill_conditioned=ill, handle=(hx, hy))
 
 
 def build_chain(
@@ -456,21 +486,26 @@ def build_chain(
 ) -> VirtualChain:
     """The chain at one arm configuration; raises SingularChain when a
     joint lies within EPS_SINGULAR of the COM."""
-    g = _geometry(_ON_FLOATS, shoulder, theta_04, com, upper_len, fore_len, theta5, theta6)
-    if g.singular:
+    # v enters only the projections on v, which a chain does not hold.
+    ctx = PlacementContext(shoulder, theta_04, com, Vec2(0.0, 0.0), upper_len, fore_len)
+    terms5 = _shoulder_terms(ctx)
+    row = _elbow_terms(_ON_FLOATS, ctx, terms5, theta5)
+    phi6, _, _, hx, hy, _, _, d7s, singular, c7 = _handle_terms(_ON_FLOATS, ctx, row, theta6)
+    if singular:
         raise SingularChain(SINGULAR_MESSAGE)
-    d5, d6, d7 = g.levers
+    _, d5s, *_, theta_com = terms5
+    _, ex, ey, _, _, d6s, *_, theta_6com = row
     return VirtualChain(
         shoulder=shoulder,
-        elbow=Vec2(*g.elbow),
-        handle=Vec2(*g.handle),
+        elbow=Vec2(ex, ey),
+        handle=Vec2(hx, hy),
         com=com,
         theta_04=theta_04, theta5=theta5, theta6=theta6,
         upper_len=upper_len, fore_len=fore_len,
-        lever5=d5, lever6=d6, lever7=d7,
-        theta_com=g.theta_com,
-        theta_6com=g.theta_6com,
-        theta_7com=_theta_7com(_ON_FLOATS, g.phi6, g.c7),
+        lever5=d5s, lever6=d6s, lever7=d7s,
+        theta_com=theta_com,
+        theta_6com=theta_6com,
+        theta_7com=_theta_7com(_ON_FLOATS, phi6, c7),
     )
 
 
@@ -486,9 +521,8 @@ def arm_force_expanded(chain: VirtualChain, torques: TorqueSet) -> Vec2:
 
 def arm_force_lsq(chain: VirtualChain, torques: TorqueSet) -> Vec2:
     """Least-squares force: F = (J J^T)^-1 J tau, tau = (tau_7, tau_6, tau_5)."""
-    columns = _jacobian_columns(
-        (chain.shoulder.x, chain.shoulder.y), (chain.elbow.x, chain.elbow.y),
-        (chain.handle.x, chain.handle.y), (chain.com.x, chain.com.y))
+    com = chain.com
+    columns = _jacobian_columns(com - chain.handle, com - chain.elbow, com - chain.shoulder)
     fx, fy, ill = _lsq_force(_ON_FLOATS, columns, torques.tau5, torques.tau6, torques.tau7)
     if ill:
         raise IllConditioned(ILL_CONDITIONED_MESSAGE)

@@ -11,12 +11,16 @@ with torque signs chosen per joint so every force term pushes along
 v_com. The search is an exhaustive scan of a fixed grid; evaluation is
 vectorized in blocks, and the reduction is a pure elementwise argmax
 with a lexicographic tie-break (smaller theta_6, then smaller theta_5),
-so results do not depend on evaluation order or chunk size. One block of
-at most _BLOCK_CELLS cells is in flight at a time, which bounds peak
-memory beyond the landscape itself. The blocks share one
-arm_kinetics.GridTrig, built per grid, which serves the cosine and sine of
-the handle angle from a table of exact-bit hits; every cell still equals
-objective() at its angles bit for bit.
+so results do not depend on evaluation order or chunk size. The kernel
+runs in the three stages of arm_kinetics: the context stage (the
+shoulder's terms) and the row stage (the terms of theta_5 alone) run once
+per grid, the row stage on the whole theta_5 axis, and the cell stage runs
+per block of rows on those rows' slices of the row stage. One block of at
+most _BLOCK_CELLS cells is in flight at a time, which bounds peak memory
+beyond the landscape itself and the row stage's few arrays of one value a
+row. The blocks share one arm_kinetics.GridTrig, built per grid, which
+serves the cosine and sine of the handle angle from a table of exact-bit
+hits; every cell still equals objective() at its angles bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +34,9 @@ from .arm_kinetics import (
     SINGULAR_MESSAGE,
     _ON_FLOATS,
     GridTrig,
-    _arm_forces,
+    _cell_forces,
+    _elbow_terms,
+    _shoulder_terms,
     arm_forces,
 )
 from .body_model import Vec2
@@ -134,11 +140,13 @@ def evaluate_grid(
     pen = _penalty(config, np.cos(t6))[None, :]
 
     trig = GridTrig(ctx.theta_04 + t5, t6)
+    shoulder = _shoulder_terms(ctx)
+    elbow = _elbow_terms(trig.rows(0, n5), ctx, shoulder, t5[:, None])
     rows_per_block = max(1, _BLOCK_CELLS // max(n6, 1))
     for lo in range(0, n5, rows_per_block):
         hi = min(lo + rows_per_block, n5)
-        r = _arm_forces(trig.rows(lo, hi), ctx, t5[lo:hi, None], t6[None, :],
-                        config.torque_magnitudes, config.force_model)
+        r = _cell_forces(trig.rows(lo, hi), ctx, shoulder, tuple(x[lo:hi] for x in elbow),
+                         t6[None, :], config.torque_magnitudes, config.force_model)
         bad = r.singular | r.ill_conditioned
         block = np.subtract(r.directed, pen, out=obj[lo:hi])
         if bad.any():
@@ -157,18 +165,21 @@ def argmax_lexicographic(landscape: ObjectiveLandscape) -> tuple[int, int]:
     Exact-value ties resolve to the smallest theta_6, then the smallest
     theta_5, matching a sequential scan in that order regardless of how
     the grid was evaluated. One pass finds the maximum over the eligible
-    cells, and a second finds the first cell holding it in the transposed,
-    (theta_6, theta_5) order. Raises NoFeasiblePoint when no eligible cell
-    has a finite value, or when an eligible cell is NaN, which evaluate_grid
-    never makes.
+    cells, and a second lists the eligible cells holding it, of which the
+    one with the smallest (theta_6, theta_5) wins. Raises NoFeasiblePoint
+    when no eligible cell has a finite value, or when an eligible cell is
+    NaN, which evaluate_grid never makes.
     """
     obj, eligible = landscape.objective, landscape.eligible
     best = np.max(obj, where=eligible, initial=-np.inf)
     if not np.isfinite(best):
         raise NoFeasiblePoint("every grid point is singular or excluded")
-    # The first winner in (theta_6, theta_5) order, read along the transpose.
-    i6, i5 = np.unravel_index(((obj == best) & eligible).T.argmax(), obj.T.shape)
-    return int(i5), int(i6)
+    # The winners' flat indices ascend in (theta_5, theta_6) order, so the
+    # first of those in the smallest theta_6 column has the smallest theta_5.
+    n6 = obj.shape[1]
+    winners = np.flatnonzero((obj == best) & eligible)
+    i5, i6 = divmod(int(winners[np.argmin(winners % n6)]), n6)
+    return i5, i6
 
 
 def feasibility_check(

@@ -87,7 +87,7 @@ def _require_keys(obj, keys: tuple[str, ...], where: str) -> None:
     missing = [k for k in keys if k not in obj]
     if missing:
         raise SchemaError(f"{where} is missing field(s): {', '.join(missing)}")
-    unknown = [k for k in obj if k not in keys]
+    unknown = [shown_name(k) for k in obj if k not in keys]
     if unknown:
         raise SchemaError(f"{where} has unknown field(s): {', '.join(unknown)}")
 

@@ -265,8 +265,8 @@ def fd_com_jacobian(chain, h=1e-6) -> np.ndarray:
 
 def lsq_jacobian(chain) -> np.ndarray:
     """The 2x3 Jacobian whose columns the lsq force model solves with."""
-    points = (chain.shoulder, chain.elbow, chain.handle, chain.com)
-    return np.array(_jacobian_columns(*((p.x, p.y) for p in points)), dtype=float).T
+    to_com = (chain.com - joint for joint in (chain.handle, chain.elbow, chain.shoulder))
+    return np.array(_jacobian_columns(*to_com), dtype=float).T
 
 
 def write_landscape_csv_per_cell(landscape, path) -> None:

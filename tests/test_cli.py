@@ -203,6 +203,21 @@ def test_a_name_no_output_can_carry_is_rejected_with_a_code(capsys, tmp_path, wh
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("where", ["scenario", "objective"])
+def test_an_unknown_field_is_printed_escaped(capsys, tmp_path, where):
+    # a key holding BEL and an ANSI colour escape must not reach the terminal
+    def add_key(d):
+        (d if where == "scenario" else d["objective"])["a\u0007\u001b[31mb"] = 1
+
+    path = broken_scenario(tmp_path, add_key)
+    finding = f"error[schema]: {where} has unknown field(s): a\\u0007\\u001b[31mb\n"
+    for command in ("validate", "optimize"):
+        out_flag = () if command == "validate" else ("--out", str(tmp_path / "out"))
+        code, out, err = run(capsys, command, "--scenario", path, *out_flag)
+        assert (code, out, err) == (2, "", finding)
+        assert not re.search("[\x00-\x09\x0b-\x1f]", err)
+
+
 def test_every_too_large_number_is_rejected_with_a_code(capsys, tmp_path):
     base = json.loads(fixture_path("toilet_sit_to_stand").read_text())
     file = tmp_path / "scenario.json"

@@ -16,7 +16,15 @@ from handleopt import (
     optimize_placement,
     placement_opt,
 )
-from handleopt.arm_kinetics import SIGN_BAND, GridTrig, _arm_forces, arm_forces, build_chain
+from handleopt.arm_kinetics import (
+    SIGN_BAND,
+    GridTrig,
+    _cell_forces,
+    _elbow_terms,
+    _shoulder_terms,
+    arm_forces,
+    build_chain,
+)
 from handleopt.body_model import FOREARM, UPPER_ARM, Vec2, unit
 from handleopt.config import (
     FORCE_MODELS,
@@ -324,14 +332,18 @@ def bits(x) -> str:
 
 
 def grid_blocks(ctx, t5, t6, mags, model):
-    """(lo, ArmForces of the grid rows lo:hi), computed as evaluate_grid does,
+    """(lo, ArmForces of the grid rows lo:hi), computed as evaluate_grid does:
+    the shoulder and elbow terms once over the whole grid, and the cells
     through one GridTrig, in two blocks of rows when there are two rows or
     more."""
     trig = GridTrig(ctx.theta_04 + t5, t6)
+    shoulder = _shoulder_terms(ctx)
+    elbow = _elbow_terms(trig.rows(0, t5.size), ctx, shoulder, t5[:, None])
     rows = (t5.size + 1) // 2
     for lo in range(0, t5.size, rows):
         hi = min(lo + rows, t5.size)
-        yield lo, _arm_forces(trig.rows(lo, hi), ctx, t5[lo:hi, None], t6[None, :], mags, model)
+        yield lo, _cell_forces(trig.rows(lo, hi), ctx, shoulder, tuple(x[lo:hi] for x in elbow),
+                               t6[None, :], mags, model)
 
 
 def assert_arm_forces_match_grid(ctx, limits, config):
@@ -576,6 +588,54 @@ def test_grid_does_not_depend_on_block_size(monkeypatch, block_cells):
         np.testing.assert_array_equal(have.objective.view(np.uint64), want.objective.view(np.uint64))
         np.testing.assert_array_equal(have.eligible, want.eligible)
         assert argmax_lexicographic(have) == argmax_lexicographic(want)
+
+
+def winner(landscape):
+    """argmax_lexicographic of the landscape, or None where no cell is eligible."""
+    try:
+        return argmax_lexicographic(landscape)
+    except NoFeasiblePoint:
+        return None
+
+
+@property_settings
+@given(ctx=contexts(), config=configs, t5=finite(-math.pi, math.pi),
+       t6=finite(-math.pi, math.pi), span5=finite(0.0, math.pi), span6=finite(0.0, math.pi))
+def test_random_grids_do_not_depend_on_block_size(ctx, config, t5, t6, span5, span6):
+    # the row stage spans the whole grid while the cell stage runs per block
+    limits = JointLimits(theta5_min=t5, theta5_max=t5 + span5,
+                         theta6_min=t6, theta6_max=t6 + span6)
+    for model in FORCE_MODELS:
+        config = replace(config, force_model=model)
+        want = evaluate_grid(ctx, limits, config)
+        for block_cells in (1, 2**24):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(placement_opt, "_BLOCK_CELLS", block_cells)
+                have = evaluate_grid(ctx, limits, config)
+            np.testing.assert_array_equal(have.objective.view(np.uint64),
+                                          want.objective.view(np.uint64))
+            np.testing.assert_array_equal(have.eligible, want.eligible)
+            assert winner(have) == winner(want)
+
+
+@pytest.mark.parametrize("block_cells", [placement_opt._BLOCK_CELLS, 1])
+def test_grid_computes_the_row_stage_once(monkeypatch, block_cells):
+    calls = {"_elbow_terms": 0, "_cell_forces": 0}
+
+    def counted(name):
+        fn = getattr(placement_opt, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(placement_opt, name, counted(name))
+    monkeypatch.setattr(placement_opt, "_BLOCK_CELLS", block_cells)
+    scenario, ctx = toilet_context()
+    evaluate_grid(ctx, scenario.limits, scenario.objective)
+    assert calls["_elbow_terms"] == 1 < calls["_cell_forces"]
 
 
 def hand_landscape(obj, eligible=None):
