@@ -329,7 +329,7 @@ def _handle_terms(ops: _Primitives, ctx: PlacementContext, row: tuple, theta6) -
     """The cell stage's geometry: the handle at theta6 on a row of the row
     stage's elbow terms, computed with ops.
 
-    Returns (phi6, cos6, sin6, hx, hy, dx7, dy7, d7s, singular, c7): the
+    Returns (phi6, cos6, sin6, hx, hy, to_com7, d7s, singular, c7): the
     forearm's world angle phi5 + theta6 with its cosine and sine, the handle
     point, its vector to the COM, the handle's lever floored at EPS_SINGULAR,
     whether any joint lies within EPS_SINGULAR of the COM, and the cosine of
@@ -342,11 +342,11 @@ def _handle_terms(ops: _Primitives, ctx: PlacementContext, row: tuple, theta6) -
     phi6, cos6, sin6 = ops.cos_sin_sum(phi5, theta6)
     hx = ex + l6 * cos6
     hy = ey + l6 * sin6
-    dx7, dy7 = ctx.com.x - hx, ctx.com.y - hy
-    d7 = ops.hypot(dx7, dy7)
+    to_com7 = (ctx.com.x - hx, ctx.com.y - hy)
+    d7 = ops.hypot(*to_com7)
     d7s = ops.maximum(d7, EPS_SINGULAR)
     c7 = ops.minimum(ops.maximum((l6 * l6 + d7 * d7 - d6 * d6) / (2.0 * l6 * d7s), -1.0), 1.0)
-    return phi6, cos6, sin6, hx, hy, dx7, dy7, d7s, singular | (d7 < EPS_SINGULAR), c7
+    return phi6, cos6, sin6, hx, hy, to_com7, d7s, singular | (d7 < EPS_SINGULAR), c7
 
 
 def _theta_7com(ops: _Primitives, phi6, c7):
@@ -450,7 +450,11 @@ def _cell_forces(ops: _Primitives, ctx: PlacementContext, shoulder: tuple, row: 
         raise ValueError(f"force model must be one of {list(FORCE_MODELS)}, got {model!r}")
     _, d5s, u5, u5v, s5, to_com5, _ = shoulder
     _, _, _, _, _, d6s, dx6, dy6, u6x, u6y, u6v, s6, _ = row
-    phi6, cos6, sin6, hx, hy, dx7, dy7, d7s, singular, c7 = _handle_terms(ops, ctx, row, theta6)
+    phi6, cos6, sin6, hx, hy, to_com7, d7s, singular, c7 = _handle_terms(ops, ctx, row, theta6)
+    # Only the lsq Jacobian reads the handle's vector to the COM, so it is
+    # dropped here, not held with its two block-sized arrays to the end.
+    columns = _jacobian_columns(to_com7, (dx6, dy6), to_com5) if model == "lsq" else None
+    del to_com7
     vx, vy = ctx.v.x, ctx.v.y
     m5, m6, m7 = magnitudes
 
@@ -461,7 +465,6 @@ def _cell_forces(ops: _Primitives, ctx: PlacementContext, shoulder: tuple, row: 
     s7 = 2.0 * (u7v >= 0.0) - 1.0
 
     if model == "lsq":
-        columns = _jacobian_columns((dx7, dy7), (dx6, dy6), to_com5)
         fx, fy, ill = _lsq_force(ops, columns, m5 * s5, m6 * s6, m7 * s7)
         directed, force = fx * vx + fy * vy, (fx, fy)
     else:
@@ -471,8 +474,8 @@ def _cell_forces(ops: _Primitives, ctx: PlacementContext, shoulder: tuple, row: 
         if ops is _ON_FLOATS:
             force = _expanded_force((d5s, d6s, d7s), (u5, (u6x, u6y), u7),
                                     m5 * s5, m6 * s6, m7 * s7)
-    return ArmForces(directed=directed, force=force, signs=(s5, s6, s7),
-                     singular=singular, ill_conditioned=ill, handle=(hx, hy))
+    # By position: a NamedTuple built by keyword takes twice as long.
+    return ArmForces(directed, force, (s5, s6, s7), singular, ill, (hx, hy))
 
 
 def build_chain(
@@ -490,7 +493,7 @@ def build_chain(
     ctx = PlacementContext(shoulder, theta_04, com, Vec2(0.0, 0.0), upper_len, fore_len)
     terms5 = _shoulder_terms(ctx)
     row = _elbow_terms(_ON_FLOATS, ctx, terms5, theta5)
-    phi6, _, _, hx, hy, _, _, d7s, singular, c7 = _handle_terms(_ON_FLOATS, ctx, row, theta6)
+    phi6, _, _, hx, hy, _, d7s, singular, c7 = _handle_terms(_ON_FLOATS, ctx, row, theta6)
     if singular:
         raise SingularChain(SINGULAR_MESSAGE)
     _, d5s, *_, theta_com = terms5
