@@ -21,23 +21,29 @@ One kernel text implements both models, in three stages split by what
 each value depends on:
 
 * context (_shoulder_terms): the shoulder's lever d5, the angle theta_com
-  from the shoulder to the COM, and the shoulder term's u5 . v;
+  from the shoulder to the COM, the shoulder term's u5 . v and the
+  shoulder's Jacobian column;
 * row (_elbow_terms): the terms of theta5 alone, namely phi5, the elbow
   point, the elbow's lever d6, the law-of-cosines c6 and lever angle
-  theta_6com, u6 . v and whether the shoulder or elbow is singular;
+  theta_6com, u6 . v and whether the shoulder or elbow is singular, then
+  the shoulder's and elbow's parts of the force: their share of the lever
+  sum under expanded, and of the 2x2 normal equations under lsq;
 * cell (_cell_forces): the terms of theta6, namely phi6, the handle point,
-  its lever d7, c7 and the handle term, then the force along v (and under
-  lsq the Jacobian columns and the 2x2 normal equations).
+  its lever d7, c7 and the handle term, then the force along v, with the
+  handle's part added last to the row stage's.
 
 The kernel has two callers, each with its own primitive set. A point query
-(arm_forces, behind objective(), the optimum and the report) runs the three
-stages on Python floats, and takes every cosine, sine, arccosine and
-hypotenuse from the same NumPy ufunc as the grid, unwrapped to a float. The
-rest of the kernel is + - * / and math.sqrt, which are correctly rounded in
-CPython and NumPy alike, max, min, abs and comparisons, which are exact,
-and the context stage, which is floats in both paths. So a point query
-equals its grid cell bit for bit by construction, while it skips the cost
-of NumPy scalars.
+(arm_forces, behind objective(), the optimum and the report) runs the row
+and cell stages on Python floats, and the context stage once for a run of
+queries on one context. It takes every cosine, sine, arccosine and
+hypotenuse from the same C function as the grid's ufunc: the first three
+from the NumPy ufunc itself, unwrapped to a float, and the hypotenuse from
+abs() of a complex, which CPython computes with the C library's hypot, as
+np.hypot does. The rest of the kernel is + - * / and math.sqrt, which are
+correctly rounded in CPython and NumPy alike, max, min, abs and
+comparisons, which are exact, and the context stage, which is floats in
+both paths. So a point query equals its grid cell bit for bit by
+construction, while it skips the cost of NumPy scalars.
 
 The grid search (placement_opt.evaluate_grid) runs the same stages on
 arrays, with the primitives of a GridTrig, built once per grid: the context
@@ -68,7 +74,7 @@ helpers, one configuration at a time. No command or solve calls them: the
 tests use them to check the chain piece by piece, and the benchmark's
 tracer (perfbench/tracing.py) looks them up by name, so they stay until it
 traces arm_forces instead. The Jacobian has no view of its own; the tests
-read the columns that the lsq model solves with from _jacobian_columns.
+read the columns that the lsq model solves with from _jacobian_column.
 """
 
 from __future__ import annotations
@@ -122,19 +128,36 @@ def _cos_sin_sum_float(phi5, theta6):
     return phi6, float(np.cos(phi6)), float(np.sin(phi6))
 
 
-# Python floats take each transcendental value from the NumPy ufunc that the
-# grid uses, so both paths round it alike. Do not swap in math.acos or
-# math.hypot: with numpy 2.4 on an AVX-512 Xeon they differ from np.arccos
-# and np.hypot in the last bit on 9.4% and 0.6% of 200,000 random inputs.
-# math.cos and math.sin happened to agree with np.cos and np.sin there, but
-# nothing promises that on another build. math.sqrt, max, min and the
-# conditional are correctly rounded or exact, as their NumPy forms are.
+def _hypot_float(x, y):
+    """The C library's hypot of two floats, as np.hypot gives it."""
+    try:
+        h = abs(complex(x, y))
+    except OverflowError:
+        return math.inf
+    # CPython answers a NaN itself, with a NaN of its own sign; the C
+    # library's x + y keeps the operands' sign, as np.hypot does.
+    return h if h == h else x + y
+
+
+# Python floats take each transcendental value from the same C function that
+# the grid's ufunc calls, so both paths round it alike. The cosine, sine and
+# arccosine come from the NumPy ufunc itself, unwrapped to a float. The
+# hypotenuse comes from abs() of a complex, which CPython computes with the C
+# library's hypot, the function that np.hypot's float64 loop calls too, while
+# it skips NumPy's scalar dispatch; tests/test_arm_kinetics.py pins that it
+# agrees with np.hypot. Do not swap in math.acos or math.hypot: math.hypot is
+# CPython's own algorithm, and with numpy 2.4 on an AVX-512 Xeon the two
+# differ from np.arccos and np.hypot in the last bit on 9.4% and 0.6% of
+# 200,000 random inputs. math.cos and math.sin happened to agree with np.cos
+# and np.sin there, but nothing promises that on another build. math.sqrt,
+# max, min and the conditional are correctly rounded or exact, as their
+# NumPy forms are.
 _ON_FLOATS = _Primitives(
     cos_sin_sum=_cos_sin_sum_float,
     cos=lambda x: float(np.cos(x)),
     sin=lambda x: float(np.sin(x)),
     arccos=lambda x: float(np.arccos(x)),
-    hypot=lambda x, y: float(np.hypot(x, y)),
+    hypot=_hypot_float,
     maximum=max, minimum=min, sqrt=math.sqrt,
     where=lambda cond, a, b: a if cond else b,
     invert=operator.not_,
@@ -277,10 +300,11 @@ class ArmForces(NamedTuple):
 def _shoulder_terms(ctx: PlacementContext) -> tuple:
     """The context stage: the shoulder's terms, floats of the context alone.
 
-    Returns (d5, d5s, u5, u5v, s5, to_com5, theta_com): the shoulder's lever
-    and the same floored at EPS_SINGULAR, the shoulder term's unit force
-    direction u5, its projection on v and the sign s5 of that, the
-    shoulder's vector to the COM, and that vector's world angle theta_com.
+    Returns (d5, d5s, u5, u5v, s5, column5, theta_com): the shoulder's
+    lever and the same floored at EPS_SINGULAR, the shoulder term's unit
+    force direction u5, its projection on v and the sign s5 of that, the
+    shoulder's Jacobian column (_jacobian_column), and the world angle
+    theta_com of the shoulder's vector to the COM.
     """
     sx, sy = ctx.shoulder
     cx, cy = ctx.com
@@ -289,21 +313,31 @@ def _shoulder_terms(ctx: PlacementContext) -> tuple:
     theta_com = math.atan2(to_com5[1], to_com5[0])
     u5 = (-math.sin(theta_com), math.cos(theta_com))
     u5v = u5[0] * ctx.v.x + u5[1] * ctx.v.y
-    return d5, max(d5, EPS_SINGULAR), u5, u5v, 1.0 if u5v >= 0.0 else -1.0, to_com5, theta_com
+    return (d5, max(d5, EPS_SINGULAR), u5, u5v, 1.0 if u5v >= 0.0 else -1.0,
+            _jacobian_column(to_com5), theta_com)
 
 
-def _elbow_terms(ops: _Primitives, ctx: PlacementContext, shoulder: tuple, theta5) -> tuple:
+def _elbow_terms(ops: _Primitives, ctx: PlacementContext, shoulder: tuple, theta5,
+                 magnitudes: tuple[float, float, float], model: str) -> tuple:
     """The row stage: the terms of theta5 alone, computed with ops on the
-    context stage's shoulder terms.
+    context stage's shoulder terms, and the shoulder's and elbow's parts of
+    the force under model, with the torque magnitudes (|tau_5|, |tau_6|,
+    |tau_7|). Raises ValueError for a model outside FORCE_MODELS.
 
-    Returns (phi5, ex, ey, d6, singular, d6s, dx6, dy6, u6x, u6y, u6v, s6,
-    theta_6com): the upper arm's world angle, the elbow point, the elbow's
+    Returns (phi5, ex, ey, d6, singular, d6s, u6x, u6y, s6, theta_6com,
+    *parts): the upper arm's world angle, the elbow point, the elbow's
     lever, whether the shoulder or the elbow lies within EPS_SINGULAR of the
-    COM, the lever floored, the elbow's vector to the COM, the elbow term's
-    unit force direction u6, its projection on v and the sign s6 of that,
-    and u6's lever angle theta_6com. _handle_terms reads the first five.
+    COM, the lever floored, the elbow term's unit force direction u6 and
+    the sign s6 of its projection on v, and u6's lever angle theta_6com.
+    _handle_terms reads the first five. parts is the lever sum of the
+    shoulder's and elbow's terms under expanded, and their shares of the
+    normal equations (_lsq_shares) under lsq. The cell stage adds the
+    handle's part last, as a sum over the three joints in turn would, so
+    the split changes no bit.
     """
-    d5 = shoulder[0]
+    if model not in FORCE_MODELS:
+        raise ValueError(f"force model must be one of {list(FORCE_MODELS)}, got {model!r}")
+    d5, d5s, _, u5v, s5, column5, _ = shoulder
     l5 = ctx.upper_len
     phi5 = ctx.theta_04 + theta5
     ex = ctx.shoulder.x + l5 * ops.cos(phi5)
@@ -320,9 +354,14 @@ def _elbow_terms(ops: _Primitives, ctx: PlacementContext, shoulder: tuple, theta
     theta_6com = phi5 - math.pi - ops.arccos(c6)
     u6x, u6y = -ops.sin(theta_6com), ops.cos(theta_6com)
     u6v = u6x * ctx.v.x + u6y * ctx.v.y
+    s6 = 2.0 * (u6v >= 0.0) - 1.0
     singular = (d5 < EPS_SINGULAR) | (d6 < EPS_SINGULAR)
-    return (phi5, ex, ey, d6, singular, d6s, dx6, dy6, u6x, u6y, u6v, 2.0 * (u6v >= 0.0) - 1.0,
-            theta_6com)
+    m5, m6, _ = magnitudes
+    if model == "lsq":
+        parts = _lsq_shares(column5, _jacobian_column((dx6, dy6)), m5 * s5, m6 * s6)
+    else:
+        parts = (m5 / d5s * abs(u5v) + m6 / d6s * abs(u6v),)
+    return (phi5, ex, ey, d6, singular, d6s, u6x, u6y, s6, theta_6com) + parts
 
 
 def _handle_terms(ops: _Primitives, ctx: PlacementContext, row: tuple, theta6) -> tuple:
@@ -391,28 +430,39 @@ def _expanded_force(levers, units, tau5, tau6, tau7) -> tuple:
     return k5 * u5[0] + k6 * u6[0] + k7 * u7[0], k5 * u5[1] + k6 * u6[1] + k7 * u7[1]
 
 
-def _jacobian_columns(to_com7, to_com6, to_com5) -> tuple:
-    """Columns of the 2x3 Jacobian of the COM point w.r.t. the chain's joint
-    angles, as (x, y) pairs, from the handle's, the elbow's and the
-    shoulder's vectors to the COM. The chain is anchored at the handle, so
-    they are ordered (handle, elbow, shoulder) to match (tau_7, tau_6, tau_5).
-    Each is the +90 degree rotation of that joint's vector to the COM."""
-    (x7, y7), (x6, y6), (x5, y5) = to_com7, to_com6, to_com5
-    return (-y7, x7), (-y6, x6), (-y5, x5)
+def _jacobian_column(to_com) -> tuple:
+    """A column of the 2x3 Jacobian of the COM point w.r.t. the chain's
+    joint angles, as an (x, y) pair: the +90 degree rotation of that
+    joint's vector to the COM. The chain is anchored at the handle, so the
+    columns are ordered (handle, elbow, shoulder) to match
+    (tau_7, tau_6, tau_5)."""
+    x, y = to_com
+    return -y, x
 
 
-def _lsq_force(ops: _Primitives, columns, tau5, tau6, tau7) -> tuple:
-    """Closed-form solve of the 2x2 normal equations (J J^T) F = J tau.
+def _lsq_shares(column5, column6, tau5, tau6) -> tuple:
+    """The shoulder's and elbow's shares of the normal equations: the sums
+    (a11, a12, a22) of their terms of J J^T and (bx, by) of J tau, from
+    their Jacobian columns and torques."""
+    (c5x, c5y), (c6x, c6y) = column5, column6
+    return (c5x * c5x + c6x * c6x, c5x * c5y + c6x * c6y, c5y * c5y + c6y * c6y,
+            tau5 * c5x + tau6 * c6x, tau5 * c5y + tau6 * c6y)
+
+
+def _lsq_force(ops: _Primitives, shares, column7, tau7) -> tuple:
+    """Closed-form solve of the 2x2 normal equations (J J^T) F = J tau,
+    from the shoulder's and elbow's shares (_lsq_shares) and the handle's
+    Jacobian column and torque.
 
     Returns (fx, fy, ill_conditioned); the system is rejected where
     lambda_max / lambda_min of J J^T exceeds COND_LIMIT.
     """
-    (c7x, c7y), (c6x, c6y), (c5x, c5y) = columns
-    a11 = c5x * c5x + c6x * c6x + c7x * c7x
-    a12 = c5x * c5y + c6x * c6y + c7x * c7y
-    a22 = c5y * c5y + c6y * c6y + c7y * c7y
-    bx = tau5 * c5x + tau6 * c6x + tau7 * c7x
-    by = tau5 * c5y + tau6 * c6y + tau7 * c7y
+    (a11, a12, a22, bx, by), (c7x, c7y) = shares, column7
+    a11 = a11 + c7x * c7x
+    a12 = a12 + c7x * c7y
+    a22 = a22 + c7y * c7y
+    bx = bx + tau7 * c7x
+    by = by + tau7 * c7y
     tr = a11 + a22
     # d * d, not d ** 2: NumPy squares an array by multiplying, while
     # Python's ** on a float goes through C pow.
@@ -427,6 +477,12 @@ def _lsq_force(ops: _Primitives, columns, tau5, tau6, tau7) -> tuple:
     return fx, fy, ops.invert(ok)
 
 
+# The context of the last point query and its shoulder terms, as one pair.
+# It is keyed on the context's identity, not its value: two contexts that
+# compare equal can differ in the sign of a zero, and so in theta_com's.
+_last_shoulder: tuple = (None, None)
+
+
 def arm_forces(ctx: PlacementContext, theta5: float, theta6: float,
                magnitudes: tuple[float, float, float], model: str) -> ArmForces:
     """Arm force along v at the float shoulder/elbow angles theta5, theta6.
@@ -435,25 +491,30 @@ def arm_forces(ctx: PlacementContext, theta5: float, theta6: float,
     where that joint's lever-sum direction has a non-negative dot product
     with v, so every expanded-model term s_i |tau_i| / lever_i |u_i . v|
     is >= 0; the lsq model uses the same signs. Raises ValueError for a
-    model outside FORCE_MODELS.
+    model outside FORCE_MODELS. The context stage runs once for a run of
+    queries on one context.
     """
-    shoulder = _shoulder_terms(ctx)
-    row = _elbow_terms(_ON_FLOATS, ctx, shoulder, theta5)
+    global _last_shoulder
+    # One read of the pair, so that another thread can cause no worse than
+    # a recompute.
+    last, shoulder = _last_shoulder
+    if last is not ctx:
+        shoulder = _shoulder_terms(ctx)
+        _last_shoulder = (ctx, shoulder)
+    row = _elbow_terms(_ON_FLOATS, ctx, shoulder, theta5, magnitudes, model)
     return _cell_forces(_ON_FLOATS, ctx, shoulder, row, theta6, magnitudes, model)
 
 
 def _cell_forces(ops: _Primitives, ctx: PlacementContext, shoulder: tuple, row: tuple, theta6,
                  magnitudes: tuple[float, float, float], model: str) -> ArmForces:
     """The cell stage: arm_forces at theta6 on a row of the row stage's
-    elbow terms, computed with ops."""
-    if model not in FORCE_MODELS:
-        raise ValueError(f"force model must be one of {list(FORCE_MODELS)}, got {model!r}")
-    _, d5s, u5, u5v, s5, to_com5, _ = shoulder
-    _, _, _, _, _, d6s, dx6, dy6, u6x, u6y, u6v, s6, _ = row
+    elbow terms for model, computed with ops."""
+    _, d5s, u5, _, s5, _, _ = shoulder
+    d6s, u6x, u6y, s6 = row[5:9]
     phi6, cos6, sin6, hx, hy, to_com7, d7s, singular, c7 = _handle_terms(ops, ctx, row, theta6)
     # Only the lsq Jacobian reads the handle's vector to the COM, so it is
     # dropped here, not held with its two block-sized arrays to the end.
-    columns = _jacobian_columns(to_com7, (dx6, dy6), to_com5) if model == "lsq" else None
+    column7 = _jacobian_column(to_com7) if model == "lsq" else None
     del to_com7
     vx, vy = ctx.v.x, ctx.v.y
     m5, m6, m7 = magnitudes
@@ -465,11 +526,11 @@ def _cell_forces(ops: _Primitives, ctx: PlacementContext, shoulder: tuple, row: 
     s7 = 2.0 * (u7v >= 0.0) - 1.0
 
     if model == "lsq":
-        fx, fy, ill = _lsq_force(ops, columns, m5 * s5, m6 * s6, m7 * s7)
+        fx, fy, ill = _lsq_force(ops, row[10:], column7, m7 * s7)
         directed, force = fx * vx + fy * vy, (fx, fy)
     else:
         ill = False
-        directed = m5 / d5s * abs(u5v) + m6 / d6s * abs(u6v) + m7 / d7s * abs(u7v)
+        directed = row[10] + m7 / d7s * abs(u7v)
         force = None
         if ops is _ON_FLOATS:
             force = _expanded_force((d5s, d6s, d7s), (u5, (u6x, u6y), u7),
@@ -492,12 +553,13 @@ def build_chain(
     # v enters only the projections on v, which a chain does not hold.
     ctx = PlacementContext(shoulder, theta_04, com, Vec2(0.0, 0.0), upper_len, fore_len)
     terms5 = _shoulder_terms(ctx)
-    row = _elbow_terms(_ON_FLOATS, ctx, terms5, theta5)
+    # A chain holds no forces, so the row stage's parts are left at zero.
+    row = _elbow_terms(_ON_FLOATS, ctx, terms5, theta5, (0.0, 0.0, 0.0), "expanded")
     phi6, _, _, hx, hy, _, d7s, singular, c7 = _handle_terms(_ON_FLOATS, ctx, row, theta6)
     if singular:
         raise SingularChain(SINGULAR_MESSAGE)
     _, d5s, *_, theta_com = terms5
-    _, ex, ey, _, _, d6s, *_, theta_6com = row
+    _, ex, ey, _, _, d6s, _, _, _, theta_6com, _ = row
     return VirtualChain(
         shoulder=shoulder,
         elbow=Vec2(ex, ey),
@@ -525,8 +587,10 @@ def arm_force_expanded(chain: VirtualChain, torques: TorqueSet) -> Vec2:
 def arm_force_lsq(chain: VirtualChain, torques: TorqueSet) -> Vec2:
     """Least-squares force: F = (J J^T)^-1 J tau, tau = (tau_7, tau_6, tau_5)."""
     com = chain.com
-    columns = _jacobian_columns(com - chain.handle, com - chain.elbow, com - chain.shoulder)
-    fx, fy, ill = _lsq_force(_ON_FLOATS, columns, torques.tau5, torques.tau6, torques.tau7)
+    shares = _lsq_shares(_jacobian_column(com - chain.shoulder),
+                         _jacobian_column(com - chain.elbow), torques.tau5, torques.tau6)
+    fx, fy, ill = _lsq_force(_ON_FLOATS, shares, _jacobian_column(com - chain.handle),
+                             torques.tau7)
     if ill:
         raise IllConditioned(ILL_CONDITIONED_MESSAGE)
     return Vec2(fx, fy)

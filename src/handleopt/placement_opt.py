@@ -13,9 +13,10 @@ vectorized in blocks, and the reduction is a pure elementwise argmax
 with a lexicographic tie-break (smaller theta_6, then smaller theta_5),
 so results do not depend on evaluation order or chunk size. The kernel
 runs in the three stages of arm_kinetics: the context stage (the
-shoulder's terms) and the row stage (the terms of theta_5 alone) run once
-per grid, the row stage on the whole theta_5 axis, and the cell stage runs
-per block of rows on those rows' slices of the row stage. One block of at
+shoulder's terms) and the row stage (the terms of theta_5 alone, with the
+shoulder's and elbow's parts of the force) run once per grid, the row
+stage on the whole theta_5 axis, and the cell stage runs per block of rows
+on those rows' slices of the row stage. One block of at
 most _BLOCK_CELLS cells is in flight at a time, which bounds peak memory
 beyond the landscape itself and the row stage's few arrays of one value a
 row. The blocks share one arm_kinetics.GridTrig, built per grid, which
@@ -141,7 +142,8 @@ def evaluate_grid(
 
     trig = GridTrig(ctx.theta_04 + t5, t6)
     shoulder = _shoulder_terms(ctx)
-    elbow = _elbow_terms(trig.rows(0, n5), ctx, shoulder, t5[:, None])
+    elbow = _elbow_terms(trig.rows(0, n5), ctx, shoulder, t5[:, None],
+                         config.torque_magnitudes, config.force_model)
     rows_per_block = max(1, _BLOCK_CELLS // max(n6, 1))
     for lo in range(0, n5, rows_per_block):
         hi = min(lo + rows_per_block, n5)
@@ -165,10 +167,11 @@ def argmax_lexicographic(landscape: ObjectiveLandscape) -> tuple[int, int]:
     Exact-value ties resolve to the smallest theta_6, then the smallest
     theta_5, matching a sequential scan in that order regardless of how
     the grid was evaluated. One pass finds the maximum over the eligible
-    cells, and a second lists the eligible cells holding it, of which the
-    one with the smallest (theta_6, theta_5) wins. Raises NoFeasiblePoint
-    when no eligible cell has a finite value, or when an eligible cell is
-    NaN, which evaluate_grid never makes.
+    cells. A second lists the cells holding it, and of those the eligible
+    ones are kept, since an excluded cell can tie the maximum; the one with
+    the smallest (theta_6, theta_5) wins. Raises NoFeasiblePoint when no
+    eligible cell has a finite value, or when an eligible cell is NaN,
+    which evaluate_grid never makes.
     """
     obj, eligible = landscape.objective, landscape.eligible
     best = np.max(obj, where=eligible, initial=-np.inf)
@@ -177,7 +180,8 @@ def argmax_lexicographic(landscape: ObjectiveLandscape) -> tuple[int, int]:
     # The winners' flat indices ascend in (theta_5, theta_6) order, so the
     # first of those in the smallest theta_6 column has the smallest theta_5.
     n6 = obj.shape[1]
-    winners = np.flatnonzero((obj == best) & eligible)
+    winners = np.flatnonzero(obj == best)
+    winners = winners[eligible.ravel()[winners]]
     i5, i6 = divmod(int(winners[np.argmin(winners % n6)]), n6)
     return i5, i6
 

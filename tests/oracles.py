@@ -15,7 +15,7 @@ import numpy as np
 from handleopt import NoFeasiblePoint, SingularChain
 from handleopt.arm_kinetics import (
     EPS_SINGULAR,
-    _jacobian_columns,
+    _jacobian_column,
     arm_force_expanded,
     build_chain,
 )
@@ -265,8 +265,8 @@ def fd_com_jacobian(chain, h=1e-6) -> np.ndarray:
 
 def lsq_jacobian(chain) -> np.ndarray:
     """The 2x3 Jacobian whose columns the lsq force model solves with."""
-    to_com = (chain.com - joint for joint in (chain.handle, chain.elbow, chain.shoulder))
-    return np.array(_jacobian_columns(*to_com), dtype=float).T
+    joints = (chain.handle, chain.elbow, chain.shoulder)
+    return np.array([_jacobian_column(chain.com - joint) for joint in joints], dtype=float).T
 
 
 def write_landscape_csv_per_cell(landscape, path) -> None:

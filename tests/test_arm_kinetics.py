@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from handleopt import IllConditioned, SingularChain, ZeroTorque
 from handleopt.arm_kinetics import (
+    _ON_FLOATS,
     _SLOTS,
     GridTrig,
     VirtualChain,
@@ -408,3 +410,30 @@ def test_grid_trig_is_exact_where_the_sums_cross_zero(n5, n6):
         assert max(diagonal_spreads(phi5, t6)) >= _SLOTS  # the table misses there
     for rows in (1, 7, n5):
         assert_grid_trig_is_exact(phi5, t6, rows)
+
+
+def assert_float_hypot_is_np_hypot(x, y):
+    """_ON_FLOATS.hypot of every pair has the bits of np.hypot's, NaN signs
+    included."""
+    with np.errstate(over="ignore"):
+        want = np.hypot(x, y)
+    have = np.array([_ON_FLOATS.hypot(a, b) for a, b in zip(x.tolist(), y.tolist())])
+    np.testing.assert_array_equal(have.view(np.uint64), want.view(np.uint64))
+
+
+def test_float_hypot_is_np_hypot_bit_for_bit(rng):
+    # A point query takes its levers from _ON_FLOATS.hypot and the grid from
+    # np.hypot, so a build whose two hypot functions differ fails here before
+    # it breaks point-grid parity.
+    n = 20_000
+    assert_float_hypot_is_np_hypot(*rng.uniform(-2.0, 2.0, (2, n)))
+    signs = rng.choice([-1.0, 1.0], (2, n))
+    assert_float_hypot_is_np_hypot(*signs * 10.0 ** rng.uniform(-300.0, 300.0, (2, n)))
+    specials = [0.0, 5e-324, 2.225073858507201e-308, 1e-310, 1e-300, 1.0, 1e300, 1e308,
+                math.inf, math.nan]
+    specials += [-x for x in specials]
+    x, y = np.array(list(itertools.product(specials, repeat=2))).T
+    assert_float_hypot_is_np_hypot(x, y)
+    # the one pair whose hypotenuse overflows, where complex abs raises
+    assert_float_hypot_is_np_hypot(np.array([1.5e308]), np.array([-1.5e308]))
+    assert _ON_FLOATS.hypot(1.5e308, -1.5e308) == math.inf

@@ -16,6 +16,7 @@ from handleopt import (
     optimize_placement,
     placement_opt,
 )
+from handleopt import arm_kinetics
 from handleopt.arm_kinetics import (
     SIGN_BAND,
     GridTrig,
@@ -333,12 +334,12 @@ def bits(x) -> str:
 
 def grid_blocks(ctx, t5, t6, mags, model):
     """(lo, ArmForces of the grid rows lo:hi), computed as evaluate_grid does:
-    the shoulder and elbow terms once over the whole grid, and the cells
-    through one GridTrig, in two blocks of rows when there are two rows or
-    more."""
+    the shoulder and elbow terms, with those joints' parts of the force,
+    once over the whole grid, and the cells through one GridTrig, in two
+    blocks of rows when there are two rows or more."""
     trig = GridTrig(ctx.theta_04 + t5, t6)
     shoulder = _shoulder_terms(ctx)
-    elbow = _elbow_terms(trig.rows(0, t5.size), ctx, shoulder, t5[:, None])
+    elbow = _elbow_terms(trig.rows(0, t5.size), ctx, shoulder, t5[:, None], mags, model)
     rows = (t5.size + 1) // 2
     for lo in range(0, t5.size, rows):
         hi = min(lo + rows, t5.size)
@@ -636,6 +637,38 @@ def test_grid_computes_the_row_stage_once(monkeypatch, block_cells):
     scenario, ctx = toilet_context()
     evaluate_grid(ctx, scenario.limits, scenario.objective)
     assert calls["_elbow_terms"] == 1 < calls["_cell_forces"]
+
+
+def test_point_queries_compute_the_context_stage_once_per_context(monkeypatch):
+    calls = 0
+    shoulder_terms = arm_kinetics._shoulder_terms
+
+    def counted(ctx):
+        nonlocal calls
+        calls += 1
+        return shoulder_terms(ctx)
+
+    monkeypatch.setattr(arm_kinetics, "_shoulder_terms", counted)
+    scenario, ctx = toilet_context()
+    lim = scenario.limits
+    for t6 in np.linspace(lim.theta6_min, lim.theta6_max, 100):
+        objective(0.5 * (lim.theta5_min + lim.theta5_max), float(t6), ctx, scenario.objective)
+    assert calls == 1
+
+
+def test_point_queries_tell_apart_contexts_that_compare_equal():
+    # The COMs differ only in the sign of a zero, so theta_com is +pi in one
+    # context and -pi in the other, and the objective's last bit differs. A
+    # cache keyed on the context's value would serve one the other's terms.
+    a = PlacementContext(Vec2(0.0, 0.0), 0.3, Vec2(-0.5, 0.0), Vec2(0.6, 0.8), 0.3, 0.3)
+    b = a._replace(com=Vec2(-0.5, -0.0))
+    assert a == b and hash(a) == hash(b)
+    config = ObjectiveConfig()
+    limits = corner_limits(0.3, 1.2, config.grid_step)
+    cell_a, cell_b = (float(evaluate_grid(ctx, limits, config).objective[0, 0]) for ctx in (a, b))
+    assert cell_a.hex() == "0x1.b808c403a13a0p+1" and cell_b.hex() == "0x1.b808c403a139fp+1"
+    for ctx, cell in ((a, cell_a), (b, cell_b), (a, cell_a)):
+        assert objective(0.3, 1.2, ctx, config).hex() == cell.hex()
 
 
 def hand_landscape(obj, eligible=None):
