@@ -139,19 +139,16 @@ def _hypot_float(x, y):
     return h if h == h else x + y
 
 
-# Python floats take each transcendental value from the same C function that
-# the grid's ufunc calls, so both paths round it alike. The cosine, sine and
-# arccosine come from the NumPy ufunc itself, unwrapped to a float. The
-# hypotenuse comes from abs() of a complex, which CPython computes with the C
-# library's hypot, the function that np.hypot's float64 loop calls too, while
-# it skips NumPy's scalar dispatch; tests/test_arm_kinetics.py pins that it
-# agrees with np.hypot. Do not swap in math.acos or math.hypot: math.hypot is
-# CPython's own algorithm, and with numpy 2.4 on an AVX-512 Xeon the two
-# differ from np.arccos and np.hypot in the last bit on 9.4% and 0.6% of
-# 200,000 random inputs. math.cos and math.sin happened to agree with np.cos
-# and np.sin there, but nothing promises that on another build. math.sqrt,
-# max, min and the conditional are correctly rounded or exact, as their
-# NumPy forms are.
+# Python floats take each transcendental value from the C function that the
+# grid's ufunc calls, so both paths round it alike: the NumPy ufunc itself for
+# the cosine, sine and arccosine, and _hypot_float for the hypotenuse (a test
+# in test_arm_kinetics.py pins it to np.hypot). Do not swap in math.acos or
+# math.hypot: math.hypot is CPython's own algorithm, and with numpy 2.4 on an
+# AVX-512 Xeon the two differ from np.arccos and np.hypot in the last bit on
+# 9.4% and 0.6% of 200,000 random inputs. math.cos and math.sin happened to
+# agree with np.cos and np.sin there, but nothing promises that on another
+# build. math.sqrt, max, min and the conditional are correctly rounded or
+# exact, as their NumPy forms are.
 _ON_FLOATS = _Primitives(
     cos_sin_sum=_cos_sin_sum_float,
     cos=lambda x: float(np.cos(x)),

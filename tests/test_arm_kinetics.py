@@ -434,6 +434,6 @@ def test_float_hypot_is_np_hypot_bit_for_bit(rng):
     specials += [-x for x in specials]
     x, y = np.array(list(itertools.product(specials, repeat=2))).T
     assert_float_hypot_is_np_hypot(x, y)
-    # the one pair whose hypotenuse overflows, where complex abs raises
+    # a hypotenuse beyond the largest float, where complex abs raises
     assert_float_hypot_is_np_hypot(np.array([1.5e308]), np.array([-1.5e308]))
     assert _ON_FLOATS.hypot(1.5e308, -1.5e308) == math.inf

@@ -10,13 +10,13 @@ from handleopt import (
     IllConditioned,
     NoFeasiblePoint,
     SingularChain,
+    arm_kinetics,
     fixture_path,
     load_scenario,
     make_context,
     optimize_placement,
     placement_opt,
 )
-from handleopt import arm_kinetics
 from handleopt.arm_kinetics import (
     SIGN_BAND,
     GridTrig,
