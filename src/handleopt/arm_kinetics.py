@@ -45,12 +45,15 @@ comparisons, which are exact, and the context stage, which is floats in
 both paths. So a point query equals its grid cell bit for bit by
 construction, while it skips the cost of NumPy scalars.
 
-The grid search (placement_opt.evaluate_grid) runs the same stages on
-arrays, with the primitives of a GridTrig, built once per grid: the context
-and row stages once per grid, the row stage on the whole theta5 axis as a
-column, and the cell stage once per block of rows, on those rows' slices of
-the row stage. Each element goes through the same operations in the same
-order wherever it is computed, so the stages change no bit.
+The grid (grid_forces, behind placement_opt.evaluate_grid) runs the same
+stages on arrays, with the primitives of a GridTrig, built once per grid:
+the context and row stages once per grid, the row stage on the whole theta5
+axis as a column, and the cell stage once per block of rows, on those rows'
+slices of the row stage. One block of at most _BLOCK_CELLS cells is in
+flight at a time, which bounds peak memory beyond the landscape itself and
+the row stage's few arrays of one value a row. Each element goes through
+the same operations in the same order wherever it is computed, so neither
+the stages nor the block size change a bit.
 The handle angle phi6 = phi5 + theta6 takes only a few values per
 anti-diagonal of the grid, so GridTrig tables np.cos and np.sin per
 diagonal and serves a cell from the table only where its phi6 has the very
@@ -81,7 +84,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -97,6 +100,11 @@ COND_LIMIT = 1e12
 # Half-width of the band around u7 . v = 0 where the lsq model takes the
 # handle torque's sign from the handle's lever angle (see _lsq_handle_dot).
 SIGN_BAND = 1e-9
+# Cells evaluated per vectorized block; bounds peak memory, not results.
+# A block's temporaries (about 200 bytes a cell) then stay in a core's L2
+# cache and are reused by the allocator from one block to the next, where
+# larger blocks are paged in afresh.
+_BLOCK_CELLS = 8_192
 
 SINGULAR_MESSAGE = f"a joint of the arm chain lies within {EPS_SINGULAR:.0e} m of the COM"
 ILL_CONDITIONED_MESSAGE = (
@@ -534,6 +542,27 @@ def _cell_forces(ops: _Primitives, ctx: PlacementContext, shoulder: tuple, row: 
                                     m5 * s5, m6 * s6, m7 * s7)
     # By position: a NamedTuple built by keyword takes twice as long.
     return ArmForces(directed, force, (s5, s6, s7), singular, ill, (hx, hy))
+
+
+def grid_forces(ctx: PlacementContext, theta5: np.ndarray, theta6: np.ndarray,
+                magnitudes: tuple[float, float, float],
+                model: str) -> Iterator[tuple[int, int, ArmForces]]:
+    """Yield (lo, hi, ArmForces) for the grid rows lo:hi of theta5 x theta6,
+    block by block, each block at most _BLOCK_CELLS cells or one row.
+
+    The fields broadcast to the block's shape (hi - lo, theta6.size), and
+    every element equals arm_forces at its angles bit for bit. Raises
+    ValueError, on the first block, for a model outside FORCE_MODELS.
+    """
+    n5, n6 = theta5.size, theta6.size
+    trig = GridTrig(ctx.theta_04 + theta5, theta6)
+    shoulder = _shoulder_terms(ctx)
+    row = _elbow_terms(trig.rows(0, n5), ctx, shoulder, theta5[:, None], magnitudes, model)
+    rows_per_block = max(1, _BLOCK_CELLS // max(n6, 1))
+    for lo in range(0, n5, rows_per_block):
+        hi = min(lo + rows_per_block, n5)
+        yield lo, hi, _cell_forces(trig.rows(lo, hi), ctx, shoulder, tuple(x[lo:hi] for x in row),
+                                   theta6[None, :], magnitudes, model)
 
 
 def build_chain(

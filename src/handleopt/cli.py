@@ -169,26 +169,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
           f"{'speed_mps':>12} {'dir_x':>9} {'dir_y':>9}")
     for i, t, com, state in rows:
         mark = " *" if i == scenario.max_effort_index else ""
-        if state is None:
-            print(f"{i:>5} {_g(t):>9} {_g(com.x):>12} {_g(com.y):>12} "
-                  f"{'-':>12} {'-':>9} {'-':>9}{mark}")
-        else:
-            print(f"{i:>5} {_g(t):>9} {_g(com.x):>12} {_g(com.y):>12} "
-                  f"{_g(state.speed):>12} {_g(state.direction.x):>9} "
-                  f"{_g(state.direction.y):>9}{mark}")
+        speed, dx, dy = ("-",) * 3 if state is None else map(_g, (state.speed, *state.direction))
+        print(f"{i:>5} {_g(t):>9} {_g(com.x):>12} {_g(com.y):>12} "
+              f"{speed:>12} {dx:>9} {dy:>9}{mark}")
     print("* max-effort frame")
 
     if args.out is not None:
         out = _out_dir(args)
         lines = ["frame,time_s,com_x_m,com_y_m,speed_mps,dir_x,dir_y"]
         for i, t, com, state in rows:
-            if state is None:
-                lines.append(f"{i},{t!r},{com.x!r},{com.y!r},,,")
-            else:
-                lines.append(
-                    f"{i},{t!r},{com.x!r},{com.y!r},"
-                    f"{state.speed!r},{state.direction.x!r},{state.direction.y!r}"
-                )
+            speed, dx, dy = ("",) * 3 if state is None else map(repr, (state.speed, *state.direction))
+            lines.append(f"{i},{t!r},{com.x!r},{com.y!r},{speed},{dx},{dy}")
         (out / "com_frames.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         state = rows[scenario.max_effort_index][3]
         (out / "com_state.json").write_text(json.dumps({

@@ -103,8 +103,9 @@ class Violation(NamedTuple):
 class ObjectiveLandscape(NamedTuple):
     """Objective samples over the full grid.
 
-    objective[i5, i6] pairs theta5[i5] with theta6[i6]; singular cells
-    hold NaN. eligible marks cells that took part in the argmax.
+    objective[i5, i6] pairs theta5[i5] with theta6[i6]; singular cells,
+    and under lsq the cells rejected as ill-conditioned, hold NaN.
+    eligible marks cells that took part in the argmax.
     """
 
     theta5: np.ndarray

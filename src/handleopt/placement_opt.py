@@ -11,17 +11,10 @@ with torque signs chosen per joint so every force term pushes along
 v_com. The search is an exhaustive scan of a fixed grid; evaluation is
 vectorized in blocks, and the reduction is a pure elementwise argmax
 with a lexicographic tie-break (smaller theta_6, then smaller theta_5),
-so results do not depend on evaluation order or chunk size. The kernel
-runs in the three stages of arm_kinetics: the context stage (the
-shoulder's terms) and the row stage (the terms of theta_5 alone, with the
-shoulder's and elbow's parts of the force) run once per grid, the row
-stage on the whole theta_5 axis, and the cell stage runs per block of rows
-on those rows' slices of the row stage. One block of at
-most _BLOCK_CELLS cells is in flight at a time, which bounds peak memory
-beyond the landscape itself and the row stage's few arrays of one value a
-row. The blocks share one arm_kinetics.GridTrig, built per grid, which
-serves the cosine and sine of the handle angle from a table of exact-bit
-hits; every cell still equals objective() at its angles bit for bit.
+so results do not depend on evaluation order or chunk size. The forces
+come block by block from arm_kinetics.grid_forces, which runs the kernel's
+stages over the grid; every cell equals objective() at its angles bit for
+bit.
 """
 
 from __future__ import annotations
@@ -30,16 +23,7 @@ import math
 
 import numpy as np
 
-from .arm_kinetics import (
-    ILL_CONDITIONED_MESSAGE,
-    SINGULAR_MESSAGE,
-    _ON_FLOATS,
-    GridTrig,
-    _cell_forces,
-    _elbow_terms,
-    _shoulder_terms,
-    arm_forces,
-)
+from .arm_kinetics import ILL_CONDITIONED_MESSAGE, SINGULAR_MESSAGE, arm_forces, grid_forces
 from .body_model import Vec2
 from .config import (
     JointLimits,
@@ -53,12 +37,6 @@ from .config import (
     oversized_grid,
 )
 from .errors import IllConditioned, NoFeasiblePoint, SingularChain
-
-# Cells evaluated per vectorized block; bounds peak memory, not results.
-# A block's temporaries (about 200 bytes a cell) then stay in a core's L2
-# cache and are reused by the allocator from one block to the next, where
-# larger blocks are paged in afresh.
-_BLOCK_CELLS = 8_192
 
 
 def _penalty(config: ObjectiveConfig, cos6):
@@ -78,7 +56,7 @@ def objective(theta5: float, theta6: float, ctx: PlacementContext, config: Objec
         raise SingularChain(SINGULAR_MESSAGE)
     if r.ill_conditioned:
         raise IllConditioned(ILL_CONDITIONED_MESSAGE)
-    return r.directed - _penalty(config, _ON_FLOATS.cos(theta6))
+    return r.directed - _penalty(config, float(np.cos(theta6)))
 
 
 def grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
@@ -123,7 +101,8 @@ def evaluate_grid(
 ) -> ObjectiveLandscape:
     """Evaluate the objective over the full (theta_5, theta_6) grid.
 
-    Singular cells are recorded as ineligible (NaN objective) instead of
+    Singular cells, and under lsq the cells whose system is rejected as
+    ill-conditioned, are recorded as ineligible (NaN objective) instead of
     raising. Given a robot, cells whose handle violates its reach or
     height window are evaluated but excluded from eligibility. Raises
     ValueError, before allocating, for a grid of more than MAX_GRID_CELLS
@@ -134,21 +113,11 @@ def evaluate_grid(
         raise ValueError(too_large)
     t5 = grid_axis(limits.theta5_min, limits.theta5_max, config.grid_step)
     t6 = grid_axis(limits.theta6_min, limits.theta6_max, config.grid_step)
-    n5, n6 = t5.size, t6.size
-
-    obj = np.empty((n5, n6), dtype=float)
-    eligible = np.empty((n5, n6), dtype=bool)
+    obj = np.empty((t5.size, t6.size), dtype=float)
+    eligible = np.empty(obj.shape, dtype=bool)
     pen = _penalty(config, np.cos(t6))[None, :]
 
-    trig = GridTrig(ctx.theta_04 + t5, t6)
-    shoulder = _shoulder_terms(ctx)
-    elbow = _elbow_terms(trig.rows(0, n5), ctx, shoulder, t5[:, None],
-                         config.torque_magnitudes, config.force_model)
-    rows_per_block = max(1, _BLOCK_CELLS // max(n6, 1))
-    for lo in range(0, n5, rows_per_block):
-        hi = min(lo + rows_per_block, n5)
-        r = _cell_forces(trig.rows(lo, hi), ctx, shoulder, tuple(x[lo:hi] for x in elbow),
-                         t6[None, :], config.torque_magnitudes, config.force_model)
+    for lo, hi, r in grid_forces(ctx, t5, t6, config.torque_magnitudes, config.force_model):
         bad = r.singular | r.ill_conditioned
         block = np.subtract(r.directed, pen, out=obj[lo:hi])
         if bad.any():

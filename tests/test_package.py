@@ -80,3 +80,17 @@ def test_sources_parse_as_the_oldest_supported_python():
     assert Path(__file__).resolve() in paths and ROOT / "src" / "handleopt" / "cli.py" in paths
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+def test_modules_import_no_private_name_of_another_module():
+    # a module's _-prefixed names are its own; the others use its public ones
+    paths = sorted((ROOT / "src" / "handleopt").glob("*.py"))
+    assert ROOT / "src" / "handleopt" / "placement_opt.py" in paths
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "handleopt"):
+                found += [f"{path.name}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert found == []

@@ -15,16 +15,12 @@ from handleopt import (
     load_scenario,
     make_context,
     optimize_placement,
-    placement_opt,
 )
 from handleopt.arm_kinetics import (
     SIGN_BAND,
-    GridTrig,
-    _cell_forces,
-    _elbow_terms,
-    _shoulder_terms,
     arm_forces,
     build_chain,
+    grid_forces,
 )
 from handleopt.body_model import FOREARM, UPPER_ARM, Vec2, unit
 from handleopt.config import (
@@ -332,19 +328,12 @@ def bits(x) -> str:
     return float(x).hex()
 
 
-def grid_blocks(ctx, t5, t6, mags, model):
-    """(lo, ArmForces of the grid rows lo:hi), computed as evaluate_grid does:
-    the shoulder and elbow terms, with those joints' parts of the force,
-    once over the whole grid, and the cells through one GridTrig, in two
-    blocks of rows when there are two rows or more."""
-    trig = GridTrig(ctx.theta_04 + t5, t6)
-    shoulder = _shoulder_terms(ctx)
-    elbow = _elbow_terms(trig.rows(0, t5.size), ctx, shoulder, t5[:, None], mags, model)
-    rows = (t5.size + 1) // 2
-    for lo in range(0, t5.size, rows):
-        hi = min(lo + rows, t5.size)
-        yield lo, _cell_forces(trig.rows(lo, hi), ctx, shoulder, tuple(x[lo:hi] for x in elbow),
-                               t6[None, :], mags, model)
+def grid_forces_in_two_blocks(ctx, t5, t6, mags, model):
+    """The blocks of grid_forces over the grid, with the block size set so
+    that it runs in two blocks of rows when there are two rows or more."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arm_kinetics, "_BLOCK_CELLS", t6.size * ((t5.size + 1) // 2))
+        return list(grid_forces(ctx, t5, t6, mags, model))
 
 
 def assert_arm_forces_match_grid(ctx, limits, config):
@@ -354,9 +343,9 @@ def assert_arm_forces_match_grid(ctx, limits, config):
     t5 = grid_axis(limits.theta5_min, limits.theta5_max, config.grid_step)
     t6 = grid_axis(limits.theta6_min, limits.theta6_max, config.grid_step)
     mags, model = config.torque_magnitudes, config.force_model
-    for lo, grid in grid_blocks(ctx, t5, t6, mags, model):
+    for lo, hi, grid in grid_forces_in_two_blocks(ctx, t5, t6, mags, model):
         shape = grid.directed.shape
-        for i5, c5 in enumerate(t5[lo:lo + shape[0]]):
+        for i5, c5 in enumerate(t5[lo:hi]):
             for i6, c6 in enumerate(t6):
                 def at(x):
                     return np.broadcast_to(x, shape)[i5, i6]
@@ -398,8 +387,9 @@ def grid_handle_signs(ctx, limits, config):
     """(t5, t6, s7 of every cell) of the grid, as evaluate_grid computes it."""
     t5 = grid_axis(limits.theta5_min, limits.theta5_max, config.grid_step)
     t6 = grid_axis(limits.theta6_min, limits.theta6_max, config.grid_step)
-    blocks = grid_blocks(ctx, t5, t6, config.torque_magnitudes, config.force_model)
-    return t5, t6, np.concatenate([r.signs[2] for _, r in blocks])
+    blocks = grid_forces_in_two_blocks(ctx, t5, t6, config.torque_magnitudes,
+                                       config.force_model)
+    return t5, t6, np.concatenate([r.signs[2] for _, _, r in blocks])
 
 
 def assert_handle_signs_match_the_angle_form(ctx, limits, config):
@@ -583,12 +573,49 @@ def fixture_grid_cases():
 def test_grid_does_not_depend_on_block_size(monkeypatch, block_cells):
     cases = fixture_grid_cases()
     expected = [evaluate_grid(ctx, limits, config, **kw) for ctx, limits, config, kw in cases]
-    monkeypatch.setattr(placement_opt, "_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(arm_kinetics, "_BLOCK_CELLS", block_cells)
     for (ctx, limits, config, kw), want in zip(cases, expected):
         have = evaluate_grid(ctx, limits, config, **kw)
         np.testing.assert_array_equal(have.objective.view(np.uint64), want.objective.view(np.uint64))
         np.testing.assert_array_equal(have.eligible, want.eligible)
         assert argmax_lexicographic(have) == argmax_lexicographic(want)
+
+
+def block_spans(ctx, t5, t6):
+    """(lo, hi) of each block that grid_forces yields over t5 x t6, checked
+    to tile the rows 0..t5.size in order, each block with at most
+    max(_BLOCK_CELLS, t6.size) cells and fields of its shape."""
+    spans = []
+    for lo, hi, r in grid_forces(ctx, t5, t6, (1.0, 1.0, 1.0), "expanded"):
+        assert lo < hi and r.directed.shape == (hi - lo, t6.size)
+        assert (hi - lo) * t6.size <= max(arm_kinetics._BLOCK_CELLS, t6.size)
+        spans.append((lo, hi))
+    assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+    assert spans[-1][1] == t5.size
+    return spans
+
+
+# a single cell, rows wider than a block (one row a block), and one column
+# (whole blocks of rows and a short last one)
+@pytest.mark.parametrize("n5, n6, blocks", [
+    (1, 1, 1),
+    (3, arm_kinetics._BLOCK_CELLS + 1, 3),
+    (2 * arm_kinetics._BLOCK_CELLS + 5, 1, 3),
+])
+def test_grid_forces_tiles_the_rows(n5, n6, blocks):
+    _, ctx = toilet_context()
+    t5, t6 = np.linspace(-1.0, 1.0, n5), np.linspace(0.2, 2.5, n6)
+    assert len(block_spans(ctx, t5, t6)) == blocks
+
+
+@pytest.mark.parametrize("block_cells", [1, 2**24])
+def test_grid_forces_tiles_a_fixture_grid(monkeypatch, block_cells):
+    scenario, ctx = toilet_context()
+    lim, step = scenario.limits, scenario.objective.grid_step
+    t5 = grid_axis(lim.theta5_min, lim.theta5_max, step)
+    t6 = grid_axis(lim.theta6_min, lim.theta6_max, step)
+    monkeypatch.setattr(arm_kinetics, "_BLOCK_CELLS", block_cells)
+    assert len(block_spans(ctx, t5, t6)) == (t5.size if block_cells == 1 else 1)
 
 
 def winner(landscape):
@@ -611,7 +638,7 @@ def test_random_grids_do_not_depend_on_block_size(ctx, config, t5, t6, span5, sp
         want = evaluate_grid(ctx, limits, config)
         for block_cells in (1, 2**24):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(placement_opt, "_BLOCK_CELLS", block_cells)
+                mp.setattr(arm_kinetics, "_BLOCK_CELLS", block_cells)
                 have = evaluate_grid(ctx, limits, config)
             np.testing.assert_array_equal(have.objective.view(np.uint64),
                                           want.objective.view(np.uint64))
@@ -619,12 +646,12 @@ def test_random_grids_do_not_depend_on_block_size(ctx, config, t5, t6, span5, sp
             assert winner(have) == winner(want)
 
 
-@pytest.mark.parametrize("block_cells", [placement_opt._BLOCK_CELLS, 1])
+@pytest.mark.parametrize("block_cells", [arm_kinetics._BLOCK_CELLS, 1])
 def test_grid_computes_the_row_stage_once(monkeypatch, block_cells):
     calls = {"_elbow_terms": 0, "_cell_forces": 0}
 
     def counted(name):
-        fn = getattr(placement_opt, name)
+        fn = getattr(arm_kinetics, name)
 
         def wrapper(*args):
             calls[name] += 1
@@ -632,8 +659,8 @@ def test_grid_computes_the_row_stage_once(monkeypatch, block_cells):
         return wrapper
 
     for name in calls:
-        monkeypatch.setattr(placement_opt, name, counted(name))
-    monkeypatch.setattr(placement_opt, "_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(arm_kinetics, name, counted(name))
+    monkeypatch.setattr(arm_kinetics, "_BLOCK_CELLS", block_cells)
     scenario, ctx = toilet_context()
     evaluate_grid(ctx, scenario.limits, scenario.objective)
     assert calls["_elbow_terms"] == 1 < calls["_cell_forces"]
