@@ -33,7 +33,8 @@ each value depends on:
   handle's part added last to the row stage's.
 
 The kernel has two callers, each with its own primitive set. A point query
-(arm_forces, behind objective(), the optimum and the report) runs the row
+(directed_forces behind objective(), arm_forces behind the optimum and the
+report, which alone read the expanded model's force vector) runs the row
 and cell stages on Python floats, and the context stage once for a run of
 queries on one context. It takes every cosine, sine, arccosine and
 hypotenuse from the same C function as the grid's ufunc: the first three
@@ -54,6 +55,11 @@ flight at a time, which bounds peak memory beyond the landscape itself and
 the row stage's few arrays of one value a row. Each element goes through
 the same operations in the same order wherever it is computed, so neither
 the stages nor the block size change a bit.
+The cell stage updates each array it creates in place (t = b * c; t += a
+for a + b * c), which on a float only rebinds the name to the same value,
+so both callers still run one text. It swaps only the operands of + and *,
+regroups nothing, and writes no array it did not create: never the row
+stage's slices, the GridTrig tables or theta6, which every block shares.
 The handle angle phi6 = phi5 + theta6 takes only a few values per
 anti-diagonal of the grid, so GridTrig tables np.cos and np.sin per
 diagonal and serves a cell from the table only where its phi6 has the very
@@ -101,9 +107,10 @@ COND_LIMIT = 1e12
 # handle torque's sign from the handle's lever angle (see _lsq_handle_dot).
 SIGN_BAND = 1e-9
 # Cells evaluated per vectorized block; bounds peak memory, not results.
-# A block's temporaries (about 200 bytes a cell) then stay in a core's L2
-# cache and are reused by the allocator from one block to the next, where
-# larger blocks are paged in afresh.
+# A block's temporaries (by tracemalloc, about 120 bytes a cell under
+# expanded and 190 under lsq) then stay in a core's L2 cache and are reused
+# by the allocator from one block to the next, where larger blocks are
+# paged in afresh.
 _BLOCK_CELLS = 8_192
 
 SINGULAR_MESSAGE = f"a joint of the arm chain lies within {EPS_SINGULAR:.0e} m of the COM"
@@ -284,8 +291,8 @@ class ArmForces(NamedTuple):
 
     directed is F.v under the chosen model, with the torque signs chosen
     so that every expanded-model term pushes along v. force is (fx, fy):
-    the lsq model always has it, the expanded model only at a single
-    point, because the grid needs only its projection. signs holds
+    the lsq model always has it, the expanded model only from arm_forces,
+    because the grid and objective() need only its projection. signs holds
     (s5, s6, s7), each +1.0 or -1.0, the sign of u_i . v for each torque
     term's unit direction u_i; both models give the same signs, although
     the lsq model computes s7 from an angle-sum form (_lsq_handle_dot).
@@ -359,7 +366,7 @@ def _elbow_terms(ops: _Primitives, ctx: PlacementContext, shoulder: tuple, theta
     theta_6com = phi5 - math.pi - ops.arccos(c6)
     u6x, u6y = -ops.sin(theta_6com), ops.cos(theta_6com)
     u6v = u6x * ctx.v.x + u6y * ctx.v.y
-    s6 = 2.0 * (u6v >= 0.0) - 1.0
+    s6 = ops.where(u6v >= 0.0, 1.0, -1.0)
     singular = (d5 < EPS_SINGULAR) | (d6 < EPS_SINGULAR)
     m5, m6, _ = magnitudes
     if model == "lsq":
@@ -384,18 +391,29 @@ def _handle_terms(ops: _Primitives, ctx: PlacementContext, row: tuple, theta6) -
     phi5, ex, ey, d6, singular = row[:5]
     l6 = ctx.fore_len
     phi6, cos6, sin6 = ops.cos_sin_sum(phi5, theta6)
-    hx = ex + l6 * cos6
-    hy = ey + l6 * sin6
+    hx = l6 * cos6
+    hx += ex
+    hy = l6 * sin6
+    hy += ey
     to_com7 = (ctx.com.x - hx, ctx.com.y - hy)
     d7 = ops.hypot(*to_com7)
     d7s = ops.maximum(d7, EPS_SINGULAR)
-    c7 = ops.minimum(ops.maximum((l6 * l6 + d7 * d7 - d6 * d6) / (2.0 * l6 * d7s), -1.0), 1.0)
-    return phi6, cos6, sin6, hx, hy, to_com7, d7s, singular | (d7 < EPS_SINGULAR), c7
+    # The law of cosines, as in _elbow_terms.
+    c7 = d7 * d7
+    c7 += l6 * l6
+    c7 -= d6 * d6
+    c7 /= 2.0 * l6 * d7s
+    c7 = ops.minimum(ops.maximum(c7, -1.0), 1.0)
+    near = d7 < EPS_SINGULAR
+    near |= singular
+    return phi6, cos6, sin6, hx, hy, to_com7, d7s, near, c7
 
 
 def _theta_7com(ops: _Primitives, phi6, c7):
     """The handle term's lever angle, phi6 - pi + arccos(c7)."""
-    return phi6 - math.pi + ops.arccos(c7)
+    a = phi6 - math.pi
+    a += ops.arccos(c7)
+    return a
 
 
 def _handle_term(ops: _Primitives, phi6, c7, vx: float, vy: float) -> tuple:
@@ -403,7 +421,9 @@ def _handle_term(ops: _Primitives, phi6, c7, vx: float, vy: float) -> tuple:
     u7 = (-sin a, cos a) at its lever angle a, and its projection on v."""
     a = _theta_7com(ops, phi6, c7)
     u7 = (-ops.sin(a), ops.cos(a))
-    return u7, u7[0] * vx + u7[1] * vy
+    u7v = u7[0] * vx
+    u7v += u7[1] * vy
+    return u7, u7v
 
 
 def _lsq_handle_dot(ops: _Primitives, phi6, cos6, sin6, c7, vx: float, vy: float):
@@ -423,8 +443,16 @@ def _lsq_handle_dot(ops: _Primitives, phi6, cos6, sin6, c7, vx: float, vy: float
     decides. s7 keeps the bits of the angle form in every cell, and a grid
     computes that form only for the cells in the band.
     """
-    r7 = ops.sqrt((1.0 - c7) * (1.0 + c7))
-    dot = (sin6 * c7 + cos6 * r7) * vx - (cos6 * c7 - sin6 * r7) * vy
+    r7 = 1.0 - c7
+    r7 *= 1.0 + c7
+    r7 = ops.sqrt(r7)
+    dot = sin6 * c7
+    dot += cos6 * r7
+    dot *= vx
+    dy = cos6 * c7
+    dy -= sin6 * r7
+    dy *= vy
+    dot -= dy
     return ops.in_band(dot, lambda phi6, c7: _handle_term(ops, phi6, c7, vx, vy)[1], phi6, c7)
 
 
@@ -462,23 +490,45 @@ def _lsq_force(ops: _Primitives, shares, column7, tau7) -> tuple:
     Returns (fx, fy, ill_conditioned); the system is rejected where
     lambda_max / lambda_min of J J^T exceeds COND_LIMIT.
     """
-    (a11, a12, a22, bx, by), (c7x, c7y) = shares, column7
-    a11 = a11 + c7x * c7x
-    a12 = a12 + c7x * c7y
-    a22 = a22 + c7y * c7y
-    bx = bx + tau7 * c7x
-    by = by + tau7 * c7y
-    tr = a11 + a22
+    (s11, s12, s22, sbx, sby), (c7x, c7y) = shares, column7
+    # The shares are the row stage's, so each sum starts from the handle's
+    # term and adds the share to it.
+    a11 = c7x * c7x
+    a11 += s11
+    a12 = c7x * c7y
+    a12 += s12
+    a22 = c7y * c7y
+    a22 += s22
+    bx = tau7 * c7x
+    bx += sbx
+    by = tau7 * c7y
+    by += sby
     # d * d, not d ** 2: NumPy squares an array by multiplying, while
     # Python's ** on a float goes through C pow.
     d = a11 - a22
-    disc = ops.sqrt(d * d + 4.0 * a12 * a12)
-    lam_min = 0.5 * (tr - disc)
-    lam_max = 0.5 * (tr + disc)
-    ok = (lam_min > 0.0) & (lam_max <= COND_LIMIT * lam_min)
-    det = ops.where(ok, a11 * a22 - a12 * a12, 1.0)
-    fx = (a22 * bx - a12 * by) / det
-    fy = (a11 * by - a12 * bx) / det
+    d *= d
+    t = 4.0 * a12
+    t *= a12
+    d += t
+    disc = ops.sqrt(d)
+    lam_max = a11 + a22  # the trace, until disc is added
+    lam_min = lam_max - disc
+    lam_max += disc
+    lam_min *= 0.5
+    lam_max *= 0.5
+    ok = lam_min > 0.0
+    lam_min *= COND_LIMIT
+    ok &= lam_max <= lam_min
+    del d, t, disc, lam_min, lam_max
+    det = a11 * a22
+    det -= a12 * a12
+    det = ops.where(ok, det, 1.0)
+    fx = a22 * bx
+    fx -= a12 * by
+    fx /= det
+    fy = a11 * by
+    fy -= a12 * bx
+    fy /= det
     return fx, fy, ops.invert(ok)
 
 
@@ -499,6 +549,22 @@ def arm_forces(ctx: PlacementContext, theta5: float, theta6: float,
     model outside FORCE_MODELS. The context stage runs once for a run of
     queries on one context.
     """
+    return _point_forces(ctx, theta5, theta6, magnitudes, model, True)
+
+
+def directed_forces(ctx: PlacementContext, theta5: float, theta6: float,
+                    magnitudes: tuple[float, float, float], model: str) -> ArmForces:
+    """arm_forces as a grid cell holds it: under expanded, without the force
+    vector (force is None), which only a report reads. objective() calls
+    this."""
+    return _point_forces(ctx, theta5, theta6, magnitudes, model, False)
+
+
+def _point_forces(ctx: PlacementContext, theta5: float, theta6: float,
+                  magnitudes: tuple[float, float, float], model: str,
+                  vector: bool) -> ArmForces:
+    """A point query: the row and cell stages on floats, with the expanded
+    force vector where vector holds."""
     global _last_shoulder
     # One read of the pair, so that another thread can cause no worse than
     # a recompute.
@@ -507,13 +573,15 @@ def arm_forces(ctx: PlacementContext, theta5: float, theta6: float,
         shoulder = _shoulder_terms(ctx)
         _last_shoulder = (ctx, shoulder)
     row = _elbow_terms(_ON_FLOATS, ctx, shoulder, theta5, magnitudes, model)
-    return _cell_forces(_ON_FLOATS, ctx, shoulder, row, theta6, magnitudes, model)
+    return _cell_forces(_ON_FLOATS, ctx, shoulder, row, theta6, magnitudes, model, vector)
 
 
 def _cell_forces(ops: _Primitives, ctx: PlacementContext, shoulder: tuple, row: tuple, theta6,
-                 magnitudes: tuple[float, float, float], model: str) -> ArmForces:
+                 magnitudes: tuple[float, float, float], model: str,
+                 vector: bool) -> ArmForces:
     """The cell stage: arm_forces at theta6 on a row of the row stage's
-    elbow terms for model, computed with ops."""
+    elbow terms for model, computed with ops, with the expanded model's
+    force vector only where vector holds (lsq computes it in any case)."""
     _, d5s, u5, _, s5, _, _ = shoulder
     d6s, u6x, u6y, s6 = row[5:9]
     phi6, cos6, sin6, hx, hy, to_com7, d7s, singular, c7 = _handle_terms(ops, ctx, row, theta6)
@@ -528,16 +596,22 @@ def _cell_forces(ops: _Primitives, ctx: PlacementContext, shoulder: tuple, row: 
         u7v = _lsq_handle_dot(ops, phi6, cos6, sin6, c7, vx, vy)
     else:
         u7, u7v = _handle_term(ops, phi6, c7, vx, vy)
-    s7 = 2.0 * (u7v >= 0.0) - 1.0
+    # Dropped, like to_com7, so that a block holds fewer arrays at a time.
+    del phi6, cos6, sin6, c7
+    s7 = ops.where(u7v >= 0.0, 1.0, -1.0)
 
     if model == "lsq":
         fx, fy, ill = _lsq_force(ops, row[10:], column7, m7 * s7)
-        directed, force = fx * vx + fy * vy, (fx, fy)
+        directed = fx * vx
+        directed += fy * vy
+        force = fx, fy
     else:
         ill = False
-        directed = row[10] + m7 / d7s * abs(u7v)
+        directed = m7 / d7s
+        directed *= abs(u7v)
+        directed += row[10]
         force = None
-        if ops is _ON_FLOATS:
+        if vector:
             force = _expanded_force((d5s, d6s, d7s), (u5, (u6x, u6y), u7),
                                     m5 * s5, m6 * s6, m7 * s7)
     # By position: a NamedTuple built by keyword takes twice as long.
@@ -562,7 +636,7 @@ def grid_forces(ctx: PlacementContext, theta5: np.ndarray, theta6: np.ndarray,
     for lo in range(0, n5, rows_per_block):
         hi = min(lo + rows_per_block, n5)
         yield lo, hi, _cell_forces(trig.rows(lo, hi), ctx, shoulder, tuple(x[lo:hi] for x in row),
-                                   theta6[None, :], magnitudes, model)
+                                   theta6[None, :], magnitudes, model, False)
 
 
 def build_chain(

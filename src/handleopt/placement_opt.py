@@ -23,7 +23,9 @@ import math
 
 import numpy as np
 
-from .arm_kinetics import ILL_CONDITIONED_MESSAGE, SINGULAR_MESSAGE, arm_forces, grid_forces
+from .arm_kinetics import (
+    ILL_CONDITIONED_MESSAGE, SINGULAR_MESSAGE, arm_forces, directed_forces, grid_forces,
+)
 from .body_model import Vec2
 from .config import (
     JointLimits,
@@ -51,7 +53,7 @@ def objective(theta5: float, theta6: float, ctx: PlacementContext, config: Objec
     Raises SingularChain or IllConditioned exactly where the grid cell
     holds NaN.
     """
-    r = arm_forces(ctx, theta5, theta6, config.torque_magnitudes, config.force_model)
+    r = directed_forces(ctx, theta5, theta6, config.torque_magnitudes, config.force_model)
     if r.singular:
         raise SingularChain(SINGULAR_MESSAGE)
     if r.ill_conditioned:

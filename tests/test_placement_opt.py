@@ -666,6 +666,55 @@ def test_grid_computes_the_row_stage_once(monkeypatch, block_cells):
     assert calls["_elbow_terms"] == 1 < calls["_cell_forces"]
 
 
+def read_only(x):
+    """x, with every array in it, through nested tuples, made read-only."""
+    if isinstance(x, np.ndarray):
+        x.flags.writeable = False
+    elif isinstance(x, tuple):
+        for y in x:
+            read_only(y)
+    return x
+
+
+def field_bits(r):
+    """Every value of an ArmForces, each as an array of its bits."""
+    out = []
+    for field in r:
+        for x in field if isinstance(field, tuple) else (field,):
+            out.append(None if x is None else np.asarray(x, dtype=float).view(np.uint64))
+    return out
+
+
+@pytest.mark.parametrize("model", FORCE_MODELS)
+def test_cell_stage_writes_no_array_shared_across_blocks(monkeypatch, model):
+    # The cell stage updates the arrays it creates in place. Every array that
+    # grid_forces shares across blocks (the row stage's, the GridTrig tables
+    # and the axes) is made read-only here, so that a write into one raises:
+    # a write into a block's row slices would change no later block's cells.
+    scenario, ctx = toilet_context()
+    lim, step = scenario.limits, scenario.objective.grid_step
+    t5 = grid_axis(lim.theta5_min, lim.theta5_max, step)
+    t6 = grid_axis(lim.theta6_min, lim.theta6_max, step)
+    mags = scenario.objective.torque_magnitudes
+    monkeypatch.setattr(arm_kinetics, "_BLOCK_CELLS", t6.size * (t5.size // 4 + 1))
+    want = list(grid_forces(ctx, t5, t6, mags, model))
+
+    elbow_terms, trig_init = arm_kinetics._elbow_terms, arm_kinetics.GridTrig.__init__
+
+    def init(self, *args):
+        trig_init(self, *args)
+        read_only(tuple(vars(self).values()))
+
+    monkeypatch.setattr(arm_kinetics, "_elbow_terms", lambda *a: read_only(elbow_terms(*a)))
+    monkeypatch.setattr(arm_kinetics.GridTrig, "__init__", init)
+    have = list(grid_forces(ctx, read_only(t5.copy()), read_only(t6.copy()), mags, model))
+    assert len(have) == len(want) == 4
+    for (lo, hi, r), (want_lo, want_hi, w) in zip(have, want):
+        assert (lo, hi) == (want_lo, want_hi)
+        for x, y in zip(field_bits(r), field_bits(w), strict=True):
+            np.testing.assert_array_equal(x, y)
+
+
 def test_point_queries_compute_the_context_stage_once_per_context(monkeypatch):
     calls = 0
     shoulder_terms = arm_kinetics._shoulder_terms
