@@ -52,7 +52,11 @@ the context and row stages once per grid, the row stage on the whole theta5
 axis as a column, and the cell stage once per block of rows, on those rows'
 slices of the row stage. One block of at most _BLOCK_CELLS cells is in
 flight at a time, which bounds peak memory beyond the landscape itself and
-the row stage's few arrays of one value a row. Each element goes through
+the row stage's few arrays of one value a row. That holds only if the
+consumer holds one block and drops every name bound to it before the next
+next(), since the generator cannot free what its caller still holds
+(evaluate_grid ends its loop body with a del). The next block's
+temporaries then reuse the memory just freed. Each element goes through
 the same operations in the same order wherever it is computed, so neither
 the stages nor the block size change a bit.
 The cell stage updates each array it creates in place (t = b * c; t += a
@@ -107,8 +111,8 @@ COND_LIMIT = 1e12
 # handle torque's sign from the handle's lever angle (see _lsq_handle_dot).
 SIGN_BAND = 1e-9
 # Cells evaluated per vectorized block; bounds peak memory, not results.
-# A block's temporaries (by tracemalloc, about 120 bytes a cell under
-# expanded and 190 under lsq) then stay in a core's L2 cache and are reused
+# A block's temporaries (by tracemalloc, about 90 bytes a cell under
+# expanded and 140 under lsq) then stay in a core's L2 cache and are reused
 # by the allocator from one block to the next, where larger blocks are
 # paged in afresh.
 _BLOCK_CELLS = 8_192
@@ -625,7 +629,10 @@ def grid_forces(ctx: PlacementContext, theta5: np.ndarray, theta6: np.ndarray,
     block by block, each block at most _BLOCK_CELLS cells or one row.
 
     The fields broadcast to the block's shape (hi - lo, theta6.size), and
-    every element equals arm_forces at its angles bit for bit. Raises
+    every element equals arm_forces at its angles bit for bit. A consumer
+    holds one block and drops it, every array of it and every array it
+    derived from it, before the next next(); else two blocks are in flight
+    while the next one is computed. Raises
     ValueError, on the first block, for a model outside FORCE_MODELS.
     """
     n5, n6 = theta5.size, theta6.size

@@ -301,6 +301,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         write_landscape_csv(landscape, out / f"{stem}.csv")
         (out / f"{stem}.svg").write_text(render_landscape(landscape, placement.argmax_index),
                                          encoding="utf-8")
+        # Drop this value's solve before the next one, so that a sweep holds
+        # one landscape at a time.
+        del placement, landscape
     (out / "sweep.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     print(f"wrote {out / 'sweep.csv'} and {2 * len(values)} landscape files")
     return 0

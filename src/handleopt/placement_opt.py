@@ -128,6 +128,10 @@ def evaluate_grid(
         if robot is not None:
             for _, _, _, violated in robot_checks(*r.handle, robot, floor_y, robot_base):
                 ok &= ~violated
+            del violated
+        # Drop the block before grid_forces computes the next one, so that
+        # one block is in flight and its temporaries reuse this one's memory.
+        del r, bad, block, ok
 
     return ObjectiveLandscape(theta5=t5, theta6=t6, objective=obj, eligible=eligible)
 

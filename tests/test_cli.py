@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -470,6 +471,29 @@ def test_sweep_writes_per_value_landscapes(capsys, tmp_path):
     # a larger elbow penalty can only lower the optimum
     objectives = [float(row.split(",")[3]) for row in sweep_lines[1:]]
     assert objectives[0] >= objectives[1] >= objectives[2]
+
+
+def test_sweep_holds_one_landscape_at_a_time(capsys, tmp_path, monkeypatch):
+    # when the next value's solve starts, no name may still hold the last
+    # value's landscape arrays
+    run_optimization = handleopt.cli._run_optimization
+    refs, solves = [], 0
+
+    def tracked(*args):
+        nonlocal solves
+        alive = sum(ref() is not None for ref in refs)
+        assert alive == 0, f"{alive} array(s) of value {solves - 1} still alive"
+        solves += 1
+        result = run_optimization(*args)
+        refs[:] = [weakref.ref(a) for a in result[3]]  # both axes, objective, eligible
+        return result
+
+    monkeypatch.setattr(handleopt.cli, "_run_optimization", tracked)
+    code, out, err = run(
+        capsys, "sweep", "--scenario", TOILET, "--out", str(tmp_path),
+        "--range", "0,0.4,0.2", "--grid-step-deg", "5",
+    )
+    assert (code, err, solves, len(refs)) == (0, "", 3, 4)
 
 
 def test_sweep_rejects_bad_range(capsys, tmp_path):

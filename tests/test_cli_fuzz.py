@@ -1,0 +1,216 @@
+"""A fuzz gate for the two-outcome contract: a scenario file is either
+rejected with a documented exit code and a stable code, or it gives finite
+output that a rerun repeats byte for byte.
+
+Hypothesis mutates the packaged fixtures' JSON trees. It replaces, deletes,
+copies and adds keys and values, with strings that hold control, surrogate
+and markup characters and numbers at the extremes. Each mutated file runs
+through validate, analyze, optimize and render in-process at a 5 degree
+grid, since a fresh process per run would cost 80-250 ms. stdout and stderr
+are strict UTF-8 streams, so a lone surrogate that reaches them raises.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import math
+import re
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from handleopt import fixture_path
+from handleopt.cli import main
+
+from oracles import list_fixtures
+
+FIXTURES = [json.loads(fixture_path(name).read_text()) for name in list_fixtures()]
+
+EXIT_CODES = {0, 1, 2, 3}  # success, failed validation, parse/schema/usage/IO, numeric
+# The one line that main prints for a command it refuses.
+ERROR_LINE = re.compile(r"error\[(parse|schema|validation|numeric|usage|io)\]: [^\n]*\n")
+# What validate prints to stderr for a scenario with error findings.
+FINDING_LINES = re.compile(r"(error\[[a-z_]+\]: [^\n]*\n)+")
+C0_BUT_NEWLINE_AND_TAB = re.compile("[\x00-\x08\x0b-\x1f]")
+GRID = ("--grid-step-deg", "5")
+
+ODD_CHARACTERS = ["\x00", "\x07", "\x1b[31m", "\r", "\t", "\n", "\x7f", "\x85", "\ud800",
+                  "\udfff", "\ufffe", "\uffff", "\u202e", "<", ">", "&", "]]>", '"', "'",
+                  "\\", "{", "%s", "é", "\U0001f600", " "]
+strings = st.one_of(
+    st.lists(st.sampled_from(ODD_CHARACTERS), max_size=4).map("".join),
+    st.text(max_size=6),
+)
+EXTREME_NUMBERS = [0, -0.0, 1, -1, 5e-324, -5e-324, 1e-300, 1e-9, 1e16, 1e300, -1e300,
+                   1.7976931348623157e308, math.inf, -math.inf, math.nan, 2**53 + 1,
+                   -(2**63), 10**400]
+numbers = st.one_of(st.sampled_from(EXTREME_NUMBERS), st.floats(), st.integers(-1000, 1000))
+values = st.recursive(
+    st.one_of(numbers, strings, st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(strings, inner, max_size=3)),
+    max_leaves=6,
+)
+
+
+def node_paths(node, path=()):
+    """Key paths of every value in a JSON tree, the root's () first."""
+    out = [path]
+    if isinstance(node, dict):
+        for k, v in node.items():
+            out += node_paths(v, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            out += node_paths(v, path + (i,))
+    return out
+
+
+def node_at(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
+def is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# How often each mutation is drawn: the ones that keep the schema's types
+# come first and most often, so that most files get past the schema check.
+MUTATIONS = ["scale"] * 3 + ["number"] * 3 + ["string", "add"] * 2 + ["copy", "replace", "delete"]
+# The values each mutation applies to; the others apply to any value.
+TARGETS = {
+    "scale": lambda x: isinstance(x, float),
+    "number": is_number,
+    "string": lambda x: isinstance(x, str),
+    "add": lambda x: isinstance(x, (dict, list)),
+}
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A fixture's JSON tree after one to three mutations."""
+    tree = copy.deepcopy(draw(st.sampled_from(FIXTURES)))
+    keys = sorted({k for p in node_paths(tree) for k in p if isinstance(k, str)})
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(MUTATIONS))
+        paths = node_paths(tree)
+        if op in TARGETS:
+            paths = [p for p in paths if TARGETS[op](node_at(tree, p))]
+        elif op == "delete":
+            paths = paths[1:]  # all but the root
+        if not paths:
+            continue
+        path = draw(st.sampled_from(paths))
+        node = node_at(tree, path)
+        if op == "delete":
+            del node_at(tree, path[:-1])[path[-1]]
+            continue
+        if op == "add":
+            value = draw(values)
+            if isinstance(node, dict):
+                node[draw(st.one_of(st.sampled_from(keys), strings))] = value
+            else:
+                node.insert(draw(st.integers(0, len(node))), value)
+            continue
+        if op == "scale":
+            new = node * draw(st.sampled_from([0.5, 0.9, 1.1, 2.0]))
+        elif op == "number":
+            new = draw(numbers)
+        elif op == "string":
+            new = draw(strings)
+        elif op == "copy":
+            new = copy.deepcopy(node_at(tree, draw(st.sampled_from(node_paths(tree)))))
+        else:
+            new = draw(values)
+        if path:
+            node_at(tree, path[:-1])[path[-1]] = new
+        else:
+            tree = new
+    return tree
+
+
+def run(*argv):
+    """main's exit code, stdout and stderr, each stream strict UTF-8."""
+    streams = [io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2)]
+    with contextlib.redirect_stdout(streams[0]), contextlib.redirect_stderr(streams[1]):
+        code = main(list(argv))
+    for stream in streams:
+        stream.flush()
+    out, err = (stream.buffer.getvalue().decode("utf-8") for stream in streams)
+    return code, out, err
+
+
+def written(out_dir):
+    """Each file under out_dir by name, as bytes."""
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())} if out_dir.exists() else {}
+
+
+def finite_numbers(tree):
+    """Whether every number in a parsed JSON tree is finite."""
+    if isinstance(tree, dict):
+        return all(finite_numbers(v) for v in tree.values())
+    if isinstance(tree, list):
+        return all(finite_numbers(v) for v in tree)
+    return not isinstance(tree, float) or math.isfinite(tree)
+
+
+def printed_numbers_are_finite(out):
+    """Whether every number in optimize's stdout, the scenario's name and the
+    path of the files it wrote aside, is finite."""
+    lines = [line for line in out.splitlines() if not line.startswith(("scenario: ", "wrote "))]
+    for token in " ".join(lines).split():
+        try:
+            value = float(token.strip("[],"))
+        except ValueError:
+            continue
+        if not math.isfinite(value):
+            return False
+    return True
+
+
+def check_outcome(command, code, out, err, files):
+    """The two-outcome contract for one run's exit code, streams and files."""
+    assert code in EXIT_CODES, (command, code, err)
+    for text in (out, err, *(b.decode("utf-8") for b in files.values())):
+        assert not C0_BUT_NEWLINE_AND_TAB.search(text), (command, text[:500])
+    if code == 0:
+        return
+    if command == "validate" and code == 1:
+        assert FINDING_LINES.fullmatch(err), err
+        assert out.endswith(" warning(s)\n"), out
+    else:
+        assert ERROR_LINE.fullmatch(err), (command, code, err)
+        assert out == "", (command, out)
+    assert files == {}, (command, sorted(files))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(scenario=mutated_scenarios())
+@example(scenario=FIXTURES[0])
+@example(scenario={**FIXTURES[0], "name": "a\x07\x1b[31mb\ud800"})
+def test_mutated_scenarios_are_rejected_with_a_code_or_give_finite_reproducible_output(
+        tmp_path_factory, scenario):
+    root = tmp_path_factory.mktemp("fuzz")
+    path = root / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    runs = [
+        ("validate", GRID),
+        ("analyze", ()),
+        ("optimize", GRID),
+        ("render", GRID),
+    ]
+    for command, flags in runs:
+        out_dir = root / command
+        argv = (command, "--scenario", str(path), *flags)
+        if command != "validate":  # validate writes nothing and takes no --out
+            argv += ("--out", str(out_dir))
+        code, out, err = run(*argv)
+        files = written(out_dir)
+        check_outcome(command, code, out, err, files)
+        if command == "optimize" and code == 0:
+            assert printed_numbers_are_finite(out), out
+            assert finite_numbers(json.loads(files["placement_report.json"])), files
+            assert run(*argv) == (code, out, err)
+            assert written(out_dir) == files

@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from handleopt import (
     load_scenario,
     make_context,
     optimize_placement,
+    placement_opt,
 )
 from handleopt.arm_kinetics import (
     SIGN_BAND,
@@ -664,6 +666,51 @@ def test_grid_computes_the_row_stage_once(monkeypatch, block_cells):
     scenario, ctx = toilet_context()
     evaluate_grid(ctx, scenario.limits, scenario.objective)
     assert calls["_elbow_terms"] == 1 < calls["_cell_forces"]
+
+
+def arrays_in(x):
+    """Every array in x, through nested tuples and lists."""
+    if isinstance(x, np.ndarray):
+        return [x]
+    if isinstance(x, (tuple, list)):
+        return [a for y in x for a in arrays_in(y)]
+    return []
+
+
+@pytest.mark.parametrize("model", FORCE_MODELS)
+@pytest.mark.parametrize("constrained", [False, True])
+def test_evaluate_grid_holds_one_block_in_flight(monkeypatch, model, constrained):
+    # The cell stage's directed force is an array of the block alone, and so
+    # is every array of the robot checks on it. When the next block's cell
+    # stage starts, no name may still hold any of them.
+    cell_forces, checks = arm_kinetics._cell_forces, placement_opt.robot_checks
+    refs, blocks = [], 0
+
+    def tracked(call, arrays):
+        def wrapper(*args):
+            out = call(*args)
+            refs.extend(weakref.ref(a) for a in arrays(out))
+            return out
+        return wrapper
+
+    def next_block(*args):
+        nonlocal blocks
+        alive = sum(ref() is not None for ref in refs)
+        assert alive == 0, f"{alive} array(s) of block {blocks - 1} still alive"
+        refs.clear()
+        blocks += 1
+        return cell_forces(*args)
+
+    monkeypatch.setattr(arm_kinetics, "_cell_forces", tracked(next_block, lambda r: [r.directed]))
+    monkeypatch.setattr(placement_opt, "robot_checks", tracked(checks, arrays_in))
+    scenario, ctx = toilet_context()
+    config = replace(scenario.objective, force_model=model)
+    kwargs = {}
+    if constrained:
+        kwargs = dict(robot=scenario.robot, floor_y=scenario.floor_y, robot_base=Vec2(0.2, 0.7))
+    evaluate_grid(ctx, scenario.limits, config, **kwargs)
+    assert blocks >= 3
+    assert (len(refs) > 1) == constrained  # the robot checks' arrays were tracked too
 
 
 def read_only(x):
