@@ -11,6 +11,7 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from handleopt import NoFeasiblePoint, SingularChain
 from handleopt.arm_kinetics import (
@@ -306,3 +307,32 @@ def list_fixtures() -> list[str]:
     """Bare names of the packaged scenario fixtures, sorted."""
     root = resources.files("handleopt").joinpath("data", "scenarios")
     return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
+
+
+def finite(lo, hi):
+    """Hypothesis strategy for the finite floats in [lo, hi]."""
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def node_paths(node, keep=None, path=()) -> list[tuple]:
+    """Key paths of the values of a parsed JSON tree, each before the values
+    it holds (the root's () first), or only of those that keep accepts."""
+    out = [path] if keep is None or keep(node) else []
+    if isinstance(node, dict):
+        for k, v in node.items():
+            out += node_paths(v, keep, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            out += node_paths(v, keep, path + (i,))
+    return out
+
+
+def node_at(tree, path):
+    """The value at a node_paths key path."""
+    for key in path:
+        tree = tree[key]
+    return tree

@@ -27,6 +27,7 @@ from oracles import (
     fd_com_jacobian,
     list_fixtures,
     lsq_jacobian,
+    random_unit,
     rotate,
     rotate_context,
     sample_chain,
@@ -110,18 +111,20 @@ def test_sign_choice_is_optimal(rng):
     worst = -math.inf
     for _ in range(n):
         chain = sample_chain(rng)
-        v = Vec2(math.cos(rng.uniform(-math.pi, math.pi)),
-                 math.sin(rng.uniform(-math.pi, math.pi)))
+        # (cos a, sin b) is a v of any length up to sqrt(2), then a unit v
+        scaled = Vec2(math.cos(rng.uniform(-math.pi, math.pi)),
+                      math.sin(rng.uniform(-math.pi, math.pi)))
         mags = tuple(rng.uniform(0.5, 3.0, size=3))
-        r = arm_forces(context_of_chain(chain, v), chain.theta5, chain.theta6, mags, "expanded")
-        chosen = Vec2(float(r.force[0]), float(r.force[1])).dot(v)
-        best = best_sign_combo(chain, v, mags)
-        shortfall = best - chosen
-        worst = max(worst, shortfall)
-        assert shortfall <= 1e-12
+        for v in (scaled, random_unit(rng)):
+            ctx = context_of_chain(chain, v)
+            r = arm_forces(ctx, chain.theta5, chain.theta6, mags, "expanded")
+            chosen = Vec2(float(r.force[0]), float(r.force[1])).dot(v)
+            shortfall = best_sign_combo(chain, v, mags) - chosen
+            worst = max(worst, shortfall)
+            assert shortfall <= 1e-12
     print(
-        f"PASS sign-choice-optimality: {n} random chains against all 8 sign "
-        f"combinations, worst shortfall {worst:.3e} (<= 1e-12)"
+        f"PASS sign-choice-optimality: {n} random chains, each with a scaled and "
+        f"a unit v, against all 8 sign combinations, worst shortfall {worst:.3e} (<= 1e-12)"
     )
 
 

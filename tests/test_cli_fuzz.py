@@ -1,13 +1,15 @@
-"""A fuzz gate for the two-outcome contract: a scenario file is either
-rejected with a documented exit code and a stable code, or it gives finite
-output that a rerun repeats byte for byte.
+"""The fuzz gate for the two-outcome contract, and its only tier-1 gate: a
+scenario file is either rejected with a documented exit code and a stable
+code, or it gives finite output that a rerun repeats byte for byte.
 
-Hypothesis mutates the packaged fixtures' JSON trees. It replaces, deletes,
-copies and adds keys and values, with strings that hold control, surrogate
-and markup characters and numbers at the extremes. Each mutated file runs
-through validate, analyze, optimize and render in-process at a 5 degree
-grid, since a fresh process per run would cost 80-250 ms. stdout and stderr
-are strict UTF-8 streams, so a lone surrogate that reaches them raises.
+Hypothesis mutates the packaged fixtures' JSON trees. It scales, flips,
+replaces, deletes, copies and adds keys and values, with strings that hold
+control, surrogate and markup characters and numbers at the extremes. Each
+mutated file runs through validate, analyze, optimize and render in-process
+at a 5 degree grid, since a fresh process per run would cost 80-250 ms. A
+file that optimize solves runs once more under --constrained with a robot
+base near the optimal handle. stdout and stderr are strict UTF-8 streams,
+so a lone surrogate that reaches them raises.
 """
 
 import contextlib
@@ -17,13 +19,14 @@ import json
 import math
 import re
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from handleopt import fixture_path
 from handleopt.cli import main
 
-from oracles import list_fixtures
+from oracles import finite, is_number, list_fixtures, node_at, node_paths
 
 FIXTURES = [json.loads(fixture_path(name).read_text()) for name in list_fixtures()]
 
@@ -54,35 +57,15 @@ values = st.recursive(
 )
 
 
-def node_paths(node, path=()):
-    """Key paths of every value in a JSON tree, the root's () first."""
-    out = [path]
-    if isinstance(node, dict):
-        for k, v in node.items():
-            out += node_paths(v, path + (k,))
-    elif isinstance(node, list):
-        for i, v in enumerate(node):
-            out += node_paths(v, path + (i,))
-    return out
-
-
-def node_at(tree, path):
-    for key in path:
-        tree = tree[key]
-    return tree
-
-
-def is_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 # How often each mutation is drawn: the ones that keep the schema's types
 # come first and most often, so that most files get past the schema check.
-MUTATIONS = ["scale"] * 3 + ["number"] * 3 + ["string", "add"] * 2 + ["copy", "replace", "delete"]
+MUTATIONS = (["scale"] * 6 + ["number"] * 3 + ["flip"] * 3 + ["string", "add"] * 2
+             + ["copy", "replace", "delete"])
 # The values each mutation applies to; the others apply to any value.
 TARGETS = {
     "scale": lambda x: isinstance(x, float),
     "number": is_number,
+    "flip": is_number,
     "string": lambda x: isinstance(x, str),
     "add": lambda x: isinstance(x, (dict, list)),
 }
@@ -95,10 +78,8 @@ def mutated_scenarios(draw):
     keys = sorted({k for p in node_paths(tree) for k in p if isinstance(k, str)})
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(MUTATIONS))
-        paths = node_paths(tree)
-        if op in TARGETS:
-            paths = [p for p in paths if TARGETS[op](node_at(tree, p))]
-        elif op == "delete":
+        paths = node_paths(tree, TARGETS.get(op))
+        if op == "delete":
             paths = paths[1:]  # all but the root
         if not paths:
             continue
@@ -115,7 +96,9 @@ def mutated_scenarios(draw):
                 node.insert(draw(st.integers(0, len(node))), value)
             continue
         if op == "scale":
-            new = node * draw(st.sampled_from([0.5, 0.9, 1.1, 2.0]))
+            new = node * draw(st.sampled_from([0.1, 0.5, 0.9, 1.1, 2.0, 10.0]))
+        elif op == "flip":
+            new = -node
         elif op == "number":
             new = draw(numbers)
         elif op == "string":
@@ -147,15 +130,6 @@ def written(out_dir):
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())} if out_dir.exists() else {}
 
 
-def finite_numbers(tree):
-    """Whether every number in a parsed JSON tree is finite."""
-    if isinstance(tree, dict):
-        return all(finite_numbers(v) for v in tree.values())
-    if isinstance(tree, list):
-        return all(finite_numbers(v) for v in tree)
-    return not isinstance(tree, float) or math.isfinite(tree)
-
-
 def printed_numbers_are_finite(out):
     """Whether every number in optimize's stdout, the scenario's name and the
     path of the files it wrote aside, is finite."""
@@ -170,28 +144,70 @@ def printed_numbers_are_finite(out):
     return True
 
 
-def check_outcome(command, code, out, err, files):
-    """The two-outcome contract for one run's exit code, streams and files."""
+def check_outcome(command, code, out, err, out_dir):
+    """The two-outcome contract for one run's exit code, streams and output
+    directory. Returns each file written, by name, as bytes."""
+    files = written(out_dir)
     assert code in EXIT_CODES, (command, code, err)
     for text in (out, err, *(b.decode("utf-8") for b in files.values())):
         assert not C0_BUT_NEWLINE_AND_TAB.search(text), (command, text[:500])
     if code == 0:
-        return
+        return files
     if command == "validate" and code == 1:
         assert FINDING_LINES.fullmatch(err), err
         assert out.endswith(" warning(s)\n"), out
     else:
         assert ERROR_LINE.fullmatch(err), (command, code, err)
         assert out == "", (command, out)
-    assert files == {}, (command, sorted(files))
+    assert not out_dir.exists(), (command, sorted(files))
+
+
+def check_landscape(report, csv):
+    """landscape.csv holds a header and one four-field row per grid cell,
+    and the argmax cell's row holds the report's objective value."""
+    lines = csv.split("\n")
+    n5, n6 = report["grid"]["theta5_points"], report["grid"]["theta6_points"]
+    assert lines[0] == "theta5_deg,theta6_deg,objective,feasible", lines[0]
+    assert lines[-1] == "" and len(lines) == n5 * n6 + 2, (len(lines), n5, n6)
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert all(len(row) == 4 and row[3] in ("true", "false") for row in rows)
+    cells = [[float(x) for x in row[:3]] for row in rows]
+    i5, i6 = report["grid"]["argmax_index"]
+    assert cells[i5 * n6 + i6][2] == report["objective_value"], (i5, i6)
+
+
+def run_checked(argv, out_dir):
+    """Run main on argv, check the two-outcome contract, and for a solved
+    optimize check its output and that a rerun repeats every byte. Returns
+    the exit code and the files written."""
+    command = argv[0]
+    code, out, err = run(*argv)
+    files = check_outcome(command, code, out, err, out_dir)
+    if command == "optimize" and code == 0:
+        assert printed_numbers_are_finite(out), out
+        report = json.loads(files["placement_report.json"])
+        assert all(math.isfinite(node_at(report, p)) for p in node_paths(report, is_number)), report
+        check_landscape(report, files["landscape.csv"].decode("utf-8"))
+        assert run(*argv) == (code, out, err)
+        assert written(out_dir) == files
+    return code, files
+
+
+# An offset of the robot base from the optimal handle, within reach_limit_m
+# of it or not. A base near the float range has its own test below.
+offsets = st.one_of(finite(-0.6, 0.6), finite(-1e6, 1e6))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(scenario=mutated_scenarios())
-@example(scenario=FIXTURES[0])
-@example(scenario={**FIXTURES[0], "name": "a\x07\x1b[31mb\ud800"})
+@given(scenario=mutated_scenarios(), robot_offset=st.tuples(offsets, offsets),
+       optimize_exit=st.none())
+@example(scenario=FIXTURES[0], robot_offset=(0.0, 0.0), optimize_exit=0)
+@example(scenario={**FIXTURES[0], "name": "a\x07\x1b[31mb\ud800"}, robot_offset=(0.0, 0.0),
+         optimize_exit=1)
 def test_mutated_scenarios_are_rejected_with_a_code_or_give_finite_reproducible_output(
-        tmp_path_factory, scenario):
+        tmp_path_factory, scenario, robot_offset, optimize_exit):
+    # optimize_exit pins optimize's exit code in the examples, so that both a
+    # solved and a rejected file stay among them
     root = tmp_path_factory.mktemp("fuzz")
     path = root / "scenario.json"
     path.write_text(json.dumps(scenario), encoding="utf-8")
@@ -206,11 +222,23 @@ def test_mutated_scenarios_are_rejected_with_a_code_or_give_finite_reproducible_
         argv = (command, "--scenario", str(path), *flags)
         if command != "validate":  # validate writes nothing and takes no --out
             argv += ("--out", str(out_dir))
-        code, out, err = run(*argv)
-        files = written(out_dir)
-        check_outcome(command, code, out, err, files)
-        if command == "optimize" and code == 0:
-            assert printed_numbers_are_finite(out), out
-            assert finite_numbers(json.loads(files["placement_report.json"])), files
-            assert run(*argv) == (code, out, err)
-            assert written(out_dir) == files
+        code, files = run_checked(argv, out_dir)
+        if command != "optimize":
+            continue
+        assert optimize_exit in (None, code), (optimize_exit, code)
+        if code == 0:
+            handle = json.loads(files["placement_report.json"])["handle_xy_m"]
+            base = ",".join(repr(h + d) for h, d in zip(handle, robot_offset))
+            robot_dir = root / "optimize_robot"
+            run_checked(("optimize", "--scenario", str(path), *GRID, "--out", str(robot_dir),
+                         "--constrained", f"--robot-base={base}"), robot_dir)
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeWarning,
+                   reason="the robot reach check's np.hypot overflows past the float range")
+def test_a_robot_base_near_the_float_range_gives_a_code_or_finite_output(tmp_path):
+    path = str(fixture_path(list_fixtures()[0]))
+    for name, flags in (("free", ()), ("constrained", ("--constrained",))):
+        out_dir = tmp_path / name
+        run_checked(("optimize", "--scenario", path, *GRID, "--out", str(out_dir),
+                     "--robot-base=1.7976931348623157e308,1e308", *flags), out_dir)

@@ -37,8 +37,6 @@ from handleopt.scenario_io import (
 )
 from oracles import list_fixtures, write_landscape_csv_per_cell
 
-FIXTURE_NAMES = ["bathtub_stand", "lie_to_sit_bed", "sit_to_stand_bed", "toilet_sit_to_stand"]
-
 TOILET_COM = (-0.04844583864267679, 0.5127204189511911)
 TOILET_DIRECTION = (0.2543456556912991, 0.9671133787881145)
 TOILET_SPEED = 0.291137897036205
@@ -116,7 +114,7 @@ def test_minimal_scenario_loads(tmp_path):
 
 
 def test_save_load_round_trip_is_exact(tmp_path):
-    for name in FIXTURE_NAMES:
+    for name in list_fixtures():
         first = load_scenario(fixture_path(name))
         out = tmp_path / f"{name}.json"
         out.write_text(json.dumps(scenario_to_dict(first), indent=2) + "\n")
@@ -388,8 +386,9 @@ def test_segment_findings_name_the_segment_by_position(field, value, code, text)
 
 
 def test_packaged_fixtures_are_clean():
-    assert list_fixtures() == FIXTURE_NAMES
-    for name in FIXTURE_NAMES:
+    assert list_fixtures() == ["bathtub_stand", "lie_to_sit_bed", "sit_to_stand_bed",
+                               "toilet_sit_to_stand"]
+    for name in list_fixtures():
         path = fixture_path(name)
         assert path.exists()
         scenario = load_scenario(path)
@@ -538,7 +537,7 @@ def test_landscape_csv_matches_the_per_cell_writer(tmp_path_factory, shape, data
     assert (out / f"rows_{shape}.csv").read_bytes() == (out / f"cells_{shape}.csv").read_bytes()
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("name", list_fixtures())
 def test_constrained_fixture_landscape_csv_matches_the_per_cell_writer(tmp_path, name):
     # --constrained --robot-base=0.2,0.7: eligibility changes from row to row
     # (and is empty for the fixtures whose solve then finds no feasible cell)
