@@ -5,6 +5,7 @@ import gc
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -21,6 +22,7 @@ from handleopt.cli import MAX_SWEEP_VALUES, build_parser, main
 from handleopt.scenario_io import MAX_MAGNITUDE
 
 from oracles import is_number, list_fixtures, node_at, node_paths
+from test_cli_fuzz import run_checked
 
 TOILET = str(fixture_path("toilet_sit_to_stand"))
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -220,6 +222,42 @@ def test_every_too_large_number_is_rejected_with_a_code(capsys, tmp_path):
         code, out, err = run(capsys, "validate", "--scenario", str(file))
         assert code == 1, (path, value)
         assert f"error[too_large]: {where} is {value!r};" in err, (path, value, err)
+
+
+def mutated_number(value, kind, rng):
+    """One fixture-mutation step: scale, flip the sign, zero, make tiny or huge."""
+    if kind == "scale":
+        return value * rng.choice([0.1, 0.5, 0.9, 1.1, 2.0, 10.0])
+    if kind == "flip":
+        return -value
+    if kind == "zero":
+        return 0.0
+    sizes = [1e-10, 1e-100, 5e-324] if kind == "tiny" else [1e10, 1e100, 1e300, 1.7976931348623157e308]
+    return math.copysign(rng.choice(sizes), value)
+
+
+@pytest.mark.parametrize("name", list_fixtures())
+def test_mutated_fixtures_fail_with_a_code_or_give_finite_output(tmp_path, name):
+    # a seeded sweep of numeric mutations per fixture, each run through the
+    # fuzz gate's run_checked; every fixture must give both outcomes
+    base = json.loads(fixture_path(name).read_text())
+    paths = node_paths(base, is_number)
+    rng = random.Random(name)
+    outcomes = set()
+    for case in range(100):
+        data = copy.deepcopy(base)
+        for _ in range(rng.randint(1, 3)):
+            path = rng.choice(paths)
+            parent = node_at(data, path[:-1])
+            kind = rng.choice(["scale", "flip", "zero", "tiny", "huge"])
+            parent[path[-1]] = mutated_number(parent[path[-1]], kind, rng)
+        file = tmp_path / f"{case}.json"
+        file.write_text(json.dumps(data))
+        out_dir = tmp_path / f"out{case}"
+        code, _ = run_checked(("optimize", "--scenario", str(file), "--out", str(out_dir),
+                               "--grid-step-deg", "5"), out_dir)
+        outcomes.add(code)
+    assert 0 in outcomes and 1 in outcomes, outcomes
 
 
 def test_missing_scenario_flag_is_an_argparse_exit():

@@ -1,6 +1,8 @@
-"""The fuzz gate for the two-outcome contract, and its only tier-1 gate: a
-scenario file is either rejected with a documented exit code and a stable
-code, or it gives finite output that a rerun repeats byte for byte.
+"""The fuzz gate for the two-outcome contract: a scenario file is either
+rejected with a documented exit code and a stable code, or it gives finite
+output that a rerun repeats byte for byte. run_checked is the contract's
+one checker; test_cli.py's seeded sweep of numeric mutations per fixture
+runs through it too, so a change to the contract is made here.
 
 Hypothesis mutates the packaged fixtures' JSON trees. It scales, flips,
 replaces, deletes, copies and adds keys and values, with strings that hold

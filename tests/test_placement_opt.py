@@ -243,10 +243,34 @@ configs = st.builds(
 property_settings = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
 
+def assert_objective_matches_grid(ctx, limits, config):
+    """Every cell: objective() equals it bit for bit, or raises where it is NaN,
+    whether the angles come as floats or as the axes' own np.float64 values."""
+    landscape = evaluate_grid(ctx, limits, config)
+    for i5, t5 in enumerate(landscape.theta5):
+        for i6, t6 in enumerate(landscape.theta6):
+            cell = float(landscape.objective[i5, i6])
+            for angles in ((float(t5), float(t6)), (t5, t6)):
+                if math.isnan(cell):
+                    with pytest.raises((SingularChain, IllConditioned)):
+                        objective(*angles, ctx, config)
+                else:
+                    assert objective(*angles, ctx, config).hex() == cell.hex()
+
+
 def corner_limits(theta5, theta6, step):
     """Limits of a 3x3 grid whose first cell is exactly (theta5, theta6)."""
     return JointLimits(theta5_min=theta5, theta5_max=theta5 + 2.0 * step,
                        theta6_min=theta6, theta6_max=theta6 + 2.0 * step)
+
+
+@property_settings
+@given(ctx=contexts(), config=configs, t5=finite(-math.pi, math.pi),
+       t6=finite(-math.pi, math.pi), span5=finite(0.0, math.pi), span6=finite(0.0, math.pi))
+def test_objective_scalar_matches_grid_cells(ctx, config, t5, t6, span5, span6):
+    limits = JointLimits(theta5_min=t5, theta5_max=t5 + span5,
+                         theta6_min=t6, theta6_max=t6 + span6)
+    assert_objective_matches_grid(ctx, limits, config)
 
 
 def near_joint_case(ctx, config, t5, t6, joint, gap, angle, step):
@@ -273,6 +297,22 @@ def condition_limit_case(ctx, mags, a, t5, reach, offset, step):
     return ctx, corner_limits(t5, -step, step), config
 
 
+@property_settings
+@given(ctx=contexts(), config=configs, t5=finite(-math.pi, math.pi),
+       t6=finite(-math.pi, math.pi), joint=st.sampled_from(("shoulder", "elbow", "handle")),
+       gap=finite(0.0, 3e-6), angle=finite(-math.pi, math.pi), step=finite(1e-7, 1e-5))
+def test_objective_matches_grid_with_a_joint_near_the_com(ctx, config, t5, t6, joint, gap,
+                                                          angle, step):
+    assert_objective_matches_grid(*near_joint_case(ctx, config, t5, t6, joint, gap, angle, step))
+
+
+@property_settings
+@given(ctx=contexts(), mags=magnitudes, a=finite(0.0, 1.0), t5=finite(-math.pi, math.pi),
+       reach=finite(0.05, 1.5), offset=finite(-3e-6, 3e-6), step=finite(1e-8, 1e-5))
+def test_lsq_objective_matches_grid_at_the_condition_limit(ctx, mags, a, t5, reach, offset, step):
+    assert_objective_matches_grid(*condition_limit_case(ctx, mags, a, t5, reach, offset, step))
+
+
 def bits(x) -> str:
     return float(x).hex()
 
@@ -288,11 +328,9 @@ def grid_forces_in_two_blocks(ctx, t5, t6, mags, model):
 def assert_arm_forces_match_grid(ctx, limits, config):
     """Every ArmForces field of a point query equals its element of the grid
     call bit for bit, singular and rejected cells included. The expanded
-    grid computes no force vector, so force is compared under lsq only.
-    objective() equals evaluate_grid's cell bit for bit, or raises where it
-    is NaN, whether the angles come as floats or as the axes' np.float64s."""
-    landscape = evaluate_grid(ctx, limits, config)
-    t5, t6 = landscape.theta5, landscape.theta6
+    grid computes no force vector, so force is compared under lsq only."""
+    t5 = grid_axis(limits.theta5_min, limits.theta5_max, config.grid_step)
+    t6 = grid_axis(limits.theta6_min, limits.theta6_max, config.grid_step)
     mags, model = config.torque_magnitudes, config.force_model
     for lo, hi, grid in grid_forces_in_two_blocks(ctx, t5, t6, mags, model):
         shape = grid.directed.shape
@@ -309,17 +347,9 @@ def assert_arm_forces_match_grid(ctx, limits, config):
                 assert [bits(h) for h in point.handle] == [bits(at(h)) for h in grid.handle]
                 if model == "lsq":
                     assert [bits(f) for f in point.force] == [bits(at(f)) for f in grid.force]
-                cell = float(landscape.objective[lo + i5, i6])
-                for angles in ((float(c5), float(c6)), (c5, c6)):
-                    if math.isnan(cell):
-                        with pytest.raises((SingularChain, IllConditioned)):
-                            objective(*angles, ctx, config)
-                    else:
-                        assert objective(*angles, ctx, config).hex() == cell.hex()
 
 
-# three setups share the examples, so each gets about as many as a
-# property_settings test
+# three setups share the examples, so each gets about as many as the tests above
 @settings(property_settings, max_examples=300)
 @given(ctx=contexts(), config=configs, setup=st.sampled_from(("free", "near_joint", "lsq_limit")),
        t5=finite(-math.pi, math.pi), t6=finite(-math.pi, math.pi),
