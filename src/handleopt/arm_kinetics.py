@@ -75,11 +75,8 @@ What remains per grid cell is the cell stage. The expanded model makes
 four transcendental calls a cell: np.hypot for the handle's lever, then
 np.arccos, np.sin and np.cos for its lever angle and direction. The lsq
 model uses that direction only for the sign s7 of its projection on v,
-which it takes from the angle-sum form of _lsq_handle_dot (a square root
-and products). It makes np.hypot a cell, and the three angle calls only
-for the cells where that form lies within SIGN_BAND (1e-9) of zero, where
-its sign could differ from the angle form's; a float point query takes
-the same branch. The packaged fixtures' grids hold no such cell.
+which it takes from the angle-sum form of _lsq_handle_dot: np.hypot and
+a square root a cell, and no angle calls.
 
 build_chain (returning a VirtualChain), arm_force_expanded and
 arm_force_lsq are float-valued views of the same geometry and force
@@ -107,9 +104,6 @@ from .errors import IllConditioned, SingularChain, ZeroTorque
 EPS_SINGULAR = 1e-6
 # Ceiling on lambda_max / lambda_min of J J^T for the least-squares system.
 COND_LIMIT = 1e12
-# Half-width of the band around u7 . v = 0 where the lsq model takes the
-# handle torque's sign from the handle's lever angle (see _lsq_handle_dot).
-SIGN_BAND = 1e-9
 # Cells evaluated per vectorized block; bounds peak memory, not results.
 # A block's temporaries (by tracemalloc, about 90 bytes a cell under
 # expanded and 140 under lsq) then stay in a core's L2 cache and are reused
@@ -137,9 +131,6 @@ class _Primitives(NamedTuple):
     sqrt: Callable
     where: Callable  # where(cond, a, b): a where cond holds, else b
     invert: Callable  # logical not
-    # in_band(a, exact, *args): a, except where not |a| > SIGN_BAND (NaN
-    # included), where it is exact(*args) with each arg taken there
-    in_band: Callable
 
 
 def _cos_sin_sum_float(phi5, theta6):
@@ -177,17 +168,7 @@ _ON_FLOATS = _Primitives(
     maximum=max, minimum=min, sqrt=math.sqrt,
     where=lambda cond, a, b: a if cond else b,
     invert=operator.not_,
-    in_band=lambda a, exact, *args: a if abs(a) > SIGN_BAND else exact(*args),
 )
-
-
-def _in_band_rows(a, exact, *args):
-    """in_band on a grid block: exact runs on the in-band cells alone."""
-    out = np.abs(a) > SIGN_BAND
-    if not out.all():
-        miss = np.flatnonzero(~out)
-        np.put(a, miss, exact(*(x.take(miss) for x in args)))
-    return a
 
 
 # GridTrig tables each anti-diagonal's reference sum and the _ULPS floats on
@@ -250,7 +231,7 @@ class GridTrig:
         return _Primitives(
             cos_sin_sum=cos_sin_sum, cos=np.cos, sin=np.sin, arccos=np.arccos, hypot=np.hypot,
             maximum=np.maximum, minimum=np.minimum, sqrt=np.sqrt,
-            where=np.where, invert=np.invert, in_band=_in_band_rows,
+            where=np.where, invert=np.invert,
         )
 
 
@@ -298,8 +279,12 @@ class ArmForces(NamedTuple):
     the lsq model always has it, the expanded model only from arm_forces,
     because the grid and objective() need only its projection. signs holds
     (s5, s6, s7), each +1.0 or -1.0, the sign of u_i . v for each torque
-    term's unit direction u_i; both models give the same signs, although
-    the lsq model computes s7 from an angle-sum form (_lsq_handle_dot).
+    term's unit direction u_i. The lsq model computes that projection for
+    s7 from an angle-sum form (_lsq_handle_dot), the expanded model from
+    the lever angle, and the two round differently: where |u7 . v| lies
+    within their rounding gap of zero (1.3e-15 for |phi6| <= pi, 1.3e-11
+    up to 1e5 rad), the models may give s7 opposite signs, and either is
+    rounding noise. Elsewhere both models give the same signs.
     directed and force mean nothing where singular (a joint within
     EPS_SINGULAR of the COM) or ill_conditioned (the lsq system rejected;
     always False under the expanded model).
@@ -430,22 +415,13 @@ def _handle_term(ops: _Primitives, phi6, c7, vx: float, vy: float) -> tuple:
     return u7, u7v
 
 
-def _lsq_handle_dot(ops: _Primitives, phi6, cos6, sin6, c7, vx: float, vy: float):
+def _lsq_handle_dot(ops: _Primitives, cos6, sin6, c7, vx: float, vy: float):
     """u7 . v for the lsq model, which uses u7 only through its sign s7.
 
     With alpha = arccos(c7) the lever angle is phi6 - pi + alpha, so the
     angle-sum identity gives u7 . v = sin(phi6 + alpha) vx - cos(phi6 + alpha) vy,
     where cos alpha = c7, sin alpha = sqrt((1 - c7)(1 + c7)), and the cosine
-    and sine of phi6 are at hand: no arccos, sin or cos. For a unit v and
-    |c7| <= 1, this form lies within 4e-16 of the exact u7 . v of the same
-    phi6 and c7, and _handle_term's within 1.3e-15 for |phi6| <= pi (the
-    largest gap between the two over 2M random inputs: 1.3e-15). The
-    latter's error grows with |phi6| through the rounding of phi6 - pi, to
-    1.3e-11 at |phi6| = 1e5 rad, which bounds every phi6 validate admits.
-    So where this form exceeds SIGN_BAND in magnitude the two have one
-    sign, and where it does not (NaN included) _handle_term is computed and
-    decides. s7 keeps the bits of the angle form in every cell, and a grid
-    computes that form only for the cells in the band.
+    and sine of phi6 are at hand: no arccos, sin or cos.
     """
     r7 = 1.0 - c7
     r7 *= 1.0 + c7
@@ -457,7 +433,7 @@ def _lsq_handle_dot(ops: _Primitives, phi6, cos6, sin6, c7, vx: float, vy: float
     dy -= sin6 * r7
     dy *= vy
     dot -= dy
-    return ops.in_band(dot, lambda phi6, c7: _handle_term(ops, phi6, c7, vx, vy)[1], phi6, c7)
+    return dot
 
 
 def _expanded_force(levers, units, tau5, tau6, tau7) -> tuple:
@@ -549,9 +525,9 @@ def arm_forces(ctx: PlacementContext, theta5: float, theta6: float,
     magnitudes is (|tau_5|, |tau_6|, |tau_7|). Each torque sign is +1
     where that joint's lever-sum direction has a non-negative dot product
     with v, so every expanded-model term s_i |tau_i| / lever_i |u_i . v|
-    is >= 0; the lsq model uses the same signs. Raises ValueError for a
-    model outside FORCE_MODELS. The context stage runs once for a run of
-    queries on one context.
+    is >= 0; the lsq model uses the same signs, up to rounding of u7 . v
+    (see ArmForces). Raises ValueError for a model outside FORCE_MODELS.
+    The context stage runs once for a run of queries on one context.
     """
     return _point_forces(ctx, theta5, theta6, magnitudes, model, True)
 
@@ -597,7 +573,7 @@ def _cell_forces(ops: _Primitives, ctx: PlacementContext, shoulder: tuple, row: 
     m5, m6, m7 = magnitudes
 
     if model == "lsq":
-        u7v = _lsq_handle_dot(ops, phi6, cos6, sin6, c7, vx, vy)
+        u7v = _lsq_handle_dot(ops, cos6, sin6, c7, vx, vy)
     else:
         u7, u7v = _handle_term(ops, phi6, c7, vx, vy)
     # Dropped, like to_com7, so that a block holds fewer arrays at a time.

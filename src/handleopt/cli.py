@@ -29,6 +29,7 @@ from .errors import (
     ValidationError,
 )
 from .scenario_io import (
+    MAX_MAGNITUDE,
     Scenario,
     make_context,
     raise_on_errors,
@@ -117,6 +118,12 @@ def _robot_base(args: argparse.Namespace) -> Vec2 | None:
     if args.robot_base is None:
         return None
     x, y = _csv_floats(args.robot_base, 2, "--robot-base")
+    # The bound of every scenario number keeps the reach check's distances
+    # finite.
+    if max(abs(x), abs(y)) > MAX_MAGNITUDE:
+        raise argparse.ArgumentTypeError(
+            f"--robot-base coordinates must lie within +-{MAX_MAGNITUDE:g} m of zero, "
+            f"got {args.robot_base!r}")
     return Vec2(x, y)
 
 

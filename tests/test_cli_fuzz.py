@@ -236,11 +236,19 @@ def test_mutated_scenarios_are_rejected_with_a_code_or_give_finite_reproducible_
                          "--constrained", f"--robot-base={base}"), robot_dir)
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeWarning,
-                   reason="the robot reach check's np.hypot overflows past the float range")
 def test_a_robot_base_near_the_float_range_gives_a_code_or_finite_output(tmp_path):
     path = str(fixture_path(list_fixtures()[0]))
     for name, flags in (("free", ()), ("constrained", ("--constrained",))):
         out_dir = tmp_path / name
         run_checked(("optimize", "--scenario", path, *GRID, "--out", str(out_dir),
                      "--robot-base=1.7976931348623157e308,1e308", *flags), out_dir)
+
+
+def test_a_robot_base_on_the_scenario_bound_gives_finite_output(tmp_path):
+    # a coordinate may lie within 1e6 m of zero, as every scenario number must
+    path = str(fixture_path(list_fixtures()[0]))
+    for base, want in (("1e6,0", 0), ("1.000001e6,0", 2)):
+        out_dir = tmp_path / str(want)
+        code, _ = run_checked(("optimize", "--scenario", path, *GRID, "--out", str(out_dir),
+                               f"--robot-base={base}"), out_dir)
+        assert code == want, (base, code)

@@ -19,7 +19,7 @@ from handleopt import (
     placement_opt,
 )
 from handleopt.arm_kinetics import (
-    SIGN_BAND,
+    EPS_SINGULAR,
     arm_forces,
     build_chain,
     grid_forces,
@@ -381,44 +381,60 @@ def grid_handle_signs(ctx, limits, config):
     return t5, t6, np.concatenate([r.signs[2] for _, _, r in blocks])
 
 
+# Half-width of the band around u7 . v = 0 in which the angle-sum and the
+# angle forms may round to opposite signs: their gap is at most 1.3e-11 for
+# any angle validate admits.
+BAND = 1e-9
+
+
+def angle_sum_form(ctx, theta5, theta6):
+    """u7 . v as the lsq model computes it, from cos and sin of phi6 and the
+    handle's cosine c7 in the elbow-handle-COM triangle, step for step as
+    the package does, so that its sign is the package's s7 to the bit.
+    theta5 and theta6 broadcast."""
+    phi5 = ctx.theta_04 + np.asarray(theta5, dtype=float)
+    phi6 = phi5 + np.asarray(theta6, dtype=float)
+    cos6, sin6 = np.cos(phi6), np.sin(phi6)
+    elbow_x = ctx.shoulder.x + ctx.upper_len * np.cos(phi5)
+    elbow_y = ctx.shoulder.y + ctx.upper_len * np.sin(phi5)
+    l6 = ctx.fore_len
+    d6 = np.hypot(ctx.com.x - elbow_x, ctx.com.y - elbow_y)
+    d7 = np.hypot(ctx.com.x - (elbow_x + l6 * cos6), ctx.com.y - (elbow_y + l6 * sin6))
+    c7 = np.clip((l6 * l6 + d7 * d7 - d6 * d6) / (2.0 * l6 * np.maximum(d7, EPS_SINGULAR)),
+                 -1.0, 1.0)
+    r7 = np.sqrt((1.0 - c7) * (1.0 + c7))
+    return (sin6 * c7 + cos6 * r7) * ctx.v.x - (cos6 * c7 - sin6 * r7) * ctx.v.y
+
+
 def assert_handle_signs_match_the_angle_form(ctx, limits, config):
-    """Every cell's s7, from the grid and from a point query, is the one the
-    handle's lever angle gives through arccos, sin and cos."""
+    """Every cell's s7, from the grid and from a point query, is the sign of
+    the angle-sum form, and outside BAND it is also the one the handle's
+    lever angle gives through arccos, sin and cos."""
     t5, t6, grid = grid_handle_signs(ctx, limits, config)
-    want = handle_sign_by_angle(ctx, t5[:, None], t6[None, :])
-    np.testing.assert_array_equal(grid, want)
+    form = angle_sum_form(ctx, t5[:, None], t6[None, :])
+    np.testing.assert_array_equal(grid, np.where(form >= 0.0, 1.0, -1.0))
+    outside = np.abs(form) > BAND
+    by_angle = handle_sign_by_angle(ctx, t5[:, None], t6[None, :])
+    np.testing.assert_array_equal(grid[outside], by_angle[outside])
     for i5, c5 in enumerate(t5):
         for i6, c6 in enumerate(t6):
             point = arm_forces(ctx, float(c5), float(c6), config.torque_magnitudes, "lsq")
-            assert point.signs[2] == want[i5, i6]
+            assert point.signs[2] == grid[i5, i6]
 
 
 def facing_handle_term(ctx, theta5, theta6, side):
     """ctx with v along +-(cos a, sin a), a the handle's lever angle at
     (theta5, theta6): there u7 . v is zero, so the lsq model's angle-sum
-    form lies in the band and the sign comes from the angle."""
+    form lies in BAND and its sign is rounding noise."""
     a = build_chain(ctx.shoulder, ctx.theta_04, theta5, theta6, ctx.upper_len, ctx.fore_len,
                     ctx.com).theta_7com
     return ctx._replace(v=Vec2(side * float(np.cos(a)), side * float(np.sin(a))))
 
 
-def angle_sum_form(ctx, theta5, theta6):
-    """u7 . v as the lsq model first writes it, from cos and sin of phi6 and
-    the handle's cosine c7 of the chain."""
-    chain = build_chain(ctx.shoulder, ctx.theta_04, theta5, theta6, ctx.upper_len, ctx.fore_len,
-                        ctx.com)
-    l6, d6, d7 = chain.fore_len, chain.lever6, chain.lever7
-    c7 = min(max((l6 * l6 + d7 * d7 - d6 * d6) / (2.0 * l6 * d7), -1.0), 1.0)
-    phi6 = ctx.theta_04 + theta5 + theta6
-    cos6, sin6 = float(np.cos(phi6)), float(np.sin(phi6))
-    r7 = math.sqrt((1.0 - c7) * (1.0 + c7))
-    return (sin6 * c7 + cos6 * r7) * ctx.v.x - (cos6 * c7 - sin6 * r7) * ctx.v.y
-
-
-def test_lsq_handle_sign_in_the_band_comes_from_the_angle():
+def test_lsq_handle_sign_in_the_band_is_the_angle_sum_sign():
     """Cells built to sit in the band around u7 . v = 0: both callers give
-    the angle form's sign there, and the angle-sum form alone would not
-    always have."""
+    the angle-sum form's sign there, and the angle form would not always
+    have."""
     config = ObjectiveConfig(force_model="lsq", grid_step=math.radians(5.0))
     flips = 0
     for name in FIXTURE_OPTIMA:
@@ -430,9 +446,9 @@ def test_lsq_handle_sign_in_the_band_comes_from_the_angle():
             for side in (1.0, -1.0):
                 at = facing_handle_term(ctx, theta5, theta6, side)
                 form = angle_sum_form(at, theta5, theta6)
-                assert abs(form) <= SIGN_BAND
-                want = handle_sign_by_angle(at, theta5, theta6)
-                flips += (form >= 0.0) != (want > 0.0)
+                assert abs(form) <= BAND
+                want = 1.0 if form >= 0.0 else -1.0
+                flips += want != handle_sign_by_angle(at, theta5, theta6)
                 limits = corner_limits(theta5, theta6, config.grid_step)
                 assert grid_handle_signs(at, limits, config)[2][0, 0] == want
                 assert arm_forces(at, theta5, theta6, config.torque_magnitudes, "lsq").signs[2] == want
