@@ -12,7 +12,8 @@ COM. Two force models are provided:
   cosines. This is the model the optimizer uses by default.
 * lsq: least-squares solution F = (J J^T)^-1 J tau of the
   overdetermined statics J^T F = tau, with J the 2x3 chain Jacobian,
-  solved in closed form as a 2x2 system.
+  solved in closed form as a 2x2 system. Its rejection rule is decided
+  from the trace and determinant of J J^T, with no eigenvalue computed.
 
 The two maps are not algebraically identical for a general chain; tests
 record their ratio but the package does not pretend they agree.
@@ -104,6 +105,8 @@ from .errors import IllConditioned, SingularChain, ZeroTorque
 EPS_SINGULAR = 1e-6
 # Ceiling on lambda_max / lambda_min of J J^T for the least-squares system.
 COND_LIMIT = 1e12
+# The bound on trace^2 / det of J J^T that COND_LIMIT implies (_lsq_force).
+_TRACE2_PER_DET = (1.0 + COND_LIMIT) ** 2 / COND_LIMIT
 # Cells evaluated per vectorized block; bounds peak memory, not results.
 # A block's temporaries (by tracemalloc, about 90 bytes a cell under
 # expanded and 140 under lsq) then stay in a core's L2 cache and are reused
@@ -468,7 +471,11 @@ def _lsq_force(ops: _Primitives, shares, column7, tau7) -> tuple:
     Jacobian column and torque.
 
     Returns (fx, fy, ill_conditioned); the system is rejected where
-    lambda_max / lambda_min of J J^T exceeds COND_LIMIT.
+    lambda_max / lambda_min of J J^T exceeds COND_LIMIT, decided from its
+    trace and the determinant the solve needs anyway, with no eigenvalue
+    computed. J J^T is positive semidefinite, and for its eigenvalue ratio
+    r >= 1, trace^2 / det = r + 2 + 1/r increases with r, so r <= C =
+    COND_LIMIT exactly where det > 0 and trace^2 <= (1 + C)^2 / C * det.
     """
     (s11, s12, s22, sbx, sby), (c7x, c7y) = shares, column7
     # The shares are the row stage's, so each sum starts from the handle's
@@ -483,25 +490,13 @@ def _lsq_force(ops: _Primitives, shares, column7, tau7) -> tuple:
     bx += sbx
     by = tau7 * c7y
     by += sby
-    # d * d, not d ** 2: NumPy squares an array by multiplying, while
-    # Python's ** on a float goes through C pow.
-    d = a11 - a22
-    d *= d
-    t = 4.0 * a12
-    t *= a12
-    d += t
-    disc = ops.sqrt(d)
-    lam_max = a11 + a22  # the trace, until disc is added
-    lam_min = lam_max - disc
-    lam_max += disc
-    lam_min *= 0.5
-    lam_max *= 0.5
-    ok = lam_min > 0.0
-    lam_min *= COND_LIMIT
-    ok &= lam_max <= lam_min
-    del d, t, disc, lam_min, lam_max
     det = a11 * a22
     det -= a12 * a12
+    ok = det > 0.0
+    tr2 = a11 + a22
+    tr2 *= tr2
+    ok &= tr2 <= _TRACE2_PER_DET * det
+    del tr2
     det = ops.where(ok, det, 1.0)
     fx = a22 * bx
     fx -= a12 * by

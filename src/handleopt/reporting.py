@@ -79,9 +79,9 @@ def _circle(cx: float, cy: float, r: float, fill: str, extra: str = "") -> str:
 
 
 def _scene_bounds(geom: BodyGeometry, com: Vec2, arm_reach: float, floor_y: float):
-    """Bounds from the body, the COM, and the full arm-reach disc.
+    """Bounds from the body, the COM, and the full arm-reach disk.
 
-    The reach disc makes the bounds independent of where the arm or a
+    The reach disk makes the bounds independent of where the arm or a
     handle overlay ends up, so overlays never move the viewport.
     """
     pts = [geom.toe, geom.ankle, geom.knee, geom.hip, geom.shoulder, geom.head_end, com]

@@ -430,10 +430,7 @@ def raise_on_errors(findings: list[Finding]) -> None:
 
 def fixture_path(name: str) -> Path:
     """Path of a packaged scenario fixture by bare name."""
-    # Imported here: importlib.resources is slow to load, and only this needs it.
-    from importlib import resources
-
-    return Path(str(resources.files("handleopt").joinpath("data", "scenarios", f"{name}.json")))
+    return Path(__file__).parent / "data" / "scenarios" / f"{name}.json"
 
 
 def make_context(s: Scenario) -> tuple[PlacementContext, ComState]:

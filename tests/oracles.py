@@ -7,13 +7,12 @@ that agreement between the two is evidence rather than tautology.
 
 import cmath
 import math
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
-from handleopt import NoFeasiblePoint, SingularChain
+from handleopt import NoFeasiblePoint, SingularChain, fixture_path
 from handleopt.arm_kinetics import (
     EPS_SINGULAR,
     _jacobian_column,
@@ -305,8 +304,7 @@ def argmax_sequential_scan(objective, eligible) -> tuple[int, int]:
 
 def list_fixtures() -> list[str]:
     """Bare names of the packaged scenario fixtures, sorted."""
-    root = resources.files("handleopt").joinpath("data", "scenarios")
-    return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
+    return sorted(p.stem for p in fixture_path("").parent.glob("*.json"))
 
 
 def finite(lo, hi):

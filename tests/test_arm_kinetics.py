@@ -10,6 +10,7 @@ from handleopt import IllConditioned, SingularChain, ZeroTorque
 from handleopt.arm_kinetics import (
     _ON_FLOATS,
     _SLOTS,
+    COND_LIMIT,
     GridTrig,
     VirtualChain,
     arm_force_expanded,
@@ -302,6 +303,40 @@ def test_lsq_raises_when_levers_align():
     chain = build_chain(Vec2(0.0, 0.0), 0.0, 0.0, 0.0, 0.32, 0.30, Vec2(0.9, 0.0))
     with pytest.raises(IllConditioned):
         arm_force_lsq(chain, TorqueSet(1.0, 1.0, 1.0))
+
+
+# An lsq cell within this relative distance of COND_LIMIT may be decided
+# either way by rounding, in the kernel and in the SVD alike.
+NEAR_LIMIT = 0.01
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(shoulder=st.tuples(finite(-1.0, 1.0), finite(-1.0, 1.0)),
+       theta_04=finite(-math.pi, math.pi), upper=finite(0.2, 0.5), fore=finite(0.2, 0.5),
+       theta5=finite(-math.pi, math.pi), reach=finite(0.05, 1.5),
+       offset_exp=finite(-7.5, -4.5), side=st.sampled_from((-1, 1)),
+       step_exp=finite(-9.0, -5.5))
+def test_lsq_rejection_agrees_with_the_svd_condition_number(shoulder, theta_04, upper, fore,
+                                                            theta5, reach, offset_exp, side,
+                                                            step_exp):
+    # A 10x10 patch of nearly straight arms, with the COM on the upper arm's
+    # line to within micrometres, puts the ratio on both sides of the limit.
+    phi5 = theta_04 + theta5
+    com = (Vec2(*shoulder) + reach * unit(phi5)
+           + side * 10.0 ** offset_exp * unit(phi5 + math.pi / 2.0))
+    step = 10.0 ** step_exp
+    for i5, i6 in itertools.product(range(10), range(-5, 5)):
+        t5, t6 = theta5 + i5 * step, i6 * step
+        try:
+            chain = build_chain(Vec2(*shoulder), theta_04, t5, t6, upper, fore, com)
+        except SingularChain:
+            continue
+        r = arm_forces(context_of_chain(chain, unit(0.0)), t5, t6, (1.0, 1.0, 1.0), "lsq")
+        s = np.linalg.svd(lsq_jacobian(chain), compute_uv=False)
+        ratio = math.inf if s[1] == 0.0 else (float(s[0]) / float(s[1])) ** 2
+        if r.singular or abs(ratio / COND_LIMIT - 1.0) < NEAR_LIMIT:
+            continue
+        assert r.ill_conditioned == (ratio > COND_LIMIT), ratio
 
 
 def test_force_rotation_equivariance_both_models(rng):
