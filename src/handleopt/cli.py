@@ -2,7 +2,8 @@
 
 Subcommands: validate, analyze, optimize, sweep, render. Every command
 takes --scenario and only the flags it reads; overrides are applied to
-the in-memory scenario and re-validated before any computation. Exit
+the in-memory scenario and re-validated before any computation, and the
+commands but validate then print each warning on stderr. Exit
 codes: 0 success, 1 failed validation, 2 parse/schema/usage/IO trouble,
 3 numeric failure. The numpy-backed solver and renderer are imported
 only by the commands that use them, so validate and analyze run without
@@ -67,12 +68,6 @@ def _csv_floats(text: str, n: int, flag: str) -> list[float]:
     return values
 
 
-def _add_output(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("-v", "--verbose", action="store_true",
-                     help="print validation warnings")
-
-
 def _add_overrides(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--grid-step-deg", type=float, default=None,
                      help="override the grid step, degrees")
@@ -88,7 +83,7 @@ def _add_overrides(sub: argparse.ArgumentParser) -> None:
 
 def _add_solve(sub: argparse.ArgumentParser) -> None:
     """The flags of the commands that run the optimizer."""
-    _add_output(sub)
+    sub.add_argument("--out", default=None, help="output directory")
     _add_overrides(sub)
     sub.add_argument("--constrained", action="store_true",
                      help="exclude robot-infeasible handle positions from the search")
@@ -129,18 +124,19 @@ def _robot_base(args: argparse.Namespace) -> Vec2 | None:
 
 def _load(args: argparse.Namespace) -> Scenario:
     """Parse, apply overrides, validate; raises on any error finding."""
-    return _validated(_apply_overrides(read_scenario_file(args.scenario), args), args.verbose)
+    return _validated(_apply_overrides(read_scenario_file(args.scenario), args))
 
 
-def _validated(scenario: Scenario, verbose: bool = False) -> Scenario:
-    """The scenario itself; raises ValidationError on any error finding."""
-    findings = validate_scenario(scenario)
-    if verbose:
-        for f in findings:
-            if not f.is_error:
-                print(f"warning[{f.code}]: {f.message}", file=sys.stderr)
-    raise_on_errors(findings)
-    return scenario
+def _validated(*scenarios: Scenario) -> Scenario:
+    """The first scenario. Raises ValidationError on the first error finding
+    of any, and only then prints each warning of the first on stderr. sweep
+    passes one scenario per value of a, which changes no warning."""
+    findings = [validate_scenario(s) for s in scenarios]
+    for found in findings:
+        raise_on_errors(found)
+    for f in findings[0]:
+        print(f"warning[{f.code}]: {f.message}", file=sys.stderr)
+    return scenarios[0]
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -162,7 +158,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    scenario = _validated(read_scenario_file(args.scenario), args.verbose)
+    scenario = _validated(read_scenario_file(args.scenario))
     rows = []
     for i, frame in enumerate(scenario.frames):
         com = nonarm_com(frame.pose, scenario.segments)
@@ -266,7 +262,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .placement_opt import grid_axis
-    from .reporting import render_landscape
+    from .reporting import landscape_svg_chunks
 
     # The file's own a is replaced by every swept value, so only the swept
     # scenarios are validated.
@@ -289,15 +285,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         stems[stem] = value
     swept = [scenario._replace(objective=replace(scenario.objective, a=value))
              for value in values]
-    for i, scenario_at in enumerate(swept):  # a changes no warning: print them once
-        _validated(scenario_at, args.verbose and i == 0)
+    _validated(*swept)
     robot_base = _robot_base(args)
 
-    out = _out_dir(args)
     rows = ["value,theta5_opt_deg,theta6_opt_deg,objective,handle_x_m,handle_y_m"]
-    print(f"{'a':>10} {'theta5_deg':>12} {'theta6_deg':>12} {'objective':>14}")
-    for (stem, value), scenario_at in zip(stems.items(), swept):
+    for i, ((stem, value), scenario_at) in enumerate(zip(stems.items(), swept)):
         _, _, placement, landscape = _run_optimization(scenario_at, args, robot_base)
+        if i == 0:
+            # No cell's exclusion depends on a, so only the first solve can
+            # fail; a sweep that fails prints and writes nothing.
+            out = _out_dir(args)
+            print(f"{'a':>10} {'theta5_deg':>12} {'theta6_deg':>12} {'objective':>14}")
         t5 = math.degrees(placement.theta5_opt)
         t6 = math.degrees(placement.theta6_opt)
         rows.append(
@@ -306,8 +304,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         print(f"{_g(value):>10} {_g(t5):>12} {_g(t6):>12} {_g(placement.objective_value):>14}")
         write_landscape_csv(landscape, out / f"{stem}.csv")
-        (out / f"{stem}.svg").write_text(render_landscape(landscape, placement.argmax_index),
-                                         encoding="utf-8")
+        with open(out / f"{stem}.svg", "w", encoding="utf-8") as f:
+            f.writelines(landscape_svg_chunks(landscape, placement.argmax_index))
         # Drop this value's solve before the next one, so that a sweep holds
         # one landscape at a time.
         del placement, landscape
@@ -331,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     validate = command("validate", _cmd_validate, "check a scenario file and print findings")
     _add_overrides(validate)
-    _add_output(command("analyze", _cmd_analyze, "print per-frame COM positions and velocities"))
+    analyze = command("analyze", _cmd_analyze, "print per-frame COM positions and velocities")
+    analyze.add_argument("--out", default=None, help="output directory")
     optimize = command("optimize", _cmd_optimize, "search the joint grid for the best handle point")
     _add_solve(optimize)
 

@@ -197,6 +197,13 @@ def render_landscape(landscape: ObjectiveLandscape, argmax_index: tuple[int, int
     argmax_index is the solve's (i5, i6) optimum cell, outlined in red
     when any cell is eligible.
     """
+    return "".join(landscape_svg_chunks(landscape, argmax_index))
+
+
+def landscape_svg_chunks(landscape: ObjectiveLandscape, argmax_index: tuple[int, int]):
+    """render_landscape's text in pieces: the head, one piece per theta5
+    row of the grid, and the tail. A writer that takes each piece as it
+    comes holds one row of cells, not the whole file."""
     n5 = int(landscape.theta5.size)
     n6 = int(landscape.theta6.size)
     cell = max(2, min(20, 900 // max(n5, 1)))
@@ -209,6 +216,7 @@ def render_landscape(landscape: ObjectiveLandscape, argmax_index: tuple[int, int
     vmin = float(np.min(vals)) if has_vals else 0.0
     vmax = float(np.max(vals)) if has_vals else 0.0
     span = vmax - vmin
+    del vals  # not held while the rows stream
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -224,24 +232,23 @@ def render_landscape(landscape: ObjectiveLandscape, argmax_index: tuple[int, int
             f'max = {vmax:.6g}</text>'
         )
     lines.append("</g>")
+    lines.append('<g id="cells">')
+    yield "".join(line + "\n" for line in lines)
 
-    obj = landscape.objective
-    elig = landscape.eligible
-    rows = []
-    for i5 in range(n5):
+    ys = [top + (n6 - 1 - i6) * cell for i6 in range(n6)]
+    for i5, (values, eligible) in enumerate(zip(landscape.objective, landscape.eligible)):
         x = left + i5 * cell
-        for i6 in range(n6):
-            y = top + (n6 - 1 - i6) * cell
-            if elig[i5, i6]:
-                t = (float(obj[i5, i6]) - vmin) / span if span > 0.0 else 0.5
+        rects = []
+        for y, value, ok in zip(ys, values.tolist(), eligible.tolist()):
+            if ok:
+                t = (value - vmin) / span if span > 0.0 else 0.5
                 fill = _heat_color(min(1.0, max(0.0, t)))
             else:
                 fill = _INELIGIBLE_FILL
-            rows.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="{fill}"/>')
-    lines.append('<g id="cells">')
-    lines.extend(rows)
-    lines.append("</g>")
+            rects.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="{fill}"/>\n')
+        yield "".join(rects)
 
+    lines = ["</g>"]
     if has_vals:
         i5, i6 = argmax_index
         x = left + i5 * cell
@@ -279,4 +286,4 @@ def render_landscape(landscape: ObjectiveLandscape, argmax_index: tuple[int, int
     )
     lines.append("</g>")
     lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    yield "".join(line + "\n" for line in lines)

@@ -22,7 +22,7 @@ from handleopt.cli import MAX_SWEEP_VALUES, build_parser, main
 from handleopt.scenario_io import MAX_MAGNITUDE
 
 from oracles import is_number, list_fixtures, node_at, node_paths
-from test_cli_fuzz import run_checked
+from test_cli_fuzz import run_checked, slow
 
 TOILET = str(fixture_path("toilet_sit_to_stand"))
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -62,12 +62,13 @@ def test_validate_reports_errors_on_stderr(capsys, tmp_path):
     assert "1 error(s)" in out
 
 
-def test_validate_warning_keeps_exit_zero(capsys, tmp_path):
-    def shift_arm_mass(d):
-        d["segments"][3]["mass_kg"] = 25.02
-        d["segments"][5]["mass_kg"] = 6.0
-        d["segments"][6]["mass_kg"] = 4.8
+def shift_arm_mass(d):
+    d["segments"][3]["mass_kg"] = 25.02
+    d["segments"][5]["mass_kg"] = 6.0
+    d["segments"][6]["mass_kg"] = 4.8
 
+
+def test_validate_warning_keeps_exit_zero(capsys, tmp_path):
     path = broken_scenario(tmp_path, shift_arm_mass)
     code, out, err = run(capsys, "validate", "--scenario", path)
     assert code == 0
@@ -254,8 +255,8 @@ def test_mutated_fixtures_fail_with_a_code_or_give_finite_output(tmp_path, name)
         file = tmp_path / f"{case}.json"
         file.write_text(json.dumps(data))
         out_dir = tmp_path / f"out{case}"
-        code, _ = run_checked(("optimize", "--scenario", str(file), "--out", str(out_dir),
-                               "--grid-step-deg", "5"), out_dir)
+        code, _, _ = run_checked(("optimize", "--scenario", str(file), "--out", str(out_dir),
+                                  "--grid-step-deg", "5"), out_dir)
         outcomes.add(code)
     assert 0 in outcomes and 1 in outcomes, outcomes
 
@@ -267,10 +268,10 @@ def test_missing_scenario_flag_is_an_argparse_exit():
 
 
 OVERRIDES = {"--grid-step-deg", "--force-model", "--tau", "--limits-deg"}
-SOLVE = {"--scenario", "--out", "-v/--verbose", *OVERRIDES, "--constrained", "--robot-base"}
+SOLVE = {"--scenario", "--out", *OVERRIDES, "--constrained", "--robot-base"}
 COMMAND_FLAGS = {  # sweep sets a itself, so it alone takes no --a
     "validate": {"--scenario", "--a", *OVERRIDES},
-    "analyze": {"--scenario", "--out", "-v/--verbose"},
+    "analyze": {"--scenario", "--out"},
     "optimize": SOLVE | {"--a"},
     "render": SOLVE | {"--a", "--frame", "--no-placement"},
     "sweep": SOLVE | {"--range"},
@@ -283,7 +284,7 @@ def test_each_command_takes_only_the_flags_it_reads(capsys):
     flags = {name: {"/".join(a.option_strings) for a in p._actions if a.dest != "help"}
              for name, p in commands.items()}
     assert flags == COMMAND_FLAGS
-    assert sum(len(f) for f in flags.values()) == 41
+    assert sum(len(f) for f in flags.values()) == 37
     with pytest.raises(SystemExit) as exc:
         main(["validate", "--scenario", TOILET, "--robot-base=abc"])
     assert exc.value.code == 2
@@ -533,30 +534,77 @@ def test_sweep_ignores_the_files_own_a(capsys, tmp_path):
     assert [row.split(",")[0] for row in sweep_lines[1:]] == ["0.0", "0.2"]
 
 
-def slow(d):
-    for i, frame in enumerate(d["frames"]):
-        frame["base_xy_m"] = [i * 1e-5, 0.0]
-        frame["theta_deg"] = d["frames"][8]["theta_deg"]
+# A mutation of the toilet fixture that draws one warning, by its code
+WARNED = {"slow_com": slow, "nonarm_band": shift_arm_mass}
+# Each command that loads a scenario, with the flags that keep it quick
+LOADING = {
+    "analyze": (),
+    "optimize": ("--grid-step-deg", "5"),
+    "render": ("--grid-step-deg", "5"),
+    "sweep": ("--range=0,0.4,0.2", "--grid-step-deg", "5"),
+}
 
 
-def test_verbose_optimize_surfaces_warnings(capsys, tmp_path):
-    path = broken_scenario(tmp_path, slow)
-    code, out, err = run(
-        capsys, "optimize", "--scenario", path, "--out", str(tmp_path),
-        "--grid-step-deg", "5", "-v",
-    )
+@pytest.mark.parametrize("warning", WARNED)
+@pytest.mark.parametrize("command", LOADING)
+def test_commands_print_each_warning_once_on_stderr(capsys, tmp_path, command, warning):
+    # a sweep prints its warnings once for the whole range
+    path = broken_scenario(tmp_path, WARNED[warning])
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, command, "--scenario", path, "--out", str(out_dir),
+                         *LOADING[command])
     assert code == 0
-    assert "warning[slow_com]:" in err
+    assert re.fullmatch(rf"warning\[{warning}\]: [^\n]+\n", err), err
+    assert out_dir.is_dir()
 
 
-def test_verbose_sweep_prints_each_warning_once(capsys, tmp_path):
-    path = broken_scenario(tmp_path, slow)
-    code, out, err = run(
-        capsys, "sweep", "--scenario", path, "--out", str(tmp_path / "out"),
-        "--range=0,0.4,0.2", "--grid-step-deg", "5", "-v",
-    )
-    assert code == 0
-    assert err.count("warning[slow_com]:") == 1
+@pytest.mark.parametrize("warning", WARNED)
+@pytest.mark.parametrize("command", LOADING)
+def test_an_error_finding_comes_alone_and_writes_nothing(capsys, tmp_path, command, warning):
+    def mutate(d):
+        WARNED[warning](d)
+        d["total_mass_kg"] = 59.0
+
+    path = broken_scenario(tmp_path, mutate)
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, command, "--scenario", path, "--out", str(out_dir),
+                         *LOADING[command])
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error\[validation\]: mass_closure: [^\n]+\n", err), err
+    assert not out_dir.exists()
+
+
+def test_no_exclusion_depends_on_a_so_a_failing_sweep_writes_nothing(capsys, tmp_path,
+                                                                    monkeypatch):
+    # a sweep can fail only at its first solve, and then it prints and
+    # writes nothing, as optimize does
+    run_optimization = handleopt.cli._run_optimization
+    masks, solves = [], 0
+
+    def tracked(*args):
+        nonlocal solves
+        solves += 1
+        result = run_optimization(*args)
+        masks.append(result[3].eligible.copy())
+        return result
+
+    monkeypatch.setattr(handleopt.cli, "_run_optimization", tracked)
+    flags = ("--range=0,0.2,0.1", "--grid-step-deg", "5", "--constrained")
+    code, out, err = run(capsys, "sweep", "--scenario", TOILET, "--out", str(tmp_path / "near"),
+                         *flags, "--robot-base=0.5,0.5")
+    assert (code, err, solves) == (0, "", 3)
+    assert 0 < masks[0].sum() < masks[0].size
+    assert all((mask == masks[0]).all() for mask in masks)
+
+    solves = 0
+    for command in ("optimize", "sweep"):
+        out_dir = tmp_path / command
+        code, out, err = run(capsys, command, "--scenario", TOILET, "--out", str(out_dir),
+                             *(flags if command == "sweep" else flags[1:]), "--robot-base=50,50")
+        assert (code, out) == (3, "")
+        assert err == "error[numeric]: every grid point is singular or excluded\n"
+        assert not out_dir.exists()
+    assert solves == 2
 
 
 SRC = Path(handleopt.__file__).parents[1]

@@ -7,11 +7,12 @@ runs through it too, so a change to the contract is made here.
 Hypothesis mutates the packaged fixtures' JSON trees. It scales, flips,
 replaces, deletes, copies and adds keys and values, with strings that hold
 control, surrogate and markup characters and numbers at the extremes. Each
-mutated file runs through validate, analyze, optimize and render in-process
-at a 5 degree grid, since a fresh process per run would cost 80-250 ms. A
-file that optimize solves runs once more under --constrained with a robot
-base near the optimal handle. stdout and stderr are strict UTF-8 streams,
-so a lone surrogate that reaches them raises.
+mutated file runs in-process through validate, analyze, optimize and render
+at a 5 degree grid and through a two-value sweep at a 10 degree grid, since
+a fresh process per run would cost 80-250 ms. A file that optimize solves
+runs optimize and the sweep once more under --constrained with a robot base
+near the optimal handle or far from it. stdout and stderr are strict UTF-8
+streams, so a lone surrogate that reaches them raises.
 """
 
 import contextlib
@@ -37,8 +38,12 @@ EXIT_CODES = {0, 1, 2, 3}  # success, failed validation, parse/schema/usage/IO, 
 ERROR_LINE = re.compile(r"error\[(parse|schema|validation|numeric|usage|io)\]: [^\n]*\n")
 # What validate prints to stderr for a scenario with error findings.
 FINDING_LINES = re.compile(r"(error\[[a-z_]+\]: [^\n]*\n)+")
+# What the other commands print to stderr, first, for a scenario that passes
+# validation with warnings.
+WARNING_LINES = re.compile(r"(warning\[[a-z_]+\]: [^\n]*\n)*")
 C0_BUT_NEWLINE_AND_TAB = re.compile("[\x00-\x08\x0b-\x1f]")
 GRID = ("--grid-step-deg", "5")
+SWEEP = ("--grid-step-deg", "10", "--range=0,0.2,0.2")
 
 ODD_CHARACTERS = ["\x00", "\x07", "\x1b[31m", "\r", "\t", "\n", "\x7f", "\x85", "\ud800",
                   "\udfff", "\ufffe", "\uffff", "\u202e", "<", ">", "&", "]]>", '"', "'",
@@ -116,6 +121,17 @@ def mutated_scenarios(draw):
     return tree
 
 
+def slow(tree):
+    """Make a scenario's COM barely move: every frame takes the max-effort
+    pose, on a base that drifts 10 um a frame. It then passes validation
+    with a slow_com warning."""
+    pose = tree["frames"][tree["max_effort_index"]]["theta_deg"]
+    for i, frame in enumerate(tree["frames"]):
+        frame["base_xy_m"] = [i * 1e-5, 0.0]
+        frame["theta_deg"] = pose
+    return tree
+
+
 def run(*argv):
     """main's exit code, stdout and stderr, each stream strict UTF-8."""
     streams = [io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2)]
@@ -146,20 +162,28 @@ def printed_numbers_are_finite(out):
     return True
 
 
-def check_outcome(command, code, out, err, out_dir):
+def check_outcome(command, code, out, err, out_dir, warnings=None):
     """The two-outcome contract for one run's exit code, streams and output
-    directory. Returns each file written, by name, as bytes."""
+    directory. warnings, when given, is the warning lines that validate
+    printed for the same file and flags: every other command prints them on
+    stderr unless the file fails validation, and then it prints its one
+    error line alone. Returns each file written, by name, as bytes."""
     files = written(out_dir)
     assert code in EXIT_CODES, (command, code, err)
     for text in (out, err, *(b.decode("utf-8") for b in files.values())):
         assert not C0_BUT_NEWLINE_AND_TAB.search(text), (command, text[:500])
+    shown = "" if command == "validate" else WARNING_LINES.match(err).group()
+    if warnings is not None and code != 1:
+        assert shown == warnings, (command, shown, warnings)
     if code == 0:
+        assert err == shown, (command, err)
         return files
     if command == "validate" and code == 1:
         assert FINDING_LINES.fullmatch(err), err
         assert out.endswith(" warning(s)\n"), out
     else:
-        assert ERROR_LINE.fullmatch(err), (command, code, err)
+        assert ERROR_LINE.fullmatch(err[len(shown):]), (command, code, err)
+        assert code != 1 or not shown, (command, err)
         assert out == "", (command, out)
     assert not out_dir.exists(), (command, sorted(files))
 
@@ -178,21 +202,26 @@ def check_landscape(report, csv):
     assert cells[i5 * n6 + i6][2] == report["objective_value"], (i5, i6)
 
 
-def run_checked(argv, out_dir):
-    """Run main on argv, check the two-outcome contract, and for a solved
-    optimize check its output and that a rerun repeats every byte. Returns
-    the exit code and the files written."""
+def run_checked(argv, out_dir, warnings=None):
+    """Run main on argv, check the two-outcome contract (see check_outcome),
+    and for a solved optimize or sweep check its output and that a rerun
+    repeats every byte. Returns the exit code, stdout and the files written."""
     command = argv[0]
     code, out, err = run(*argv)
-    files = check_outcome(command, code, out, err, out_dir)
-    if command == "optimize" and code == 0:
+    files = check_outcome(command, code, out, err, out_dir, warnings)
+    if command in ("optimize", "sweep") and code == 0:
         assert printed_numbers_are_finite(out), out
-        report = json.loads(files["placement_report.json"])
-        assert all(math.isfinite(node_at(report, p)) for p in node_paths(report, is_number)), report
-        check_landscape(report, files["landscape.csv"].decode("utf-8"))
+        if command == "optimize":
+            report = json.loads(files["placement_report.json"])
+            assert all(math.isfinite(node_at(report, p))
+                       for p in node_paths(report, is_number)), report
+            check_landscape(report, files["landscape.csv"].decode("utf-8"))
+        else:
+            rows = files["sweep.csv"].decode("utf-8").splitlines()[1:]
+            assert all(math.isfinite(float(x)) for row in rows for x in row.split(",")), rows
         assert run(*argv) == (code, out, err)
         assert written(out_dir) == files
-    return code, files
+    return code, out, files
 
 
 # An offset of the robot base from the optimal handle, within reach_limit_m
@@ -206,6 +235,9 @@ offsets = st.one_of(finite(-0.6, 0.6), finite(-1e6, 1e6))
 @example(scenario=FIXTURES[0], robot_offset=(0.0, 0.0), optimize_exit=0)
 @example(scenario={**FIXTURES[0], "name": "a\x07\x1b[31mb\ud800"}, robot_offset=(0.0, 0.0),
          optimize_exit=1)
+# a file with a warning whose constrained solves fail: the warning, then one
+# error line, and nothing written
+@example(scenario=slow(copy.deepcopy(FIXTURES[0])), robot_offset=(50.0, 50.0), optimize_exit=0)
 def test_mutated_scenarios_are_rejected_with_a_code_or_give_finite_reproducible_output(
         tmp_path_factory, scenario, robot_offset, optimize_exit):
     # optimize_exit pins optimize's exit code in the examples, so that both a
@@ -218,22 +250,28 @@ def test_mutated_scenarios_are_rejected_with_a_code_or_give_finite_reproducible_
         ("analyze", ()),
         ("optimize", GRID),
         ("render", GRID),
+        ("sweep", SWEEP),
     ]
+    warnings = None
     for command, flags in runs:
         out_dir = root / command
         argv = (command, "--scenario", str(path), *flags)
         if command != "validate":  # validate writes nothing and takes no --out
             argv += ("--out", str(out_dir))
-        code, files = run_checked(argv, out_dir)
+        code, out, files = run_checked(argv, out_dir, warnings)
+        if command == "validate" and code == 0:
+            warnings = "".join(f"{line}\n" for line in out.splitlines()
+                               if line.startswith("warning["))
         if command != "optimize":
             continue
         assert optimize_exit in (None, code), (optimize_exit, code)
         if code == 0:
             handle = json.loads(files["placement_report.json"])["handle_xy_m"]
             base = ",".join(repr(h + d) for h, d in zip(handle, robot_offset))
-            robot_dir = root / "optimize_robot"
-            run_checked(("optimize", "--scenario", str(path), *GRID, "--out", str(robot_dir),
-                         "--constrained", f"--robot-base={base}"), robot_dir)
+            for solve, solve_flags in (("optimize", GRID), ("sweep", SWEEP)):
+                robot_dir = root / f"{solve}_robot"
+                run_checked((solve, "--scenario", str(path), *solve_flags, "--out", str(robot_dir),
+                             "--constrained", f"--robot-base={base}"), robot_dir, warnings)
 
 
 def test_a_robot_base_near_the_float_range_gives_a_code_or_finite_output(tmp_path):
@@ -249,6 +287,6 @@ def test_a_robot_base_on_the_scenario_bound_gives_finite_output(tmp_path):
     path = str(fixture_path(list_fixtures()[0]))
     for base, want in (("1e6,0", 0), ("1.000001e6,0", 2)):
         out_dir = tmp_path / str(want)
-        code, _ = run_checked(("optimize", "--scenario", path, *GRID, "--out", str(out_dir),
-                               f"--robot-base={base}"), out_dir)
+        code, _, _ = run_checked(("optimize", "--scenario", path, *GRID, "--out", str(out_dir),
+                                  f"--robot-base={base}"), out_dir)
         assert code == want, (base, code)

@@ -16,6 +16,7 @@ from handleopt.reporting import (
     _fmt,
     _heat_color,
     _scene_bounds,
+    landscape_svg_chunks,
     render_landscape,
     render_scene,
 )
@@ -182,6 +183,11 @@ def test_landscape_geometry_and_argmax_box():
     assert f"objective landscape ({n5} x {n6} cells)" in svg
     cells = svg.split('<g id="cells">')[1].split("</g>")[0]
     assert cells.count("<rect ") == n5 * n6
+    # sweep writes it in pieces: the head, one theta5 row of cells each, the tail
+    chunks = list(landscape_svg_chunks(landscape, placement.argmax_index))
+    assert "".join(chunks) == svg
+    assert len(chunks) == n5 + 2
+    assert all(chunk.count("<rect ") == n6 for chunk in chunks[1:-1])
     i5, i6 = placement.argmax_index
     x = 70 + i5 * cell
     y = 46 + (n6 - 1 - i6) * cell
