@@ -206,13 +206,11 @@ def forward_kinematics(pose: BodyPose, segments: SegmentSet) -> BodyGeometry:
     )
 
 
-def nonarm_com(pose: BodyPose, segments: SegmentSet, renormalize: bool = False) -> Vec2:
+def nonarm_com(pose: BodyPose, segments: SegmentSet) -> Vec2:
     """Consolidated COM of the five non-arm links (indices 0..4).
 
-    The default divisor is the whole-body mass, not the five-link mass,
-    so the point is the five-link weighted sum scaled by the non-arm mass
-    fraction. renormalize=True divides by the five-link mass instead,
-    giving the true centroid of those links.
+    The divisor is the whole-body mass, not the five-link mass, so the
+    point is the five-link centroid scaled by the non-arm mass fraction.
     """
     geom = forward_kinematics(pose, segments)
     sx = sy = 0.0
@@ -221,8 +219,7 @@ def nonarm_com(pose: BodyPose, segments: SegmentSet, renormalize: bool = False) 
         c = geom.segment_coms[i]
         sx += m * c.x
         sy += m * c.y
-    divisor = segments.nonarm_mass if renormalize else segments.total_mass
-    return Vec2(sx / divisor, sy / divisor)
+    return Vec2(sx / segments.total_mass, sy / segments.total_mass)
 
 
 class ComState(NamedTuple):
@@ -237,12 +234,7 @@ class ComState(NamedTuple):
     speed: float
 
 
-def com_velocity(
-    frames: Sequence[PoseFrame],
-    segments: SegmentSet,
-    index: int,
-    renormalize: bool = False,
-) -> ComState:
+def com_velocity(frames: Sequence[PoseFrame], segments: SegmentSet, index: int) -> ComState:
     """Central-difference COM velocity at an interior frame.
 
     raw = (com(i+1) - com(i-1)) / (t(i+1) - t(i-1)). Raises
@@ -256,8 +248,8 @@ def com_velocity(
     dt = frames[index + 1].time - frames[index - 1].time
     if dt <= 0.0:
         raise ValueError("frame times must be strictly increasing")
-    before = nonarm_com(frames[index - 1].pose, segments, renormalize)
-    after = nonarm_com(frames[index + 1].pose, segments, renormalize)
+    before = nonarm_com(frames[index - 1].pose, segments)
+    after = nonarm_com(frames[index + 1].pose, segments)
     raw = (after - before) * (1.0 / dt)
     speed = raw.norm()
     if speed < DEGENERATE_SPEED:
@@ -265,7 +257,7 @@ def com_velocity(
             f"COM speed {speed:.3e} m/s at frame {index} is below {DEGENERATE_SPEED:.0e}"
         )
     return ComState(
-        position=nonarm_com(frames[index].pose, segments, renormalize),
+        position=nonarm_com(frames[index].pose, segments),
         direction=raw * (1.0 / speed),
         speed=speed,
     )

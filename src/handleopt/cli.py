@@ -1,13 +1,13 @@
 """Command line interface.
 
 Subcommands: validate, analyze, optimize, sweep, render. Every command
-takes --scenario and only the flags it reads; overrides are applied to
-the in-memory scenario and re-validated before any computation, and the
-commands but validate then print each warning on stderr. Exit
-codes: 0 success, 1 failed validation, 2 parse/schema/usage/IO trouble,
-3 numeric failure. The numpy-backed solver and renderer are imported
-only by the commands that use them, so validate and analyze run without
-numpy.
+takes --scenario and only the flags it reads, and render --no-placement
+no solve flag; overrides are applied to the in-memory scenario and
+re-validated before any computation, and the commands but validate then
+print each warning on stderr. Exit codes: 0 success, 1 failed
+validation, 2 parse/schema/usage/IO trouble, 3 numeric failure. The
+numpy-backed solver and renderer are imported only by the commands that
+use them, so validate and analyze run without numpy.
 """
 
 from __future__ import annotations
@@ -243,6 +243,13 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 def _cmd_render(args: argparse.Namespace) -> int:
     from .reporting import render_scene
 
+    solve_flags = {"--grid-step-deg": args.grid_step_deg, "--force-model": args.force_model,
+                   "--tau": args.tau, "--limits-deg": args.limits_deg, "--a": args.a,
+                   "--constrained": args.constrained or None, "--robot-base": args.robot_base}
+    given = [flag for flag, value in solve_flags.items() if value is not None]
+    if args.no_placement and given:
+        raise argparse.ArgumentTypeError(
+            f"--no-placement solves nothing, so it takes no solve flag: got {', '.join(given)}")
     scenario = _load(args)
     frame = args.frame if args.frame is not None else scenario.max_effort_index
     if not 0 <= frame < len(scenario.frames):

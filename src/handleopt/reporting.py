@@ -191,19 +191,15 @@ def _heat_color(t: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def render_landscape(landscape: ObjectiveLandscape, argmax_index: tuple[int, int]) -> str:
-    """Heat map of the objective over the joint grid; theta6 grows upward.
+def landscape_svg_chunks(landscape: ObjectiveLandscape, argmax_index: tuple[int, int]):
+    """SVG heat map of the objective over the joint grid, theta6 growing
+    upward, in pieces: the head, one piece per theta5 row of the grid, and
+    the tail. A writer that takes each piece as it comes holds one row of
+    cells, not the whole file.
 
     argmax_index is the solve's (i5, i6) optimum cell, outlined in red
     when any cell is eligible.
     """
-    return "".join(landscape_svg_chunks(landscape, argmax_index))
-
-
-def landscape_svg_chunks(landscape: ObjectiveLandscape, argmax_index: tuple[int, int]):
-    """render_landscape's text in pieces: the head, one piece per theta5
-    row of the grid, and the tail. A writer that takes each piece as it
-    comes holds one row of cells, not the whole file."""
     n5 = int(landscape.theta5.size)
     n6 = int(landscape.theta6.size)
     cell = max(2, min(20, 900 // max(n5, 1)))

@@ -130,16 +130,9 @@ def segment_coms_complex(pose, segments) -> list:
     return out
 
 
-def nonarm_com_complex(pose, segments, renormalize=False) -> complex:
+def nonarm_com_complex(pose, segments) -> complex:
     coms = segment_coms_complex(pose, segments)
-    weighted = 0j
-    nonarm_mass = 0.0
-    for i in range(5):
-        m = segments.mass(i)
-        weighted += m * coms[i]
-        nonarm_mass += m
-    divisor = nonarm_mass if renormalize else segments.total_mass
-    return weighted / divisor
+    return sum(segments.mass(i) * coms[i] for i in range(5)) / segments.total_mass
 
 
 def sample_chain(rng, min_lever=0.05):

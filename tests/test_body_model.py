@@ -170,7 +170,6 @@ def test_nonarm_com_single_loaded_segment():
     geom = forward_kinematics(pose, segs)
     com = nonarm_com(pose, segs)
     assert (com - geom.segment_coms[3]).norm() < 1e-12
-    assert (nonarm_com(pose, segs, renormalize=True) - com).norm() < 1e-12
 
 
 def test_nonarm_com_two_point_masses():
@@ -189,11 +188,10 @@ def test_nonarm_com_two_point_masses():
 def test_nonarm_com_matches_complex_reference(segments):
     scenario = load_scenario(fixture_path("bathtub_stand"))
     for frame in scenario.frames[::4]:
-        for renorm in (False, True):
-            got = nonarm_com(frame.pose, scenario.segments, renormalize=renorm)
-            ref = nonarm_com_complex(frame.pose, scenario.segments, renormalize=renorm)
-            assert got.x == pytest.approx(ref.real, abs=1e-12)
-            assert got.y == pytest.approx(ref.imag, abs=1e-12)
+        got = nonarm_com(frame.pose, scenario.segments)
+        ref = nonarm_com_complex(frame.pose, scenario.segments)
+        assert got.x == pytest.approx(ref.real, abs=1e-12)
+        assert got.y == pytest.approx(ref.imag, abs=1e-12)
 
 
 def test_nonarm_com_translation_scales_by_mass_fraction(rng, segments):
@@ -201,10 +199,6 @@ def test_nonarm_com_translation_scales_by_mass_fraction(rng, segments):
     d = Vec2(0.83, -0.29)
     shift = nonarm_com(translate_pose(pose, d), segments) - nonarm_com(pose, segments)
     assert (shift - d * segments.nonarm_fraction).norm() < 1e-12
-    # with renormalization the point is a true centroid and shifts one-to-one
-    shift_true = (nonarm_com(translate_pose(pose, d), segments, renormalize=True)
-                  - nonarm_com(pose, segments, renormalize=True))
-    assert (shift_true - d).norm() < 1e-12
 
 
 def test_nonarm_com_rotation_about_origin_is_exact(rng, segments):
@@ -226,10 +220,6 @@ def test_nonarm_com_rotation_about_other_pivots_shifts_predictably(rng, segments
         slip = com1 - rotate(com0, phi, pivot)
         expected = (pivot - rotate(pivot, phi)) * (k - 1.0)
         assert (slip - expected).norm() < 1e-12
-        # the renormalized centroid is equivariant about any pivot
-        true0 = nonarm_com(pose, segments, renormalize=True)
-        true1 = nonarm_com(rotate_pose(pose, phi), segments, renormalize=True)
-        assert (true1 - rotate(true0, phi, pivot)).norm() < 1e-12
 
 
 def uniform_frames(pose, d, dt=0.5, n=5):
@@ -241,15 +231,12 @@ def uniform_frames(pose, d, dt=0.5, n=5):
 def test_com_velocity_uniform_translation(segments):
     pose = BodyPose(base=Vec2(0.0, 0.0), theta=(1.3, -0.5, 0.8, 0.1, -2.2, 0.9))
     frames = uniform_frames(pose, Vec2(0.1, 0.0))
-    state = com_velocity(frames, segments, 2, renormalize=True)
+    state = com_velocity(frames, segments, 2)
     assert state.direction.x == pytest.approx(1.0, abs=1e-12)
     assert state.direction.y == pytest.approx(0.0, abs=1e-12)
-    assert state.speed == pytest.approx(0.2, rel=1e-12)
-    # without renormalization the speed shrinks by the non-arm mass fraction
-    scaled = com_velocity(frames, segments, 2)
-    assert scaled.speed == pytest.approx(0.2 * segments.nonarm_fraction, rel=1e-12)
-    assert (scaled.direction - state.direction).norm() < 1e-12
-    assert (state.position - nonarm_com(frames[2].pose, segments, renormalize=True)).norm() == 0.0
+    # the whole-body divisor shrinks the speed by the non-arm mass fraction
+    assert state.speed == pytest.approx(0.2 * segments.nonarm_fraction, rel=1e-12)
+    assert state.position == nonarm_com(frames[2].pose, segments)
 
 
 def test_com_velocity_rejects_endpoints_and_short_sequences(segments):

@@ -419,6 +419,23 @@ def test_render_out_of_range_frame_is_a_usage_error(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag", [
+    "--constrained", "--robot-base=abc", "--grid-step-deg=1e-9", "--force-model=lsq",
+    "--tau=1,2,3", "--limits-deg=-60,80,5,120", "--a=0",
+])
+def test_render_no_placement_refuses_each_solve_flag(capsys, tmp_path, flag):
+    # the recorded pose needs no solve, so a solve flag is refused, even a
+    # malformed one or one that sizes a grid never built, and before the
+    # file is read
+    out_dir = tmp_path / "out"
+    for scenario in (TOILET, str(tmp_path / "absent.json")):
+        code, out, err = run(capsys, "render", "--scenario", scenario, "--out", str(out_dir),
+                             "--no-placement", flag)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(rf"error\[usage\]: [^\n]*{flag.split('=')[0]}\b[^\n]*\n", err), err
+        assert not out_dir.exists()
+
+
 def test_sweep_writes_per_value_landscapes(capsys, tmp_path):
     code, out, err = run(
         capsys, "sweep", "--scenario", TOILET, "--out", str(tmp_path),

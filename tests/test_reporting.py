@@ -17,7 +17,6 @@ from handleopt.reporting import (
     _heat_color,
     _scene_bounds,
     landscape_svg_chunks,
-    render_landscape,
     render_scene,
 )
 from handleopt.scenario_io import scenario_from_dict
@@ -166,8 +165,8 @@ def test_rendering_is_deterministic():
     ctx, _ = make_context(s)
     placement, landscape = optimize_placement(ctx, s.limits, s.objective)
     assert render_scene(s, 4, placement) == render_scene(s, 4, placement)
-    assert (render_landscape(landscape, placement.argmax_index)
-            == render_landscape(landscape, placement.argmax_index))
+    assert (list(landscape_svg_chunks(landscape, placement.argmax_index))
+            == list(landscape_svg_chunks(landscape, placement.argmax_index)))
 
 
 def test_landscape_geometry_and_argmax_box():
@@ -176,18 +175,17 @@ def test_landscape_geometry_and_argmax_box():
     placement, landscape = optimize_placement(ctx, s.limits, s.objective)
     n5, n6 = landscape.theta5.size, landscape.theta6.size
     assert (n5, n6) == (29, 24)
-    svg = render_landscape(landscape, placement.argmax_index)
+    # sweep writes it in pieces: the head, one theta5 row of cells each, the tail
+    chunks = list(landscape_svg_chunks(landscape, placement.argmax_index))
+    assert len(chunks) == n5 + 2
+    assert all(chunk.count("<rect ") == n6 for chunk in chunks[1:-1])
+    svg = "".join(chunks)
     cell = 20
     assert f'width="{70 + n5 * cell + 24}"' in svg
     assert f'height="{46 + n6 * cell + 54}"' in svg
     assert f"objective landscape ({n5} x {n6} cells)" in svg
     cells = svg.split('<g id="cells">')[1].split("</g>")[0]
     assert cells.count("<rect ") == n5 * n6
-    # sweep writes it in pieces: the head, one theta5 row of cells each, the tail
-    chunks = list(landscape_svg_chunks(landscape, placement.argmax_index))
-    assert "".join(chunks) == svg
-    assert len(chunks) == n5 + 2
-    assert all(chunk.count("<rect ") == n6 for chunk in chunks[1:-1])
     i5, i6 = placement.argmax_index
     x = 70 + i5 * cell
     y = 46 + (n6 - 1 - i6) * cell
@@ -210,7 +208,7 @@ def test_single_cell_landscape_renders():
         objective=np.array([[1.5]]),
         eligible=np.array([[True]]),
     )
-    svg = render_landscape(landscape, (0, 0))
+    svg = "".join(landscape_svg_chunks(landscape, (0, 0)))
     assert "objective landscape (1 x 1 cells)" in svg
     assert f'fill="{_heat_color(0.5)}"' in svg  # zero span pins mid-scale
     assert '<rect id="argmax"' in svg
@@ -224,7 +222,7 @@ def test_all_ineligible_landscape_renders():
         objective=np.full((1, 2), np.nan),
         eligible=np.zeros((1, 2), dtype=bool),
     )
-    svg = render_landscape(landscape, (0, 0))  # no optimum: the index is not drawn
+    svg = "".join(landscape_svg_chunks(landscape, (0, 0)))  # no optimum: the index is not drawn
     assert '<rect id="argmax"' not in svg
     assert "min =" not in svg
     assert svg.count('fill="#c8c8c8"') == 2
