@@ -197,10 +197,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _run_optimization(scenario: Scenario, args: argparse.Namespace, robot_base: Vec2 | None):
-    """(ctx, COM state, placement, landscape) of one solve."""
+    """(ctx, placement, landscape) of one solve."""
     from .placement_opt import optimize_placement
 
-    ctx, state = make_context(scenario)
+    ctx, _ = make_context(scenario)
     placement, landscape = optimize_placement(
         ctx,
         scenario.limits,
@@ -210,16 +210,16 @@ def _run_optimization(scenario: Scenario, args: argparse.Namespace, robot_base: 
         robot_base=robot_base,
         constrained=args.constrained,
     )
-    return ctx, state, placement, landscape
+    return ctx, placement, landscape
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     scenario = _load(args)
     robot_base = _robot_base(args)
-    ctx, state, placement, landscape = _run_optimization(scenario, args, robot_base)
+    ctx, placement, landscape = _run_optimization(scenario, args, robot_base)
     out = _out_dir(args)
     report_path, csv_path = write_placement_report(
-        scenario, ctx, state, placement, landscape, out,
+        scenario, placement, landscape, out,
         constrained=args.constrained, robot_base=robot_base,
     )
     print(f"scenario: {scenario.name}")
@@ -250,6 +250,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
     if args.no_placement and given:
         raise argparse.ArgumentTypeError(
             f"--no-placement solves nothing, so it takes no solve flag: got {', '.join(given)}")
+    if not args.no_placement and args.frame is not None:
+        raise argparse.ArgumentTypeError(
+            "--frame goes with --no-placement; a solved render draws its max-effort frame")
     scenario = _load(args)
     frame = args.frame if args.frame is not None else scenario.max_effort_index
     if not 0 <= frame < len(scenario.frames):
@@ -258,7 +261,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
         )
     placement = None
     if not args.no_placement:
-        _, _, placement, _ = _run_optimization(scenario, args, _robot_base(args))
+        _, placement, _ = _run_optimization(scenario, args, _robot_base(args))
     svg = render_scene(scenario, frame, placement)
     out = _out_dir(args)
     path = out / f"scene_frame{frame:03d}.svg"
@@ -297,7 +300,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     rows = ["value,theta5_opt_deg,theta6_opt_deg,objective,handle_x_m,handle_y_m"]
     for i, ((stem, value), scenario_at) in enumerate(zip(stems.items(), swept)):
-        _, _, placement, landscape = _run_optimization(scenario_at, args, robot_base)
+        _, placement, landscape = _run_optimization(scenario_at, args, robot_base)
         if i == 0:
             # No cell's exclusion depends on a, so only the first solve can
             # fail; a sweep that fails prints and writes nothing.
@@ -344,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     render = command("render", _cmd_render, "draw one frame as an SVG scene")
     _add_solve(render)
     render.add_argument("--frame", type=int, default=None,
-                        help="frame index (default: the max-effort frame)")
+                        help="frame index, with --no-placement (default: the max-effort frame)")
     render.add_argument("--no-placement", action="store_true",
                         help="draw the recorded pose without the optimized arm overlay")
 

@@ -91,7 +91,12 @@ def _scene_bounds(geom: BodyGeometry, com: Vec2, arm_reach: float, floor_y: floa
 
 
 def render_scene(scenario, frame_index: int, placement: Placement | None = None) -> str:
-    """SVG for one frame; pass a placement to overlay the solved arm."""
+    """SVG for one frame; pass a placement to overlay the solved arm. A
+    placement belongs to the max-effort frame: another frame_index raises
+    ValueError."""
+    if placement is not None and frame_index != scenario.max_effort_index:
+        raise ValueError(f"a placement is drawn only at the max-effort frame "
+                         f"{scenario.max_effort_index} it was solved for, not frame {frame_index}")
     frame = scenario.frames[frame_index]
     geom = forward_kinematics(frame.pose, scenario.segments)
     com = nonarm_com(frame.pose, scenario.segments)

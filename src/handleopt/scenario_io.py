@@ -472,8 +472,6 @@ def _model_summary(ctx: PlacementContext, placement: Placement, config: Objectiv
 
 def write_placement_report(
     scenario: Scenario,
-    ctx: PlacementContext,
-    state: ComState,
     placement: Placement,
     landscape: ObjectiveLandscape,
     out_dir,
@@ -482,12 +480,13 @@ def write_placement_report(
 ) -> tuple[Path, Path]:
     """Write placement_report.json and landscape.csv into out_dir.
 
-    ctx and state are make_context(scenario), and placement and
-    landscape the optimize_placement result they were solved with.
-    Numbers go through repr-level JSON serialization, so re-reading the
-    report reproduces every float bit-exact. The CSV holds one row per
-    grid cell with header theta5_deg,theta6_deg,objective,feasible.
+    placement and landscape are the optimize_placement result on
+    make_context(scenario), which is rebuilt here for the COM state and
+    force figures. Numbers go through repr-level JSON serialization, so
+    re-reading the report reproduces every float bit-exact. The CSV holds
+    one row per grid cell with header theta5_deg,theta6_deg,objective,feasible.
     """
+    ctx, state = make_context(scenario)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     i5, i6 = placement.argmax_index

@@ -85,6 +85,31 @@ def rotate_context(ctx: PlacementContext, phi: float) -> PlacementContext:
     )
 
 
+def reflect(v: Vec2) -> Vec2:
+    """v reflected across the y axis."""
+    return as_vec2(-as_complex(v).conjugate())
+
+
+def reflect_pose(pose):
+    """The pose reflected across the y axis: the base's x and every relative
+    joint angle change sign, and each link angle a becomes pi - a."""
+    return BodyPose(base=reflect(pose.base), theta=tuple(-t for t in pose.theta),
+                    foot_angle=math.pi - pose.foot_angle)
+
+
+def reflect_context(ctx: PlacementContext) -> PlacementContext:
+    """A placement context reflected across the y axis; a shoulder angle
+    theta5 on it is -theta5 on ctx."""
+    return PlacementContext(
+        shoulder=reflect(ctx.shoulder),
+        theta_04=math.pi - ctx.theta_04,
+        com=reflect(ctx.com),
+        v=reflect(ctx.v),
+        upper_len=ctx.upper_len,
+        fore_len=ctx.fore_len,
+    )
+
+
 def random_unit(rng) -> Vec2:
     ang = rng.uniform(-math.pi, math.pi)
     return Vec2(math.cos(ang), math.sin(ang))

@@ -436,6 +436,20 @@ def test_render_no_placement_refuses_each_solve_flag(capsys, tmp_path, flag):
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("frame", ["5", "8"])
+def test_solved_render_refuses_frame(capsys, tmp_path, frame):
+    # a solved render draws the max-effort frame it solved (8 on the toilet
+    # fixture), so --frame goes with --no-placement only, even when it names
+    # that frame; it is refused before the file is read
+    out_dir = tmp_path / "out"
+    for scenario in (TOILET, str(tmp_path / "absent.json")):
+        code, out, err = run(capsys, "render", "--scenario", scenario, "--out", str(out_dir),
+                             "--frame", frame)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error\[usage\]: [^\n]*--frame\b[^\n]*\n", err), err
+        assert not out_dir.exists()
+
+
 def test_sweep_writes_per_value_landscapes(capsys, tmp_path):
     code, out, err = run(
         capsys, "sweep", "--scenario", TOILET, "--out", str(tmp_path),
@@ -467,7 +481,7 @@ def test_sweep_holds_one_landscape_at_a_time(capsys, tmp_path, monkeypatch):
         assert alive == 0, f"{alive} array(s) of value {solves - 1} still alive"
         solves += 1
         result = run_optimization(*args)
-        refs[:] = [weakref.ref(a) for a in result[3]]  # both axes, objective, eligible
+        refs[:] = [weakref.ref(a) for a in result[2]]  # both axes, objective, eligible
         return result
 
     monkeypatch.setattr(handleopt.cli, "_run_optimization", tracked)
@@ -591,6 +605,26 @@ def test_an_error_finding_comes_alone_and_writes_nothing(capsys, tmp_path, comma
     assert not out_dir.exists()
 
 
+# A mutation of each section that only a solve reads, by the code it draws
+SOLVE_SECTIONS = {
+    "grid_too_large": lambda d: d["objective"].update(grid_step_deg=1e-9),
+    "elbow_limit_margin": lambda d: d.update(joint_limits_deg=[-60.0, 80.0, 0.0, 120.0]),
+    "robot_positive": lambda d: d["robot"].update(reach_limit_m=0.0),
+}
+
+
+@pytest.mark.parametrize("finding", SOLVE_SECTIONS)
+@pytest.mark.parametrize("argv", [("analyze",), ("render", "--no-placement")])
+def test_the_commands_that_solve_nothing_validate_the_whole_file(capsys, tmp_path, argv,
+                                                                 finding):
+    path = broken_scenario(tmp_path, SOLVE_SECTIONS[finding])
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, *argv, "--scenario", path, "--out", str(out_dir))
+    assert (code, out) == (1, "")
+    assert re.fullmatch(rf"error\[validation\]: {finding}: [^\n]+\n", err), err
+    assert not out_dir.exists()
+
+
 def test_no_exclusion_depends_on_a_so_a_failing_sweep_writes_nothing(capsys, tmp_path,
                                                                     monkeypatch):
     # a sweep can fail only at its first solve, and then it prints and
@@ -602,7 +636,7 @@ def test_no_exclusion_depends_on_a_so_a_failing_sweep_writes_nothing(capsys, tmp
         nonlocal solves
         solves += 1
         result = run_optimization(*args)
-        masks.append(result[3].eligible.copy())
+        masks.append(result[2].eligible.copy())
         return result
 
     monkeypatch.setattr(handleopt.cli, "_run_optimization", tracked)

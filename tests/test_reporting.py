@@ -160,11 +160,24 @@ def test_placement_overlay_changes_only_arm_and_handle():
     assert f'width="{_fmt(bar_w)}"' in overlay.split('<g id="handle">')[1]
 
 
+def test_a_placement_is_drawn_only_at_the_frame_it_was_solved_for():
+    # the overlay's joint angles belong to the max-effort pose; on another
+    # frame's body the drawn hand would miss the handle
+    s = coarse(load_scenario(fixture_path("toilet_sit_to_stand")))
+    ctx, _ = make_context(s)
+    placement, _ = optimize_placement(ctx, s.limits, s.objective)
+    for idx in (0, 4, s.max_effort_index + 1, len(s.frames) - 1):
+        with pytest.raises(ValueError, match=f"max-effort frame 8 .* not frame {idx}$"):
+            render_scene(s, idx, placement)
+    assert '<g id="handle">' in render_scene(s, s.max_effort_index, placement)
+
+
 def test_rendering_is_deterministic():
     s = coarse(load_scenario(fixture_path("sit_to_stand_bed")))
     ctx, _ = make_context(s)
     placement, landscape = optimize_placement(ctx, s.limits, s.objective)
-    assert render_scene(s, 4, placement) == render_scene(s, 4, placement)
+    idx = s.max_effort_index
+    assert render_scene(s, idx, placement) == render_scene(s, idx, placement)
     assert (list(landscape_svg_chunks(landscape, placement.argmax_index))
             == list(landscape_svg_chunks(landscape, placement.argmax_index)))
 

@@ -428,9 +428,7 @@ def test_placement_report_round_trips_bit_exact(tmp_path):
         ctx, scenario.limits, scenario.objective,
         robot=scenario.robot, floor_y=scenario.floor_y,
     )
-    report_path, csv_path = write_placement_report(
-        scenario, ctx, state, placement, landscape, tmp_path
-    )
+    report_path, csv_path = write_placement_report(scenario, placement, landscape, tmp_path)
     report = json.loads(report_path.read_text())
     assert report["scenario"] == scenario.name
     assert report["optimal"]["theta5_rad"] == placement.theta5_opt
@@ -481,9 +479,9 @@ def test_landscape_csv_layout(tmp_path):
     small = scenario._replace(
         objective=dataclasses.replace(scenario.objective, grid_step=math.radians(10.0)),
     )
-    ctx, state = make_context(small)
+    ctx, _ = make_context(small)
     placement, landscape = optimize_placement(ctx, small.limits, small.objective)
-    _, csv_path = write_placement_report(small, ctx, state, placement, landscape, tmp_path)
+    _, csv_path = write_placement_report(small, placement, landscape, tmp_path)
     lines = csv_path.read_text().splitlines()
     n5, n6 = landscape.theta5.size, landscape.theta6.size
     assert lines[0] == "theta5_deg,theta6_deg,objective,feasible"
