@@ -42,10 +42,12 @@ hypotenuse from the same C function as the grid's ufunc: the first three
 from the NumPy ufunc itself, unwrapped to a float, and the hypotenuse from
 abs() of a complex, which CPython computes with the C library's hypot, as
 np.hypot does. The rest of the kernel is + - * / and math.sqrt, which are
-correctly rounded in CPython and NumPy alike, max, min, abs and
-comparisons, which are exact, and the context stage, which is floats in
-both paths. So a point query equals its grid cell bit for bit by
-construction, while it skips the cost of NumPy scalars.
+correctly rounded in CPython and NumPy alike; abs and comparisons, which
+are exact; the conditionals b if b > a else a and b if b < a else a for
+np.maximum(a, b) and np.minimum(a, b), which return one operand's bits and
+pass a NaN first operand through as the ufuncs do; and the context stage,
+which is floats in both paths. So a point query equals its grid cell bit
+for bit by construction, while it skips the cost of NumPy scalars.
 
 The grid (grid_forces, behind placement_opt.evaluate_grid) runs the same
 stages on arrays, with the primitives of a GridTrig, built once per grid:
@@ -74,7 +76,10 @@ construction, and the grid makes two libm calls a cell fewer.
 
 What remains per grid cell is the cell stage. The expanded model makes
 four transcendental calls a cell: np.hypot for the handle's lever, then
-np.arccos, np.sin and np.cos for its lever angle and direction. The lsq
+np.arccos, np.sin and np.cos for its lever angle a and direction
+u7 = (-sin a, cos a). Without the force vector (every grid block, and
+objective()) it builds no u7 and takes u7 . v as sin a (-vx) + cos a vy,
+which has the bits of (-sin a) vx + cos a vy. The lsq
 model uses that direction only for the sign s7 of its projection on v,
 which it takes from the angle-sum form of _lsq_handle_dot: np.hypot and
 a square root a cell, and no angle calls.
@@ -136,9 +141,9 @@ class _Primitives(NamedTuple):
     invert: Callable  # logical not
 
 
-def _cos_sin_sum_float(phi5, theta6):
+def _cos_sin_sum_float(phi5, theta6, cos=np.cos, sin=np.sin):
     phi6 = phi5 + theta6
-    return phi6, float(np.cos(phi6)), float(np.sin(phi6))
+    return phi6, float(cos(phi6)), float(sin(phi6))
 
 
 def _hypot_float(x, y):
@@ -160,15 +165,22 @@ def _hypot_float(x, y):
 # AVX-512 Xeon the two differ from np.arccos and np.hypot in the last bit on
 # 9.4% and 0.6% of 200,000 random inputs. math.cos and math.sin happened to
 # agree with np.cos and np.sin there, but nothing promises that on another
-# build. math.sqrt, max, min and the conditional are correctly rounded or
-# exact, as their NumPy forms are.
+# build. math.sqrt is correctly rounded, as np.sqrt is. maximum and minimum
+# are the conditionals that max and min compute, without their call cost:
+# they return the first operand unless the second compares greater (less),
+# so a NaN first operand passes through, as it does through np.maximum and
+# np.minimum. The kernel's second operand is always a constant (a test pins
+# both against their NumPy forms). The ufuncs are bound as default arguments,
+# which a call reads faster than a global.
 _ON_FLOATS = _Primitives(
     cos_sin_sum=_cos_sin_sum_float,
-    cos=lambda x: float(np.cos(x)),
-    sin=lambda x: float(np.sin(x)),
-    arccos=lambda x: float(np.arccos(x)),
+    cos=lambda x, cos=np.cos: float(cos(x)),
+    sin=lambda x, sin=np.sin: float(sin(x)),
+    arccos=lambda x, arccos=np.arccos: float(arccos(x)),
     hypot=_hypot_float,
-    maximum=max, minimum=min, sqrt=math.sqrt,
+    maximum=lambda a, b: b if b > a else a,
+    minimum=lambda a, b: b if b < a else a,
+    sqrt=math.sqrt,
     where=lambda cond, a, b: a if cond else b,
     invert=operator.not_,
 )
@@ -224,7 +236,7 @@ class GridTrig:
             k += offset
             c = self._cos.take(k, mode="clip")
             s = self._sin.take(k, mode="clip")
-            if not hit.all():
+            if np.count_nonzero(hit) < hit.size:
                 miss = np.flatnonzero(~hit)
                 angles = phi6.take(miss)
                 np.put(c, miss, np.cos(angles))
@@ -352,8 +364,8 @@ def _elbow_terms(ops: _Primitives, ctx: PlacementContext, shoulder: tuple, theta
     # singular; it changes no lever of a regular chain.
     d6s = ops.maximum(d6, EPS_SINGULAR)
     # Law of cosines; clamping puts degenerate triangles on the boundary.
-    # The ratio comes first in max and min, so that a NaN passes through
-    # them as it does through np.maximum and np.minimum.
+    # The ratio comes first in maximum and minimum, so that a NaN passes
+    # through them as it does through np.maximum and np.minimum.
     c6 = ops.minimum(ops.maximum((l5 * l5 + d6 * d6 - d5 * d5) / (2.0 * l5 * d6s), -1.0), 1.0)
     theta_6com = phi5 - math.pi - ops.arccos(c6)
     u6x, u6y = -ops.sin(theta_6com), ops.cos(theta_6com)
@@ -408,14 +420,20 @@ def _theta_7com(ops: _Primitives, phi6, c7):
     return a
 
 
-def _handle_term(ops: _Primitives, phi6, c7, vx: float, vy: float) -> tuple:
+def _handle_term(ops: _Primitives, phi6, c7, vx: float, vy: float, vector: bool) -> tuple:
     """(u7, u7 . v): the handle term's unit force direction
-    u7 = (-sin a, cos a) at its lever angle a, and its projection on v."""
+    u7 = (-sin a, cos a) at its lever angle a, only where vector holds (else
+    None), and its projection on v.
+
+    The projection is taken as sin a (-vx) + cos a vy, which builds no
+    negated sine. Negation is exact and rounding is symmetric in sign, so
+    (-sin a) vx has the bits of sin a (-vx).
+    """
     a = _theta_7com(ops, phi6, c7)
-    u7 = (-ops.sin(a), ops.cos(a))
-    u7v = u7[0] * vx
-    u7v += u7[1] * vy
-    return u7, u7v
+    sin7, cos7 = ops.sin(a), ops.cos(a)
+    u7v = sin7 * (-vx)
+    u7v += cos7 * vy
+    return ((-sin7, cos7) if vector else None), u7v
 
 
 def _lsq_handle_dot(ops: _Primitives, cos6, sin6, c7, vx: float, vy: float):
@@ -570,7 +588,7 @@ def _cell_forces(ops: _Primitives, ctx: PlacementContext, shoulder: tuple, row: 
     if model == "lsq":
         u7v = _lsq_handle_dot(ops, cos6, sin6, c7, vx, vy)
     else:
-        u7, u7v = _handle_term(ops, phi6, c7, vx, vy)
+        u7, u7v = _handle_term(ops, phi6, c7, vx, vy, vector)
     # Dropped, like to_com7, so that a block holds fewer arrays at a time.
     del phi6, cos6, sin6, c7
     s7 = ops.where(u7v >= 0.0, 1.0, -1.0)

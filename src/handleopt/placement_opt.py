@@ -120,9 +120,11 @@ def evaluate_grid(
     pen = _penalty(config, np.cos(t6))[None, :]
 
     for lo, hi, r in grid_forces(ctx, t5, t6, config.torque_magnitudes, config.force_model):
-        bad = r.singular | r.ill_conditioned
+        # Under expanded, ill_conditioned is the constant False, so the
+        # singular mask is used as it is, not copied.
+        bad = r.singular if r.ill_conditioned is False else r.singular | r.ill_conditioned
         block = np.subtract(r.directed, pen, out=obj[lo:hi])
-        if bad.any():
+        if np.count_nonzero(bad):
             block[bad] = np.nan
         ok = np.invert(bad, out=eligible[lo:hi])
         if robot is not None:

@@ -11,6 +11,7 @@ from handleopt.arm_kinetics import (
     _ON_FLOATS,
     _SLOTS,
     COND_LIMIT,
+    EPS_SINGULAR,
     GridTrig,
     VirtualChain,
     arm_force_expanded,
@@ -505,3 +506,25 @@ def test_float_hypot_is_np_hypot_bit_for_bit(rng):
     # a hypotenuse beyond the largest float, where complex abs raises
     assert_float_hypot_is_np_hypot(np.array([1.5e308]), np.array([-1.5e308]))
     assert _ON_FLOATS.hypot(1.5e308, -1.5e308) == math.inf
+
+
+def test_float_maximum_and_minimum_are_np_maximum_and_minimum_bit_for_bit(rng):
+    # The kernel floors a lever with maximum(d, EPS_SINGULAR) and clamps a
+    # law-of-cosines ratio with minimum(maximum(c, -1.0), 1.0), the ratio
+    # always first. _ON_FLOATS returns its first operand unless the second
+    # compares greater (less), so a NaN first operand passes through with
+    # its bits, as it does through the ufuncs.
+    n = 2_000
+    x = np.concatenate([rng.uniform(-2.0, 2.0, n),
+                        rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 300.0, n)])
+    specials = [0.0, 5e-324, 1e-310, 2.225073858507201e-308, EPS_SINGULAR, 1.0, 1.0 + 2**-52,
+                1e308, math.inf, math.nan]
+    x = np.concatenate([x, specials, [-v for v in specials]])
+    for name in ("maximum", "minimum"):
+        for b in (EPS_SINGULAR, -1.0, 1.0):
+            have = np.array([getattr(_ON_FLOATS, name)(a, b) for a in x.tolist()])
+            want = getattr(np, name)(x, b)
+            np.testing.assert_array_equal(have.view(np.uint64), want.view(np.uint64))
+    # Why the ratio comes first: a NaN second operand is dropped.
+    assert _ON_FLOATS.maximum(EPS_SINGULAR, math.nan) == EPS_SINGULAR
+    assert _ON_FLOATS.minimum(1.0, math.nan) == 1.0

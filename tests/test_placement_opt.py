@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -714,6 +715,28 @@ def test_evaluate_grid_holds_one_block_in_flight(monkeypatch, model, constrained
     evaluate_grid(ctx, scenario.limits, config, **kwargs)
     assert blocks >= 3
     assert (len(refs) > 1) == constrained  # the robot checks' arrays were tracked too
+
+
+@pytest.mark.parametrize("model", FORCE_MODELS)
+@pytest.mark.parametrize("full_range", [False, True])
+def test_evaluate_grid_peak_memory_is_one_block(model, full_range):
+    # Beyond the landscape, evaluate_grid holds the row stage's arrays of one
+    # value a row and one block's temporaries, about 0.9 MiB under expanded
+    # and 1.2 MiB under lsq. The bound is 24 float64 arrays of a full block.
+    # Under lsq, holding one block's results while the next is computed
+    # (evaluate_grid without its del) exceeds it, at 1.55-1.63 MiB.
+    scenario, ctx = toilet_context()
+    limits = JointLimits() if full_range else scenario.limits
+    config = replace(scenario.objective, force_model=model)
+    tracemalloc.start()
+    try:
+        landscape = evaluate_grid(ctx, limits, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert landscape.objective.size > 2 * arm_kinetics._BLOCK_CELLS
+    beyond = peak - landscape.objective.nbytes - landscape.eligible.nbytes
+    assert beyond <= 24 * 8 * arm_kinetics._BLOCK_CELLS, beyond / 2**20
 
 
 def read_only(x):
