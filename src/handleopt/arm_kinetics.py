@@ -141,9 +141,9 @@ class _Primitives(NamedTuple):
     invert: Callable  # logical not
 
 
-def _cos_sin_sum_float(phi5, theta6, cos=np.cos, sin=np.sin):
+def _cos_sin_sum_float(phi5, theta6):
     phi6 = phi5 + theta6
-    return phi6, float(cos(phi6)), float(sin(phi6))
+    return phi6, float(np.cos(phi6)), float(np.sin(phi6))
 
 
 def _hypot_float(x, y):
@@ -170,13 +170,12 @@ def _hypot_float(x, y):
 # they return the first operand unless the second compares greater (less),
 # so a NaN first operand passes through, as it does through np.maximum and
 # np.minimum. The kernel's second operand is always a constant (a test pins
-# both against their NumPy forms). The ufuncs are bound as default arguments,
-# which a call reads faster than a global.
+# both against their NumPy forms).
 _ON_FLOATS = _Primitives(
     cos_sin_sum=_cos_sin_sum_float,
-    cos=lambda x, cos=np.cos: float(cos(x)),
-    sin=lambda x, sin=np.sin: float(sin(x)),
-    arccos=lambda x, arccos=np.arccos: float(arccos(x)),
+    cos=lambda x: float(np.cos(x)),
+    sin=lambda x: float(np.sin(x)),
+    arccos=lambda x: float(np.arccos(x)),
     hypot=_hypot_float,
     maximum=lambda a, b: b if b > a else a,
     minimum=lambda a, b: b if b < a else a,
@@ -236,7 +235,7 @@ class GridTrig:
             k += offset
             c = self._cos.take(k, mode="clip")
             s = self._sin.take(k, mode="clip")
-            if np.count_nonzero(hit) < hit.size:
+            if not hit.all():
                 miss = np.flatnonzero(~hit)
                 angles = phi6.take(miss)
                 np.put(c, miss, np.cos(angles))

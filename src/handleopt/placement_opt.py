@@ -120,13 +120,11 @@ def evaluate_grid(
     pen = _penalty(config, np.cos(t6))[None, :]
 
     for lo, hi, r in grid_forces(ctx, t5, t6, config.torque_magnitudes, config.force_model):
-        # Under expanded, ill_conditioned is the constant False, so the
-        # singular mask is used as it is, not copied.
-        bad = r.singular if r.ill_conditioned is False else r.singular | r.ill_conditioned
+        bad = np.logical_or(r.singular, r.ill_conditioned, out=eligible[lo:hi])
         block = np.subtract(r.directed, pen, out=obj[lo:hi])
-        if np.count_nonzero(bad):
+        if bad.any():
             block[bad] = np.nan
-        ok = np.invert(bad, out=eligible[lo:hi])
+        ok = np.invert(bad, out=bad)
         if robot is not None:
             for _, _, _, violated in robot_checks(*r.handle, robot, floor_y, robot_base):
                 ok &= ~violated

@@ -722,9 +722,10 @@ def test_evaluate_grid_holds_one_block_in_flight(monkeypatch, model, constrained
 def test_evaluate_grid_peak_memory_is_one_block(model, full_range):
     # Beyond the landscape, evaluate_grid holds the row stage's arrays of one
     # value a row and one block's temporaries, about 0.9 MiB under expanded
-    # and 1.2 MiB under lsq. The bound is 24 float64 arrays of a full block.
-    # Under lsq, holding one block's results while the next is computed
-    # (evaluate_grid without its del) exceeds it, at 1.55-1.63 MiB.
+    # and 1.2 MiB under lsq. This holds that absolute tracemalloc peak within
+    # 24 float64 arrays of a full block, so that, say, a new block-sized
+    # temporary in the cell stage shows here. A second block in flight is
+    # test_evaluate_grid_holds_one_block_in_flight's to catch.
     scenario, ctx = toilet_context()
     limits = JointLimits() if full_range else scenario.limits
     config = replace(scenario.objective, force_model=model)
