@@ -2,8 +2,9 @@
 
 fixture_optima.md holds one row per solve that perfbench/reference.json
 also pins: each fixture under each force model, at the fixture's own
-joint limits and at JointLimits(). A change that moves an optimum shows
-the moved rows in its diff. To rewrite the table after such a change:
+joint limits and at JointLimits(), with the arm force and torque signs
+of its placement. A change that moves an optimum or its force shows the
+moved rows in its diff. To rewrite the table after such a change:
 
     PYTHONPATH=src python3 tests/test_fixture_optima.py
 """
@@ -22,8 +23,9 @@ TABLE = Path(__file__).resolve().parent / "fixture_optima.md"
 REFERENCE = TABLE.parents[1] / "perfbench" / "reference.json"
 LIMITS = ("scenario", "full")
 HEADER = [
-    "| fixture | model | limits | theta5_deg | theta6_deg | handle_x_mm | handle_y_mm | objective |",
-    "|---|---|---|---:|---:|---:|---:|---:|",
+    "| fixture | model | limits | theta5_deg | theta6_deg | handle_x_mm | handle_y_mm | objective "
+    "| f_arm_x_n | f_arm_y_n | torque_signs |",
+    "|---|---|---|---:|---:|---:|---:|---:|---:|---:|---|",
 ]
 
 
@@ -47,7 +49,8 @@ def deg(rad: float) -> str:
 def row(key: str, placement) -> str:
     cells = [*key.split("/"), deg(placement.theta5_opt), deg(placement.theta6_opt),
              f"{1000.0 * placement.handle.x:.2f}", f"{1000.0 * placement.handle.y:.2f}",
-             f"{placement.objective_value:.6g}"]
+             f"{placement.objective_value:.6g}", f"{placement.f_arm.x:.6g}",
+             f"{placement.f_arm.y:.6g}", " ".join(f"{s:+d}" for s in placement.torque_signs)]
     return "| " + " | ".join(cells) + " |"
 
 
