@@ -33,15 +33,16 @@ each value depends on:
   its lever d7, c7 and the handle term, then the force along v, with the
   handle's part added last to the row stage's.
 
-The kernel has two callers, each with its own primitive set. A point query
-(directed_forces behind objective(), arm_forces behind the optimum and the
-report, which alone read the expanded model's force vector) runs the row
-and cell stages on Python floats, and the context stage once for a run of
-queries on one context. It takes every cosine, sine, arccosine and
-hypotenuse from the same C function as the grid's ufunc: the first three
-from the NumPy ufunc itself, unwrapped to a float, and the hypotenuse from
-abs() of a complex, which CPython computes with the C library's hypot, as
-np.hypot does. The rest of the kernel is + - * / and math.sqrt, which are
+The kernel computes only what a grid cell holds: the force along v, the
+torque signs, the handle point and the singular and rejected flags. It has
+two callers, each with its own primitive set. A point query (arm_forces,
+behind objective(), the optimum and the report) runs the row and cell
+stages on Python floats, and the context stage once for a run of queries
+on one context. It takes every cosine, sine, arccosine and hypotenuse from
+the same C function as the grid's ufunc: the first three from the NumPy
+ufunc itself, unwrapped to a float, and the hypotenuse from abs() of a
+complex, which CPython computes with the C library's hypot, as np.hypot
+does. The rest of the kernel is + - * / and math.sqrt, which are
 correctly rounded in CPython and NumPy alike; abs and comparisons, which
 are exact; the conditionals b if b > a else a and b if b < a else a for
 np.maximum(a, b) and np.minimum(a, b), which return one operand's bits and
@@ -77,20 +78,25 @@ construction, and the grid makes two libm calls a cell fewer.
 What remains per grid cell is the cell stage. The expanded model makes
 four transcendental calls a cell: np.hypot for the handle's lever, then
 np.arccos, np.sin and np.cos for its lever angle a and direction
-u7 = (-sin a, cos a). Without the force vector (every grid block, and
-objective()) it builds no u7 and takes u7 . v as sin a (-vx) + cos a vy,
-which has the bits of (-sin a) vx + cos a vy. The lsq
+u7 = (-sin a, cos a). It builds no u7 and takes u7 . v as
+sin a (-vx) + cos a vy, which has the bits of (-sin a) vx + cos a vy. The lsq
 model uses that direction only for the sign s7 of its projection on v,
 which it takes from the angle-sum form of _lsq_handle_dot: np.hypot and
 a square root a cell, and no angle calls.
 
 build_chain (returning a VirtualChain), arm_force_expanded and
 arm_force_lsq are float-valued views of the same geometry and force
-helpers, one configuration at a time. No command or solve calls them: the
-tests use them to check the chain piece by piece, and the benchmark's
-tracer (perfbench/tracing.py) looks them up by name, so they stay until it
-traces arm_forces instead. The Jacobian has no view of its own; the tests
-read the columns that the lsq model solves with from _jacobian_column.
+helpers, one configuration at a time, and the one source of the force
+vector F: the optimum's f_arm and the report's figures for both models
+apply a view to build_chain at the torques the point query's signs give.
+The views take every value as a point query does. So under lsq F is bit
+for bit the vector whose projection on v the kernel computes, and under
+expanded it is the lever sum of the very terms whose projections on v the
+kernel adds. The
+tests use the views to check the chain piece by piece, and the benchmark's
+tracer (perfbench/tracing.py) times them by name. The Jacobian has no view
+of its own; the tests read the columns that the lsq model solves with from
+_jacobian_column.
 """
 
 from __future__ import annotations
@@ -275,11 +281,18 @@ class VirtualChain(NamedTuple):
     theta_7com: float
 
     def unit_directions(self) -> tuple[Vec2, Vec2, Vec2]:
-        """Force direction of each torque term (shoulder, elbow, handle)."""
+        """Force direction of each torque term (shoulder, elbow, handle).
+
+        Each is taken as the kernel takes it, so that arm_force_expanded
+        gives the report's f_arm bit for bit: u5 from math, as the context
+        stage does, and u6 and u7 from the _ON_FLOATS ufuncs, as a point
+        query does.
+        """
+        sin, cos = _ON_FLOATS.sin, _ON_FLOATS.cos
         return (
             Vec2(-math.sin(self.theta_com), math.cos(self.theta_com)),
-            Vec2(-math.sin(self.theta_6com), math.cos(self.theta_6com)),
-            Vec2(-math.sin(self.theta_7com), math.cos(self.theta_7com)),
+            Vec2(-sin(self.theta_6com), cos(self.theta_6com)),
+            Vec2(-sin(self.theta_7com), cos(self.theta_7com)),
         )
 
 
@@ -289,9 +302,10 @@ class ArmForces(NamedTuple):
     block's angles.
 
     directed is F.v under the chosen model, with the torque signs chosen
-    so that every expanded-model term pushes along v. force is (fx, fy):
-    the lsq model always has it, the expanded model only from arm_forces,
-    because the grid and objective() need only its projection. signs holds
+    so that every expanded-model term pushes along v. F itself is not held:
+    the report takes it from a chain view (arm_force_expanded or
+    arm_force_lsq of build_chain) at the torques s_i |tau_i|, and under lsq
+    its projection on v is directed bit for bit. signs holds
     (s5, s6, s7), each +1.0 or -1.0, the sign of u_i . v for each torque
     term's unit direction u_i. The lsq model computes that projection for
     s7 from an angle-sum form (_lsq_handle_dot), the expanded model from
@@ -299,13 +313,12 @@ class ArmForces(NamedTuple):
     within their rounding gap of zero (1.3e-15 for |phi6| <= pi, 1.3e-11
     up to 1e5 rad), the models may give s7 opposite signs, and either is
     rounding noise. Elsewhere both models give the same signs.
-    directed and force mean nothing where singular (a joint within
-    EPS_SINGULAR of the COM) or ill_conditioned (the lsq system rejected;
-    always False under the expanded model).
+    directed means nothing where singular (a joint within EPS_SINGULAR of
+    the COM) or ill_conditioned (the lsq system rejected; always False
+    under the expanded model).
     """
 
     directed: object
-    force: tuple | None
     signs: tuple
     singular: object
     ill_conditioned: object
@@ -315,20 +328,20 @@ class ArmForces(NamedTuple):
 def _shoulder_terms(ctx: PlacementContext) -> tuple:
     """The context stage: the shoulder's terms, floats of the context alone.
 
-    Returns (d5, d5s, u5, u5v, s5, column5, theta_com): the shoulder's
-    lever and the same floored at EPS_SINGULAR, the shoulder term's unit
-    force direction u5, its projection on v and the sign s5 of that, the
-    shoulder's Jacobian column (_jacobian_column), and the world angle
-    theta_com of the shoulder's vector to the COM.
+    Returns (d5, d5s, u5v, s5, column5, theta_com): the shoulder's lever
+    and the same floored at EPS_SINGULAR, the projection on v of the
+    shoulder term's unit force direction u5 = (-sin theta_com, cos theta_com)
+    and the sign s5 of that, the shoulder's Jacobian column
+    (_jacobian_column), and the world angle theta_com of the shoulder's
+    vector to the COM.
     """
     sx, sy = ctx.shoulder
     cx, cy = ctx.com
     to_com5 = (cx - sx, cy - sy)
     d5 = math.hypot(*to_com5)
     theta_com = math.atan2(to_com5[1], to_com5[0])
-    u5 = (-math.sin(theta_com), math.cos(theta_com))
-    u5v = u5[0] * ctx.v.x + u5[1] * ctx.v.y
-    return (d5, max(d5, EPS_SINGULAR), u5, u5v, 1.0 if u5v >= 0.0 else -1.0,
+    u5v = -math.sin(theta_com) * ctx.v.x + math.cos(theta_com) * ctx.v.y
+    return (d5, max(d5, EPS_SINGULAR), u5v, 1.0 if u5v >= 0.0 else -1.0,
             _jacobian_column(to_com5), theta_com)
 
 
@@ -339,11 +352,12 @@ def _elbow_terms(ops: _Primitives, ctx: PlacementContext, shoulder: tuple, theta
     the force under model, with the torque magnitudes (|tau_5|, |tau_6|,
     |tau_7|). Raises ValueError for a model outside FORCE_MODELS.
 
-    Returns (phi5, ex, ey, d6, singular, d6s, u6x, u6y, s6, theta_6com,
-    *parts): the upper arm's world angle, the elbow point, the elbow's
-    lever, whether the shoulder or the elbow lies within EPS_SINGULAR of the
-    COM, the lever floored, the elbow term's unit force direction u6 and
-    the sign s6 of its projection on v, and u6's lever angle theta_6com.
+    Returns (phi5, ex, ey, d6, singular, d6s, s6, theta_6com, *parts): the
+    upper arm's world angle, the elbow point, the elbow's lever, whether the
+    shoulder or the elbow lies within EPS_SINGULAR of the COM, the lever
+    floored, the sign s6 of the projection on v of the elbow term's unit
+    force direction u6 = (-sin theta_6com, cos theta_6com), and u6's lever
+    angle theta_6com.
     _handle_terms reads the first five. parts is the lever sum of the
     shoulder's and elbow's terms under expanded, and their shares of the
     normal equations (_lsq_shares) under lsq. The cell stage adds the
@@ -352,7 +366,7 @@ def _elbow_terms(ops: _Primitives, ctx: PlacementContext, shoulder: tuple, theta
     """
     if model not in FORCE_MODELS:
         raise ValueError(f"force model must be one of {list(FORCE_MODELS)}, got {model!r}")
-    d5, d5s, _, u5v, s5, column5, _ = shoulder
+    d5, d5s, u5v, s5, column5, _ = shoulder
     l5 = ctx.upper_len
     phi5 = ctx.theta_04 + theta5
     ex = ctx.shoulder.x + l5 * ops.cos(phi5)
@@ -367,8 +381,7 @@ def _elbow_terms(ops: _Primitives, ctx: PlacementContext, shoulder: tuple, theta
     # through them as it does through np.maximum and np.minimum.
     c6 = ops.minimum(ops.maximum((l5 * l5 + d6 * d6 - d5 * d5) / (2.0 * l5 * d6s), -1.0), 1.0)
     theta_6com = phi5 - math.pi - ops.arccos(c6)
-    u6x, u6y = -ops.sin(theta_6com), ops.cos(theta_6com)
-    u6v = u6x * ctx.v.x + u6y * ctx.v.y
+    u6v = -ops.sin(theta_6com) * ctx.v.x + ops.cos(theta_6com) * ctx.v.y
     s6 = ops.where(u6v >= 0.0, 1.0, -1.0)
     singular = (d5 < EPS_SINGULAR) | (d6 < EPS_SINGULAR)
     m5, m6, _ = magnitudes
@@ -376,7 +389,7 @@ def _elbow_terms(ops: _Primitives, ctx: PlacementContext, shoulder: tuple, theta
         parts = _lsq_shares(column5, _jacobian_column((dx6, dy6)), m5 * s5, m6 * s6)
     else:
         parts = (m5 / d5s * abs(u5v) + m6 / d6s * abs(u6v),)
-    return (phi5, ex, ey, d6, singular, d6s, u6x, u6y, s6, theta_6com) + parts
+    return (phi5, ex, ey, d6, singular, d6s, s6, theta_6com) + parts
 
 
 def _handle_terms(ops: _Primitives, ctx: PlacementContext, row: tuple, theta6) -> tuple:
@@ -419,20 +432,18 @@ def _theta_7com(ops: _Primitives, phi6, c7):
     return a
 
 
-def _handle_term(ops: _Primitives, phi6, c7, vx: float, vy: float, vector: bool) -> tuple:
-    """(u7, u7 . v): the handle term's unit force direction
-    u7 = (-sin a, cos a) at its lever angle a, only where vector holds (else
-    None), and its projection on v.
+def _handle_term(ops: _Primitives, phi6, c7, vx: float, vy: float):
+    """u7 . v: the projection on v of the handle term's unit force direction
+    u7 = (-sin a, cos a) at its lever angle a.
 
-    The projection is taken as sin a (-vx) + cos a vy, which builds no
-    negated sine. Negation is exact and rounding is symmetric in sign, so
-    (-sin a) vx has the bits of sin a (-vx).
+    It is taken as sin a (-vx) + cos a vy, which builds no negated sine.
+    Negation is exact and rounding is symmetric in sign, so (-sin a) vx has
+    the bits of sin a (-vx).
     """
     a = _theta_7com(ops, phi6, c7)
-    sin7, cos7 = ops.sin(a), ops.cos(a)
-    u7v = sin7 * (-vx)
-    u7v += cos7 * vy
-    return ((-sin7, cos7) if vector else None), u7v
+    u7v = ops.sin(a) * (-vx)
+    u7v += ops.cos(a) * vy
+    return u7v
 
 
 def _lsq_handle_dot(ops: _Primitives, cos6, sin6, c7, vx: float, vy: float):
@@ -454,13 +465,6 @@ def _lsq_handle_dot(ops: _Primitives, cos6, sin6, c7, vx: float, vy: float):
     dy *= vy
     dot -= dy
     return dot
-
-
-def _expanded_force(levers, units, tau5, tau6, tau7) -> tuple:
-    """Lever-sum force vector: F = sum_i (tau_i / lever_i) * u_i."""
-    (d5, d6, d7), (u5, u6, u7) = levers, units
-    k5, k6, k7 = tau5 / d5, tau6 / d6, tau7 / d7
-    return k5 * u5[0] + k6 * u6[0] + k7 * u7[0], k5 * u5[1] + k6 * u6[1] + k7 * u7[1]
 
 
 def _jacobian_column(to_com) -> tuple:
@@ -532,7 +536,8 @@ _last_shoulder: tuple = (None, None)
 
 def arm_forces(ctx: PlacementContext, theta5: float, theta6: float,
                magnitudes: tuple[float, float, float], model: str) -> ArmForces:
-    """Arm force along v at the float shoulder/elbow angles theta5, theta6.
+    """Arm force along v at the float shoulder/elbow angles theta5, theta6,
+    as its grid cell holds it.
 
     magnitudes is (|tau_5|, |tau_6|, |tau_7|). Each torque sign is +1
     where that joint's lever-sum direction has a non-negative dot product
@@ -541,22 +546,6 @@ def arm_forces(ctx: PlacementContext, theta5: float, theta6: float,
     (see ArmForces). Raises ValueError for a model outside FORCE_MODELS.
     The context stage runs once for a run of queries on one context.
     """
-    return _point_forces(ctx, theta5, theta6, magnitudes, model, True)
-
-
-def directed_forces(ctx: PlacementContext, theta5: float, theta6: float,
-                    magnitudes: tuple[float, float, float], model: str) -> ArmForces:
-    """arm_forces as a grid cell holds it: under expanded, without the force
-    vector (force is None), which only a report reads. objective() calls
-    this."""
-    return _point_forces(ctx, theta5, theta6, magnitudes, model, False)
-
-
-def _point_forces(ctx: PlacementContext, theta5: float, theta6: float,
-                  magnitudes: tuple[float, float, float], model: str,
-                  vector: bool) -> ArmForces:
-    """A point query: the row and cell stages on floats, with the expanded
-    force vector where vector holds."""
     global _last_shoulder
     # One read of the pair, so that another thread can cause no worse than
     # a recompute.
@@ -565,49 +554,41 @@ def _point_forces(ctx: PlacementContext, theta5: float, theta6: float,
         shoulder = _shoulder_terms(ctx)
         _last_shoulder = (ctx, shoulder)
     row = _elbow_terms(_ON_FLOATS, ctx, shoulder, theta5, magnitudes, model)
-    return _cell_forces(_ON_FLOATS, ctx, shoulder, row, theta6, magnitudes, model, vector)
+    return _cell_forces(_ON_FLOATS, ctx, shoulder, row, theta6, magnitudes, model)
 
 
 def _cell_forces(ops: _Primitives, ctx: PlacementContext, shoulder: tuple, row: tuple, theta6,
-                 magnitudes: tuple[float, float, float], model: str,
-                 vector: bool) -> ArmForces:
+                 magnitudes: tuple[float, float, float], model: str) -> ArmForces:
     """The cell stage: arm_forces at theta6 on a row of the row stage's
-    elbow terms for model, computed with ops, with the expanded model's
-    force vector only where vector holds (lsq computes it in any case)."""
-    _, d5s, u5, _, s5, _, _ = shoulder
-    d6s, u6x, u6y, s6 = row[5:9]
+    elbow terms for model, computed with ops."""
+    s5, s6 = shoulder[3], row[6]
     phi6, cos6, sin6, hx, hy, to_com7, d7s, singular, c7 = _handle_terms(ops, ctx, row, theta6)
     # Only the lsq Jacobian reads the handle's vector to the COM, so it is
     # dropped here, not held with its two block-sized arrays to the end.
     column7 = _jacobian_column(to_com7) if model == "lsq" else None
     del to_com7
     vx, vy = ctx.v.x, ctx.v.y
-    m5, m6, m7 = magnitudes
+    m7 = magnitudes[2]
 
     if model == "lsq":
         u7v = _lsq_handle_dot(ops, cos6, sin6, c7, vx, vy)
     else:
-        u7, u7v = _handle_term(ops, phi6, c7, vx, vy, vector)
+        u7v = _handle_term(ops, phi6, c7, vx, vy)
     # Dropped, like to_com7, so that a block holds fewer arrays at a time.
     del phi6, cos6, sin6, c7
     s7 = ops.where(u7v >= 0.0, 1.0, -1.0)
 
     if model == "lsq":
-        fx, fy, ill = _lsq_force(ops, row[10:], column7, m7 * s7)
+        fx, fy, ill = _lsq_force(ops, row[8:], column7, m7 * s7)
         directed = fx * vx
         directed += fy * vy
-        force = fx, fy
     else:
         ill = False
         directed = m7 / d7s
         directed *= abs(u7v)
-        directed += row[10]
-        force = None
-        if vector:
-            force = _expanded_force((d5s, d6s, d7s), (u5, (u6x, u6y), u7),
-                                    m5 * s5, m6 * s6, m7 * s7)
+        directed += row[8]
     # By position: a NamedTuple built by keyword takes twice as long.
-    return ArmForces(directed, force, (s5, s6, s7), singular, ill, (hx, hy))
+    return ArmForces(directed, (s5, s6, s7), singular, ill, (hx, hy))
 
 
 def grid_forces(ctx: PlacementContext, theta5: np.ndarray, theta6: np.ndarray,
@@ -631,7 +612,7 @@ def grid_forces(ctx: PlacementContext, theta5: np.ndarray, theta6: np.ndarray,
     for lo in range(0, n5, rows_per_block):
         hi = min(lo + rows_per_block, n5)
         yield lo, hi, _cell_forces(trig.rows(lo, hi), ctx, shoulder, tuple(x[lo:hi] for x in row),
-                                   theta6[None, :], magnitudes, model, False)
+                                   theta6[None, :], magnitudes, model)
 
 
 def build_chain(
@@ -654,7 +635,7 @@ def build_chain(
     if singular:
         raise SingularChain(SINGULAR_MESSAGE)
     _, d5s, *_, theta_com = terms5
-    _, ex, ey, _, _, d6s, _, _, _, theta_6com, _ = row
+    _, ex, ey, _, _, d6s, _, theta_6com, _ = row
     return VirtualChain(
         shoulder=shoulder,
         elbow=Vec2(ex, ey),
@@ -671,12 +652,10 @@ def build_chain(
 
 def arm_force_expanded(chain: VirtualChain, torques: TorqueSet) -> Vec2:
     """Per-joint lever sum: F = sum_i (tau_i / lever_i) * u_i."""
-    units = tuple((u.x, u.y) for u in chain.unit_directions())
-    fx, fy = _expanded_force(
-        (chain.lever5, chain.lever6, chain.lever7), units,
-        torques.tau5, torques.tau6, torques.tau7,
-    )
-    return Vec2(fx, fy)
+    (u5x, u5y), (u6x, u6y), (u7x, u7y) = chain.unit_directions()
+    k5, k6, k7 = (torques.tau5 / chain.lever5, torques.tau6 / chain.lever6,
+                  torques.tau7 / chain.lever7)
+    return Vec2(k5 * u5x + k6 * u6x + k7 * u7x, k5 * u5y + k6 * u6y + k7 * u7y)
 
 
 def arm_force_lsq(chain: VirtualChain, torques: TorqueSet) -> Vec2:

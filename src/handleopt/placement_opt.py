@@ -24,7 +24,8 @@ import math
 import numpy as np
 
 from .arm_kinetics import (
-    ILL_CONDITIONED_MESSAGE, SINGULAR_MESSAGE, arm_forces, directed_forces, grid_forces,
+    ILL_CONDITIONED_MESSAGE, SINGULAR_MESSAGE, arm_force_expanded, arm_force_lsq, arm_forces,
+    build_chain, grid_forces,
 )
 from .body_model import Vec2
 from .config import (
@@ -34,6 +35,7 @@ from .config import (
     Placement,
     PlacementContext,
     RobotParams,
+    TorqueSet,
     Violation,
     grid_points,
     oversized_grid,
@@ -53,7 +55,7 @@ def objective(theta5: float, theta6: float, ctx: PlacementContext, config: Objec
     Raises SingularChain or IllConditioned exactly where the grid cell
     holds NaN.
     """
-    r = directed_forces(ctx, theta5, theta6, config.torque_magnitudes, config.force_model)
+    r = arm_forces(ctx, theta5, theta6, config.torque_magnitudes, config.force_model)
     if r.singular:
         raise SingularChain(SINGULAR_MESSAGE)
     if r.ill_conditioned:
@@ -217,12 +219,16 @@ def optimize_placement(
     theta6 = float(landscape.theta6[i6])
 
     r = arm_forces(ctx, theta5, theta6, config.torque_magnitudes, config.force_model)
+    chain = build_chain(ctx.shoulder, ctx.theta_04, theta5, theta6, ctx.upper_len, ctx.fore_len,
+                        ctx.com)
+    torques = TorqueSet(*(s * m for s, m in zip(r.signs, config.torque_magnitudes)))
+    force = arm_force_lsq if config.force_model == "lsq" else arm_force_expanded
     placement = Placement(
         theta5_opt=theta5,
         theta6_opt=theta6,
         handle=Vec2(*r.handle),
         objective_value=float(landscape.objective[i5, i6]),
-        f_arm=Vec2(*r.force),
+        f_arm=force(chain, torques),
         torque_signs=tuple(int(s) for s in r.signs),
         feasibility=(),
         argmax_index=(i5, i6),

@@ -451,17 +451,21 @@ def make_context(s: Scenario) -> tuple[PlacementContext, ComState]:
 
 def _model_summary(ctx: PlacementContext, placement: Placement, config: ObjectiveConfig) -> dict:
     """Force figures at the optimum under both force models."""
-    from .arm_kinetics import ILL_CONDITIONED_MESSAGE, arm_forces, mechanical_advantage
+    from .arm_kinetics import (
+        ILL_CONDITIONED_MESSAGE, arm_force_expanded, arm_force_lsq, arm_forces, build_chain,
+        mechanical_advantage,
+    )
 
+    t5, t6 = placement.theta5_opt, placement.theta6_opt
+    chain = build_chain(ctx.shoulder, ctx.theta_04, t5, t6, ctx.upper_len, ctx.fore_len, ctx.com)
     out = {}
     for model in FORCE_MODELS:
-        r = arm_forces(ctx, placement.theta5_opt, placement.theta6_opt,
-                       config.torque_magnitudes, model)
+        r = arm_forces(ctx, t5, t6, config.torque_magnitudes, model)
         if r.ill_conditioned:
             out[model] = {"error": ILL_CONDITIONED_MESSAGE}
             continue
-        force = Vec2(*r.force)
         torques = TorqueSet(*(s * m for s, m in zip(r.signs, config.torque_magnitudes)))
+        force = (arm_force_lsq if model == "lsq" else arm_force_expanded)(chain, torques)
         out[model] = {
             "f_arm_n": [force.x, force.y],
             "directed_n": force.dot(ctx.v),

@@ -137,7 +137,9 @@ def test_sign_choice_is_optimal(rng):
         for v in (scaled, random_unit(rng)):
             ctx = context_of_chain(chain, v)
             r = arm_forces(ctx, chain.theta5, chain.theta6, mags, "expanded")
-            chosen = Vec2(float(r.force[0]), float(r.force[1])).dot(v)
+            # the report's force: the chain view at the point query's signs
+            torques = TorqueSet(*(s * m for s, m in zip(r.signs, mags)))
+            chosen = arm_force_expanded(chain, torques).dot(v)
             shortfall = best_sign_combo(chain, v, mags) - chosen
             worst = max(worst, shortfall)
             assert shortfall <= 1e-12

@@ -402,7 +402,8 @@ def test_mechanical_advantage_of_huge_torques_is_finite():
 
 def test_directed_advantage_projects_onto_the_direction(rng):
     # the kernel's directed figure is F.v = |F||v|cos(angle between) for
-    # the force vector it reports, under both force models
+    # the force vector the report gives (the chain view at the kernel's
+    # signs), under both force models
     for _ in range(200):
         chain = sample_chain(rng)
         direction = random_unit(rng)
@@ -412,7 +413,8 @@ def test_directed_advantage_projects_onto_the_direction(rng):
             r = arm_forces(ctx, chain.theta5, chain.theta6, mags, model)
             if r.ill_conditioned:
                 continue
-            force = Vec2(float(r.force[0]), float(r.force[1]))
+            torques = TorqueSet(*(s * m for s, m in zip(r.signs, mags)))
+            force = (arm_force_lsq if model == "lsq" else arm_force_expanded)(chain, torques)
             angle = angle_of(force) - angle_of(direction)
             assert abs(r.directed - force.dot(direction)) < 1e-9
             assert abs(r.directed - force.norm() * direction.norm() * math.cos(angle)) < 1e-9

@@ -21,6 +21,8 @@ from handleopt import (
 )
 from handleopt.arm_kinetics import (
     EPS_SINGULAR,
+    arm_force_expanded,
+    arm_force_lsq,
     arm_forces,
     build_chain,
     grid_forces,
@@ -326,10 +328,31 @@ def grid_forces_in_two_blocks(ctx, t5, t6, mags, model):
         return list(grid_forces(ctx, t5, t6, mags, model))
 
 
+# Bound on |F.v - directed| under expanded, relative to sum_i |tau_i| / lever_i,
+# which bounds |F| and each term: F.v sums the projections of the view's
+# force components, directed the terms' own projections, so the two round
+# apart by a few ulps of that scale (at most 4.4e-16 of it over 200,000
+# random points).
+EXPANDED_PROJECTION_RTOL = 1e-14
+
+
+def report_force(ctx, theta5, theta6, signs, mags, model):
+    """The report's f_arm at a point: the chain view of model at the torques
+    the point query's signs give, and the chain."""
+    chain = build_chain(ctx.shoulder, ctx.theta_04, theta5, theta6, ctx.upper_len, ctx.fore_len,
+                        ctx.com)
+    torques = TorqueSet(*(s * m for s, m in zip(signs, mags)))
+    return (arm_force_lsq if model == "lsq" else arm_force_expanded)(chain, torques), chain
+
+
 def assert_arm_forces_match_grid(ctx, limits, config):
     """Every ArmForces field of a point query equals its element of the grid
-    call bit for bit, singular and rejected cells included. The expanded
-    grid computes no force vector, so force is compared under lsq only."""
+    call bit for bit, singular and rejected cells included. At every other
+    cell the report's force vector, which the chain views compute, projects
+    on v (fx vx, then + fy vy) to the point query's directed: bit for bit
+    under lsq, whose kernel projects the same vector, and within
+    EXPANDED_PROJECTION_RTOL under expanded, whose kernel sums the terms'
+    projections."""
     t5 = grid_axis(limits.theta5_min, limits.theta5_max, config.grid_step)
     t6 = grid_axis(limits.theta6_min, limits.theta6_max, config.grid_step)
     mags, model = config.torque_magnitudes, config.force_model
@@ -346,8 +369,17 @@ def assert_arm_forces_match_grid(ctx, limits, config):
                 assert point.singular == bool(at(grid.singular))
                 assert point.ill_conditioned == bool(at(grid.ill_conditioned))
                 assert [bits(h) for h in point.handle] == [bits(at(h)) for h in grid.handle]
+                if point.singular or point.ill_conditioned:
+                    continue
+                force, chain = report_force(ctx, float(c5), float(c6), point.signs, mags, model)
+                along = force.x * ctx.v.x
+                along += force.y * ctx.v.y
                 if model == "lsq":
-                    assert [bits(f) for f in point.force] == [bits(at(f)) for f in grid.force]
+                    assert bits(along) == bits(point.directed)
+                else:
+                    scale = sum(m / lever for m, lever in
+                                zip(mags, (chain.lever5, chain.lever6, chain.lever7)))
+                    assert abs(along - point.directed) <= EXPANDED_PROJECTION_RTOL * scale
 
 
 # three setups share the examples, so each gets about as many as the tests above
@@ -500,12 +532,15 @@ def test_point_queries_return_builtin_floats_and_bools():
         for model in FORCE_MODELS:
             config = ObjectiveConfig(a=0.2, force_model=model)
             r = arm_forces(ctx, t5, t6, config.torque_magnitudes, model)
-            values = (r.directed, *r.force, *r.signs, *r.handle)
+            values = (r.directed, *r.signs, *r.handle)
             assert [type(x) for x in values] == [float] * len(values), (ctx, model)
             assert type(r.singular) is bool and type(r.ill_conditioned) is bool
             seen.add((r.singular, r.ill_conditioned))
             if not (r.singular or r.ill_conditioned):
                 assert type(objective(t5, t6, ctx, config)) is float
+                # the report's f_arm, which goes to JSON by repr
+                force, _ = report_force(ctx, t5, t6, r.signs, config.torque_magnitudes, model)
+                assert [type(f) for f in force] == [float, float], (ctx, model)
     # regular, singular and rejected points all came through
     assert {(False, False), (True, False), (False, True)} <= seen
 
