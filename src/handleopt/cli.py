@@ -284,22 +284,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if count > MAX_SWEEP_VALUES:
         raise ValidationError(
             f"--range makes {count:.3g} values, more than the {MAX_SWEEP_VALUES} a sweep may solve")
-    values = [round(float(v), 12) for v in grid_axis(start, stop, step)]
-    stems = {}  # landscape file stem -> value, in sweep order
-    for value in values:
+    given = [float(v) for v in grid_axis(start, stop, step)]
+    values = [round(v, 12) for v in given]
+    stems = {}  # landscape file stem -> index of its value, in sweep order
+    for i, value in enumerate(values):
         stem = f"landscape_a_{value:.6g}"
         if stem in stems:
+            j = stems[stem]
+            if values[j] == value:
+                raise ValidationError(
+                    f"--range values {given[j]!r} and {given[i]!r} both round to a = {value!r}; "
+                    "each value is rounded to 12 decimal places")
             raise ValidationError(
-                f"--range values {stems[stem]!r} and {value!r} share the landscape file stem "
+                f"--range values {values[j]!r} and {value!r} share the landscape file stem "
                 f"{stem}; each value is named to 6 significant digits")
-        stems[stem] = value
+        stems[stem] = i
     swept = [scenario._replace(objective=replace(scenario.objective, a=value))
              for value in values]
     _validated(*swept)
     robot_base = _robot_base(args)
 
     rows = ["value,theta5_opt_deg,theta6_opt_deg,objective,handle_x_m,handle_y_m"]
-    for i, ((stem, value), scenario_at) in enumerate(zip(stems.items(), swept)):
+    for i, (stem, value, scenario_at) in enumerate(zip(stems, values, swept)):
         _, placement, landscape = _run_optimization(scenario_at, args, robot_base)
         if i == 0:
             # No cell's exclusion depends on a, so only the first solve can

@@ -516,15 +516,22 @@ def test_sweep_rejects_too_many_values_before_any_solve(capsys, tmp_path, spec):
     assert not out_dir.exists()
 
 
-def test_sweep_refuses_values_that_share_a_file_name(capsys, tmp_path):
+@pytest.mark.parametrize("sweep_range, message", [
     # 1.000001 .. 1.000004 all print as 1 to 6 significant digits
+    pytest.param("1,1.000004,0.000001",
+                 "--range values 1.0 and 1.000001 share the landscape file stem landscape_a_1; "
+                 "each value is named to 6 significant digits", id="six_digit_stem"),
+    # 0 and 1e-14 differ, but both are a = 0.0 at 12 decimal places
+    pytest.param("0,1e-13,1e-14",
+                 "--range values 0.0 and 1e-14 both round to a = 0.0; each value is rounded "
+                 "to 12 decimal places", id="twelve_place_rounding"),
+])
+def test_sweep_refuses_values_that_share_a_file_name(capsys, tmp_path, sweep_range, message):
     code, out, err = run(
-        capsys, "sweep", "--scenario", TOILET, "--out", str(tmp_path),
-        "--range=1,1.000004,0.000001",
+        capsys, "sweep", "--scenario", TOILET, "--out", str(tmp_path), f"--range={sweep_range}",
     )
     assert code == 1
-    assert err == ("error[validation]: --range values 1.0 and 1.000001 share the landscape "
-                   "file stem landscape_a_1; each value is named to 6 significant digits\n")
+    assert err == f"error[validation]: {message}\n"
     assert out == ""
     assert list(tmp_path.iterdir()) == []
 
