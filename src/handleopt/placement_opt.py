@@ -222,13 +222,13 @@ def optimize_placement(
     chain = build_chain(ctx.shoulder, ctx.theta_04, theta5, theta6, ctx.upper_len, ctx.fore_len,
                         ctx.com)
     torques = TorqueSet(*(s * m for s, m in zip(r.signs, config.torque_magnitudes)))
-    force = arm_force_lsq if config.force_model == "lsq" else arm_force_expanded
+    force = (arm_force_lsq if config.force_model == "lsq" else arm_force_expanded)(chain, torques)
     placement = Placement(
         theta5_opt=theta5,
         theta6_opt=theta6,
         handle=Vec2(*r.handle),
         objective_value=float(landscape.objective[i5, i6]),
-        f_arm=force(chain, torques),
+        f_arm=force,
         torque_signs=tuple(int(s) for s in r.signs),
         feasibility=(),
         argmax_index=(i5, i6),
