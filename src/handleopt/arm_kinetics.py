@@ -36,9 +36,9 @@ each value depends on:
 The kernel computes only what a grid cell holds: the force along v, the
 torque signs, the handle point and the singular and rejected flags. It has
 two callers, each with its own primitive set. A point query (arm_forces,
-behind objective(), the optimum and the report) runs the row and cell
-stages on Python floats, and the context stage once for a run of queries
-on one context. It takes every cosine, sine, arccosine and hypotenuse from
+behind objective() and force_vector) runs the row and cell stages on
+Python floats, and the context stage once for a run of queries on one
+context. It takes every cosine, sine, arccosine and hypotenuse from
 the same C function as the grid's ufunc: the first three from the NumPy
 ufunc itself, unwrapped to a float, and the hypotenuse from abs() of a
 complex, which CPython computes with the C library's hypot, as np.hypot
@@ -86,17 +86,15 @@ a square root a cell, and no angle calls.
 
 build_chain (returning a VirtualChain), arm_force_expanded and
 arm_force_lsq are float-valued views of the same geometry and force
-helpers, one configuration at a time, and the one source of the force
-vector F: the optimum's f_arm and the report's figures for both models
-apply a view to build_chain at the torques the point query's signs give.
-The views take every value as a point query does. So under lsq F is bit
-for bit the vector whose projection on v the kernel computes, and under
-expanded it is the lever sum of the very terms whose projections on v the
-kernel adds. The
-tests use the views to check the chain piece by piece, and the benchmark's
-tracer (perfbench/tracing.py) times them by name. The Jacobian has no view
-of its own; the tests read the columns that the lsq model solves with from
-_jacobian_column.
+helpers, one configuration at a time. force_vector, the one place that
+applies them, gives the force vector F of the optimum and of the report
+for both models. The views take every value as a point query does. So
+under lsq F is bit for bit the vector whose projection on v the kernel
+computes, and under expanded it is the lever sum of the very terms whose
+projections on v the kernel adds. The tests use the views to check the
+chain piece by piece, and the benchmark's tracer (perfbench/tracing.py)
+times them by name. The Jacobian has no view of its own; the tests read
+the columns that the lsq model solves with from _jacobian_column.
 """
 
 from __future__ import annotations
@@ -303,7 +301,7 @@ class ArmForces(NamedTuple):
 
     directed is F.v under the chosen model, with the torque signs chosen
     so that every expanded-model term pushes along v. F itself is not held:
-    the report takes it from a chain view (arm_force_expanded or
+    force_vector takes it from a chain view (arm_force_expanded or
     arm_force_lsq of build_chain) at the torques s_i |tau_i|, and under lsq
     its projection on v is directed bit for bit. signs holds
     (s5, s6, s7), each +1.0 or -1.0, the sign of u_i . v for each torque
@@ -668,6 +666,21 @@ def arm_force_lsq(chain: VirtualChain, torques: TorqueSet) -> Vec2:
     if ill:
         raise IllConditioned(ILL_CONDITIONED_MESSAGE)
     return Vec2(fx, fy)
+
+
+def force_vector(ctx: PlacementContext, theta5: float, theta6: float,
+                 magnitudes: tuple[float, float, float], model: str) -> tuple[ArmForces, Vec2]:
+    """The point query at (theta5, theta6) and model's force vector F there:
+    its view of build_chain at the torques s_i |tau_i| the query's signs give.
+    Raises SingularChain or IllConditioned (from build_chain or arm_force_lsq)
+    exactly where the query is singular or rejected."""
+    r = arm_forces(ctx, theta5, theta6, magnitudes, model)
+    # build_chain and the views are read as module globals at each call, so
+    # that perfbench/tracing.py, which rebinds them there, times these calls.
+    chain = build_chain(ctx.shoulder, ctx.theta_04, theta5, theta6, ctx.upper_len, ctx.fore_len,
+                        ctx.com)
+    torques = TorqueSet(*(s * m for s, m in zip(r.signs, magnitudes)))
+    return r, (arm_force_lsq if model == "lsq" else arm_force_expanded)(chain, torques)
 
 
 def mechanical_advantage(force: Vec2, torques: TorqueSet) -> float:

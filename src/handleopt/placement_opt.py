@@ -24,8 +24,7 @@ import math
 import numpy as np
 
 from .arm_kinetics import (
-    ILL_CONDITIONED_MESSAGE, SINGULAR_MESSAGE, arm_force_expanded, arm_force_lsq, arm_forces,
-    build_chain, grid_forces,
+    ILL_CONDITIONED_MESSAGE, SINGULAR_MESSAGE, arm_forces, force_vector, grid_forces,
 )
 from .body_model import Vec2
 from .config import (
@@ -35,7 +34,6 @@ from .config import (
     Placement,
     PlacementContext,
     RobotParams,
-    TorqueSet,
     Violation,
     grid_points,
     oversized_grid,
@@ -218,11 +216,7 @@ def optimize_placement(
     theta5 = float(landscape.theta5[i5])
     theta6 = float(landscape.theta6[i6])
 
-    r = arm_forces(ctx, theta5, theta6, config.torque_magnitudes, config.force_model)
-    chain = build_chain(ctx.shoulder, ctx.theta_04, theta5, theta6, ctx.upper_len, ctx.fore_len,
-                        ctx.com)
-    torques = TorqueSet(*(s * m for s, m in zip(r.signs, config.torque_magnitudes)))
-    force = (arm_force_lsq if config.force_model == "lsq" else arm_force_expanded)(chain, torques)
+    r, force = force_vector(ctx, theta5, theta6, config.torque_magnitudes, config.force_model)
     placement = Placement(
         theta5_opt=theta5,
         theta6_opt=theta6,

@@ -42,7 +42,7 @@ from .config import (
     TorqueSet,
     oversized_grid,
 )
-from .errors import DegenerateVelocity, ParseError, SchemaError, ValidationError
+from .errors import DegenerateVelocity, IllConditioned, ParseError, SchemaError, ValidationError
 
 SCHEMA_VERSION = "1"
 
@@ -451,21 +451,18 @@ def make_context(s: Scenario) -> tuple[PlacementContext, ComState]:
 
 def _model_summary(ctx: PlacementContext, placement: Placement, config: ObjectiveConfig) -> dict:
     """Force figures at the optimum under both force models."""
-    from .arm_kinetics import (
-        ILL_CONDITIONED_MESSAGE, arm_force_expanded, arm_force_lsq, arm_forces, build_chain,
-        mechanical_advantage,
-    )
+    from .arm_kinetics import force_vector, mechanical_advantage
 
     t5, t6 = placement.theta5_opt, placement.theta6_opt
-    chain = build_chain(ctx.shoulder, ctx.theta_04, t5, t6, ctx.upper_len, ctx.fore_len, ctx.com)
+    # |tau| alone: the norm that mechanical_advantage divides by ignores signs.
+    torques = TorqueSet(*config.torque_magnitudes)
     out = {}
     for model in FORCE_MODELS:
-        r = arm_forces(ctx, t5, t6, config.torque_magnitudes, model)
-        if r.ill_conditioned:
-            out[model] = {"error": ILL_CONDITIONED_MESSAGE}
+        try:
+            _, force = force_vector(ctx, t5, t6, config.torque_magnitudes, model)
+        except IllConditioned as exc:
+            out[model] = {"error": str(exc)}
             continue
-        torques = TorqueSet(*(s * m for s, m in zip(r.signs, config.torque_magnitudes)))
-        force = (arm_force_lsq if model == "lsq" else arm_force_expanded)(chain, torques)
         out[model] = {
             "f_arm_n": [force.x, force.y],
             "directed_n": force.dot(ctx.v),

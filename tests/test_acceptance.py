@@ -23,7 +23,7 @@ from handleopt import (
     make_context,
     optimize_placement,
 )
-from handleopt.arm_kinetics import arm_force_expanded, arm_forces, build_chain
+from handleopt.arm_kinetics import arm_force_expanded, build_chain, force_vector
 from handleopt.body_model import SegmentSet, Vec2, unit
 from handleopt.cli import main as cli_main
 from handleopt.config import (
@@ -136,10 +136,8 @@ def test_sign_choice_is_optimal(rng):
         mags = tuple(rng.uniform(0.5, 3.0, size=3))
         for v in (scaled, random_unit(rng)):
             ctx = context_of_chain(chain, v)
-            r = arm_forces(ctx, chain.theta5, chain.theta6, mags, "expanded")
-            # the report's force: the chain view at the point query's signs
-            torques = TorqueSet(*(s * m for s, m in zip(r.signs, mags)))
-            chosen = arm_force_expanded(chain, torques).dot(v)
+            _, force = force_vector(ctx, chain.theta5, chain.theta6, mags, "expanded")
+            chosen = force.dot(v)
             shortfall = best_sign_combo(chain, v, mags) - chosen
             worst = max(worst, shortfall)
             assert shortfall <= 1e-12

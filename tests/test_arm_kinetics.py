@@ -18,6 +18,7 @@ from handleopt.arm_kinetics import (
     arm_force_lsq,
     arm_forces,
     build_chain,
+    force_vector,
     mechanical_advantage,
 )
 from handleopt.body_model import Vec2, unit
@@ -402,19 +403,17 @@ def test_mechanical_advantage_of_huge_torques_is_finite():
 
 def test_directed_advantage_projects_onto_the_direction(rng):
     # the kernel's directed figure is F.v = |F||v|cos(angle between) for
-    # the force vector the report gives (the chain view at the kernel's
-    # signs), under both force models
+    # the report's force vector (force_vector), under both force models
     for _ in range(200):
         chain = sample_chain(rng)
         direction = random_unit(rng)
         mags = tuple(rng.uniform(0.5, 2.0, 3))
         ctx = context_of_chain(chain, direction)
         for model in ("expanded", "lsq"):
-            r = arm_forces(ctx, chain.theta5, chain.theta6, mags, model)
-            if r.ill_conditioned:
+            try:
+                r, force = force_vector(ctx, chain.theta5, chain.theta6, mags, model)
+            except IllConditioned:
                 continue
-            torques = TorqueSet(*(s * m for s, m in zip(r.signs, mags)))
-            force = (arm_force_lsq if model == "lsq" else arm_force_expanded)(chain, torques)
             angle = angle_of(force) - angle_of(direction)
             assert abs(r.directed - force.dot(direction)) < 1e-9
             assert abs(r.directed - force.norm() * direction.norm() * math.cos(angle)) < 1e-9

@@ -21,10 +21,9 @@ from handleopt import (
 )
 from handleopt.arm_kinetics import (
     EPS_SINGULAR,
-    arm_force_expanded,
-    arm_force_lsq,
     arm_forces,
     build_chain,
+    force_vector,
     grid_forces,
 )
 from handleopt.body_model import FOREARM, UPPER_ARM, Vec2, unit
@@ -336,21 +335,13 @@ def grid_forces_in_two_blocks(ctx, t5, t6, mags, model):
 EXPANDED_PROJECTION_RTOL = 1e-14
 
 
-def report_force(ctx, theta5, theta6, signs, mags, model):
-    """The report's f_arm at a point: the chain view of model at the torques
-    the point query's signs give, and the chain."""
-    chain = build_chain(ctx.shoulder, ctx.theta_04, theta5, theta6, ctx.upper_len, ctx.fore_len,
-                        ctx.com)
-    torques = TorqueSet(*(s * m for s, m in zip(signs, mags)))
-    return (arm_force_lsq if model == "lsq" else arm_force_expanded)(chain, torques), chain
-
-
 def assert_arm_forces_match_grid(ctx, limits, config):
     """Every ArmForces field of a point query equals its element of the grid
-    call bit for bit, singular and rejected cells included. At every other
-    cell the report's force vector, which the chain views compute, projects
-    on v (fx vx, then + fy vy) to the point query's directed: bit for bit
-    under lsq, whose kernel projects the same vector, and within
+    call bit for bit, singular and rejected cells included. force_vector
+    raises SingularChain or IllConditioned where the point query is singular
+    or rejected, and elsewhere returns the point query's ArmForces and a
+    force vector that projects on v (fx vx, then + fy vy) to its directed:
+    bit for bit under lsq, whose kernel projects the same vector, and within
     EXPANDED_PROJECTION_RTOL under expanded, whose kernel sums the terms'
     projections."""
     t5 = grid_axis(limits.theta5_min, limits.theta5_max, config.grid_step)
@@ -370,13 +361,18 @@ def assert_arm_forces_match_grid(ctx, limits, config):
                 assert point.ill_conditioned == bool(at(grid.ill_conditioned))
                 assert [bits(h) for h in point.handle] == [bits(at(h)) for h in grid.handle]
                 if point.singular or point.ill_conditioned:
+                    with pytest.raises(SingularChain if point.singular else IllConditioned):
+                        force_vector(ctx, float(c5), float(c6), mags, model)
                     continue
-                force, chain = report_force(ctx, float(c5), float(c6), point.signs, mags, model)
+                r, force = force_vector(ctx, float(c5), float(c6), mags, model)
+                assert r == point
                 along = force.x * ctx.v.x
                 along += force.y * ctx.v.y
                 if model == "lsq":
                     assert bits(along) == bits(point.directed)
                 else:
+                    chain = build_chain(ctx.shoulder, ctx.theta_04, float(c5), float(c6),
+                                        ctx.upper_len, ctx.fore_len, ctx.com)
                     scale = sum(m / lever for m, lever in
                                 zip(mags, (chain.lever5, chain.lever6, chain.lever7)))
                     assert abs(along - point.directed) <= EXPANDED_PROJECTION_RTOL * scale
@@ -539,7 +535,7 @@ def test_point_queries_return_builtin_floats_and_bools():
             if not (r.singular or r.ill_conditioned):
                 assert type(objective(t5, t6, ctx, config)) is float
                 # the report's f_arm, which goes to JSON by repr
-                force, _ = report_force(ctx, t5, t6, r.signs, config.torque_magnitudes, model)
+                _, force = force_vector(ctx, t5, t6, config.torque_magnitudes, model)
                 assert [type(f) for f in force] == [float, float], (ctx, model)
     # regular, singular and rejected points all came through
     assert {(False, False), (True, False), (False, True)} <= seen

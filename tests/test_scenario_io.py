@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import sys
@@ -19,7 +20,9 @@ from handleopt import (
     optimize_placement,
 )
 from handleopt.body_model import Vec2, shoulder_frame
-from handleopt.config import ObjectiveConfig, ObjectiveLandscape, Placement, PlacementContext
+from handleopt.config import (
+    FORCE_MODELS, ObjectiveConfig, ObjectiveLandscape, Placement, PlacementContext,
+)
 from handleopt.placement_opt import (
     argmax_lexicographic,
     evaluate_grid,
@@ -421,8 +424,10 @@ def test_make_context_is_consistent_with_body_model():
     assert abs(state.direction.norm() - 1.0) < 1e-12
 
 
-def test_placement_report_round_trips_bit_exact(tmp_path):
+@pytest.mark.parametrize("model", FORCE_MODELS)
+def test_placement_report_round_trips_bit_exact(tmp_path, model):
     scenario = load_scenario(fixture_path("toilet_sit_to_stand"))
+    scenario = scenario._replace(objective=dataclasses.replace(scenario.objective, force_model=model))
     ctx, state = make_context(scenario)
     placement, landscape = optimize_placement(
         ctx, scenario.limits, scenario.objective,
@@ -450,10 +455,9 @@ def test_placement_report_round_trips_bit_exact(tmp_path):
     assert report["config"]["grid_step_deg"] == pytest.approx(0.5, abs=1e-12)
     assert report["config"]["constrained"] is False
     assert report["config"]["robot_base_xy_m"] is None
-    assert "expanded" in report["force_models"]
-    assert "lsq" in report["force_models"]
-    expanded = report["force_models"]["expanded"]
-    assert expanded["f_arm_n"] == [placement.f_arm.x, placement.f_arm.y]
+    assert set(report["force_models"]) == set(FORCE_MODELS)
+    # the placement and the report's entry for its own model give one F
+    assert report["force_models"][model]["f_arm_n"] == [placement.f_arm.x, placement.f_arm.y]
     assert csv_path.exists()
 
 
@@ -474,8 +478,6 @@ def test_model_summary_reports_an_ill_conditioned_lsq_system():
 
 def test_landscape_csv_layout(tmp_path):
     scenario = load_scenario(fixture_path("toilet_sit_to_stand"))
-    import dataclasses
-
     small = scenario._replace(
         objective=dataclasses.replace(scenario.objective, grid_step=math.radians(10.0)),
     )
