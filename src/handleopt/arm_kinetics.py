@@ -37,7 +37,7 @@ The kernel computes only what a grid cell holds: the force along v, the
 torque signs, the handle point and the singular and rejected flags. It has
 two callers, each with its own primitive set. A point query (arm_forces,
 behind objective() and force_vector) runs the row and cell stages on
-Python floats, and the context stage once for a run of queries on one
+Python floats, and the context stage once for a run of calls on one
 context. It takes every cosine, sine, arccosine and hypotenuse from
 the same C function as the grid's ufunc: the first three from the NumPy
 ufunc itself, unwrapped to a float, and the hypotenuse from abs() of a
@@ -84,11 +84,13 @@ model uses that direction only for the sign s7 of its projection on v,
 which it takes from the angle-sum form of _lsq_handle_dot: np.hypot and
 a square root a cell, and no angle calls.
 
-build_chain (returning a VirtualChain), arm_force_expanded and
-arm_force_lsq are float-valued views of the same geometry and force
-helpers, one configuration at a time. force_vector, the one place that
-applies them, gives the force vector F of the optimum and of the report
-for both models. The views take every value as a point query does. So
+build_chain(ctx, theta5, theta6) (returning a VirtualChain),
+arm_force_expanded and arm_force_lsq are float-valued views of the same
+geometry and force helpers, one configuration at a time. build_chain
+shares the point queries' cached context stage, so force_vector, the one
+place that applies the views, runs that stage once per context when it
+gives the force vector F of the optimum and of the report for both models.
+The views take every value as a point query does. So
 under lsq F is bit for bit the vector whose projection on v the kernel
 computes, and under expanded it is the lever sum of the very terms whose
 projections on v the kernel adds. The tests use the views to check the
@@ -266,11 +268,6 @@ class VirtualChain(NamedTuple):
     elbow: Vec2
     handle: Vec2
     com: Vec2
-    theta_04: float
-    theta5: float
-    theta6: float
-    upper_len: float
-    fore_len: float
     lever5: float
     lever6: float
     lever7: float
@@ -526,10 +523,22 @@ def _lsq_force(ops: _Primitives, shares, column7, tau7) -> tuple:
     return fx, fy, ops.invert(ok)
 
 
-# The context of the last point query and its shoulder terms, as one pair.
+# The last context of a point query or chain and its shoulder terms, as one pair.
 # It is keyed on the context's identity, not its value: two contexts that
 # compare equal can differ in the sign of a zero, and so in theta_com's.
 _last_shoulder: tuple = (None, None)
+
+
+def _context_terms(ctx: PlacementContext) -> tuple:
+    """_shoulder_terms(ctx), computed once for a run of calls on one context."""
+    global _last_shoulder
+    # One read of the pair, so that another thread can cause no worse than
+    # a recompute.
+    last, shoulder = _last_shoulder
+    if last is not ctx:
+        shoulder = _shoulder_terms(ctx)
+        _last_shoulder = (ctx, shoulder)
+    return shoulder
 
 
 def arm_forces(ctx: PlacementContext, theta5: float, theta6: float,
@@ -544,13 +553,7 @@ def arm_forces(ctx: PlacementContext, theta5: float, theta6: float,
     (see ArmForces). Raises ValueError for a model outside FORCE_MODELS.
     The context stage runs once for a run of queries on one context.
     """
-    global _last_shoulder
-    # One read of the pair, so that another thread can cause no worse than
-    # a recompute.
-    last, shoulder = _last_shoulder
-    if last is not ctx:
-        shoulder = _shoulder_terms(ctx)
-        _last_shoulder = (ctx, shoulder)
+    shoulder = _context_terms(ctx)
     row = _elbow_terms(_ON_FLOATS, ctx, shoulder, theta5, magnitudes, model)
     return _cell_forces(_ON_FLOATS, ctx, shoulder, row, theta6, magnitudes, model)
 
@@ -613,20 +616,11 @@ def grid_forces(ctx: PlacementContext, theta5: np.ndarray, theta6: np.ndarray,
                                    theta6[None, :], magnitudes, model)
 
 
-def build_chain(
-    shoulder: Vec2,
-    theta_04: float,
-    theta5: float,
-    theta6: float,
-    upper_len: float,
-    fore_len: float,
-    com: Vec2,
-) -> VirtualChain:
-    """The chain at one arm configuration; raises SingularChain when a
-    joint lies within EPS_SINGULAR of the COM."""
-    # v enters only the projections on v, which a chain does not hold.
-    ctx = PlacementContext(shoulder, theta_04, com, Vec2(0.0, 0.0), upper_len, fore_len)
-    terms5 = _shoulder_terms(ctx)
+def build_chain(ctx: PlacementContext, theta5: float, theta6: float) -> VirtualChain:
+    """The chain of ctx at the float shoulder/elbow angles theta5, theta6;
+    raises SingularChain when a joint lies within EPS_SINGULAR of the COM.
+    A chain holds no projection on v, so no bit of it depends on ctx.v."""
+    terms5 = _context_terms(ctx)
     # A chain holds no forces, so the row stage's parts are left at zero.
     row = _elbow_terms(_ON_FLOATS, ctx, terms5, theta5, (0.0, 0.0, 0.0), "expanded")
     phi6, _, _, hx, hy, _, d7s, singular, c7 = _handle_terms(_ON_FLOATS, ctx, row, theta6)
@@ -635,15 +629,8 @@ def build_chain(
     _, d5s, *_, theta_com = terms5
     _, ex, ey, _, _, d6s, _, theta_6com, _ = row
     return VirtualChain(
-        shoulder=shoulder,
-        elbow=Vec2(ex, ey),
-        handle=Vec2(hx, hy),
-        com=com,
-        theta_04=theta_04, theta5=theta5, theta6=theta6,
-        upper_len=upper_len, fore_len=fore_len,
-        lever5=d5s, lever6=d6s, lever7=d7s,
-        theta_com=theta_com,
-        theta_6com=theta_6com,
+        shoulder=ctx.shoulder, elbow=Vec2(ex, ey), handle=Vec2(hx, hy), com=ctx.com,
+        lever5=d5s, lever6=d6s, lever7=d7s, theta_com=theta_com, theta_6com=theta_6com,
         theta_7com=_theta_7com(_ON_FLOATS, phi6, c7),
     )
 
@@ -677,8 +664,7 @@ def force_vector(ctx: PlacementContext, theta5: float, theta6: float,
     r = arm_forces(ctx, theta5, theta6, magnitudes, model)
     # build_chain and the views are read as module globals at each call, so
     # that perfbench/tracing.py, which rebinds them there, times these calls.
-    chain = build_chain(ctx.shoulder, ctx.theta_04, theta5, theta6, ctx.upper_len, ctx.fore_len,
-                        ctx.com)
+    chain = build_chain(ctx, theta5, theta6)
     torques = TorqueSet(*(s * m for s, m in zip(r.signs, magnitudes)))
     return r, (arm_force_lsq if model == "lsq" else arm_force_expanded)(chain, torques)
 

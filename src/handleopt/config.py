@@ -19,7 +19,8 @@ if TYPE_CHECKING:
 
 FORCE_MODELS = ("expanded", "lsq")
 
-# The elbow grid must keep at least this margin from 0 and +-pi.
+# The elbow grid must keep at least this margin from every multiple of pi,
+# where the elbow is straight.
 ELBOW_LIMIT_MARGIN = math.radians(2.0)
 
 # Largest grid a scenario may ask for; the full default joint range at a

@@ -372,11 +372,19 @@ def validate_scenario(s: Scenario) -> list[Finding]:
     if lim.theta6_min >= lim.theta6_max:
         err("limits_order", "theta6 limits must satisfy min < max")
     else:
-        for center in (0.0, math.pi, -math.pi):
-            if lim.theta6_min <= center + ELBOW_LIMIT_MARGIN and lim.theta6_max >= center - ELBOW_LIMIT_MARGIN:
+        # The elbow is straight at every multiple of pi. One finding names the
+        # one nearest 0 that the limits come within the margin of: x is the
+        # widened range's point nearest 0 in units of pi (0.0 if a limit is
+        # NaN), so that multiple is round(x) or next to it.
+        lo, hi, m = lim.theta6_min, lim.theta6_max, ELBOW_LIMIT_MARGIN
+        x = min(max(0.0, (lo - m) / math.pi), (hi + m) / math.pi)
+        k = round(x) if math.isfinite(x) else 0
+        for center in sorted((j * math.pi for j in (k - 1, k, k + 1)), key=abs):
+            if lo <= center + m and hi >= center - m:
                 err("elbow_limit_margin",
-                    f"theta6 limits must stay at least {math.degrees(ELBOW_LIMIT_MARGIN):.0f} deg away "
+                    f"theta6 limits must stay at least {math.degrees(m):.0f} deg away "
                     f"from the extension singularity at {math.degrees(center):.0f} deg")
+                break
 
     if s.objective.a < 0.0:
         err("objective_a", f"penalty weight a = {s.objective.a} must be >= 0")

@@ -160,8 +160,17 @@ def nonarm_com_complex(pose, segments) -> complex:
     return sum(segments.mass(i) * coms[i] for i in range(5)) / segments.total_mass
 
 
+def arm_context(shoulder: Vec2, theta_04: float, com: Vec2, upper_len: float, fore_len: float,
+                v: Vec2 = ORIGIN) -> PlacementContext:
+    """The placement context of an arm and a COM. v is zero unless given,
+    since no chain (build_chain) depends on it."""
+    return PlacementContext(shoulder, theta_04, com, v, upper_len, fore_len)
+
+
 def sample_chain(rng, min_lever=0.05):
-    """Random non-singular virtual chain, by rejection."""
+    """Random non-singular virtual chain, by rejection, as (ctx, theta5,
+    theta6, chain) with chain = build_chain(ctx, theta5, theta6). ctx.v is
+    zero; a caller that needs a direction takes ctx._replace(v=...)."""
     while True:
         shoulder = Vec2(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
         theta_04 = rng.uniform(-math.pi, math.pi)
@@ -170,29 +179,19 @@ def sample_chain(rng, min_lever=0.05):
         upper = rng.uniform(0.2, 0.5)
         fore = rng.uniform(0.2, 0.5)
         com = shoulder + Vec2(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
+        ctx = arm_context(shoulder, theta_04, com, upper, fore)
         try:
-            chain = build_chain(shoulder, theta_04, theta5, theta6, upper, fore, com)
+            chain = build_chain(ctx, theta5, theta6)
         except SingularChain:
             continue
         if min(chain.lever5, chain.lever6, chain.lever7) < min_lever:
             continue
-        return chain
-
-
-def context_of_chain(chain, v: Vec2) -> PlacementContext:
-    """Placement context whose arm and COM are those of a chain."""
-    return PlacementContext(
-        shoulder=chain.shoulder,
-        theta_04=chain.theta_04,
-        com=chain.com,
-        v=v,
-        upper_len=chain.upper_len,
-        fore_len=chain.fore_len,
-    )
+        return ctx, theta5, theta6, chain
 
 
 def sample_in_branch_chain(rng, margin=1e-3):
-    """Chain whose lever angles are directly readable via atan2.
+    """Chain whose lever angles are directly readable via atan2, as
+    sample_chain returns it.
 
     The triangle construction inside the package picks one orientation:
     it matches atan2 of (com - elbow) when the COM lies on the left of
@@ -200,13 +199,13 @@ def sample_in_branch_chain(rng, margin=1e-3):
     right of the forearm. Rejection keeps a margin from both boundaries.
     """
     while True:
-        chain = sample_chain(rng)
+        ctx, theta5, theta6, chain = sample_chain(rng)
         e, h, c = chain.elbow, chain.handle, chain.com
         if cross(e - chain.shoulder, c - e) < margin:
             continue
         if cross(h - e, c - h) > -margin:
             continue
-        return chain
+        return ctx, theta5, theta6, chain
 
 
 def arm_force_atan2(chain, torques: TorqueSet) -> Vec2:

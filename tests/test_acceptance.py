@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from handleopt import (
@@ -37,8 +37,8 @@ from handleopt.placement_opt import evaluate_grid, feasibility_check, objective
 from handleopt.scenario_io import read_scenario_file
 
 from oracles import (
+    arm_context,
     best_sign_combo,
-    context_of_chain,
     fd_com_jacobian,
     finite,
     list_fixtures,
@@ -63,7 +63,7 @@ def test_jacobian_matches_central_differences(rng):
     worst = 0.0
     start = time.perf_counter()
     for _ in range(n):
-        chain = sample_chain(rng)
+        *_, chain = sample_chain(rng)
         analytic = lsq_jacobian(chain)
         numeric = fd_com_jacobian(chain, h=1e-6)
         rel = np.linalg.norm(analytic - numeric) / np.linalg.norm(analytic)
@@ -81,7 +81,7 @@ def test_directed_force_matches_projection(rng):
     checked = 0
     worst = 0.0
     while checked < 1000:
-        chain = sample_chain(rng)
+        *_, chain = sample_chain(rng)
         torques = TorqueSet(*rng.uniform(-3.0, 3.0, size=3))
         force = arm_force_expanded(chain, torques)
         v = Vec2(rng.normal(), rng.normal())
@@ -102,7 +102,7 @@ def test_directed_force_matches_projection(rng):
 def test_force_superposition(rng):
     worst = 0.0
     for _ in range(300):
-        chain = sample_chain(rng)
+        *_, chain = sample_chain(rng)
         t5, t6, t7 = rng.uniform(-3.0, 3.0, size=3)
         whole = arm_force_expanded(chain, TorqueSet(t5, t6, t7))
         parts = (
@@ -115,7 +115,7 @@ def test_force_superposition(rng):
 
     # one shoulder torque about a half-meter lever gives exactly 2 N up
     chain = build_chain(
-        Vec2(0.0, 0.0), 0.0, math.pi / 2, math.pi / 2, 0.32, 0.30, Vec2(0.5, 0.0)
+        arm_context(Vec2(0.0, 0.0), 0.0, Vec2(0.5, 0.0), 0.32, 0.30), math.pi / 2, math.pi / 2
     )
     single = arm_force_expanded(chain, TorqueSet(1.0, 0.0, 0.0))
     assert (single.x, single.y) == (0.0, 2.0)
@@ -129,14 +129,13 @@ def test_sign_choice_is_optimal(rng):
     n = 500
     worst = -math.inf
     for _ in range(n):
-        chain = sample_chain(rng)
+        ctx, theta5, theta6, chain = sample_chain(rng)
         # (cos a, sin b) is a v of any length up to sqrt(2), then a unit v
         scaled = Vec2(math.cos(rng.uniform(-math.pi, math.pi)),
                       math.sin(rng.uniform(-math.pi, math.pi)))
         mags = tuple(rng.uniform(0.5, 3.0, size=3))
         for v in (scaled, random_unit(rng)):
-            ctx = context_of_chain(chain, v)
-            _, force = force_vector(ctx, chain.theta5, chain.theta6, mags, "expanded")
+            _, force = force_vector(ctx._replace(v=v), theta5, theta6, mags, "expanded")
             chosen = force.dot(v)
             shortfall = best_sign_combo(chain, v, mags) - chosen
             worst = max(worst, shortfall)
@@ -261,8 +260,13 @@ def test_optimum_reflects_with_the_world():
 @pytest.mark.parametrize("model", FORCE_MODELS)
 # Without the shrink and explain phases, a failure reports the first failing
 # example at once instead of searching for a smaller one for many seconds.
+# The explicit example fails under both models while the defect stands, so
+# the run stops there and never writes a patch file for a generated example;
+# once the example passes, the same 100 generated examples run after it.
 @settings(derandomize=True, database=None, deadline=None, max_examples=100,
-          phases=[Phase.generate])
+          phases=[Phase.explicit, Phase.generate])
+@example(shoulder=(0.0, 0.0), to_com=(0.5, -0.5), theta_04=0.0, v_angle=1.5,
+         upper=0.3, fore=0.3, theta5=0.5, theta6=1.0)
 @given(shoulder=st.tuples(finite(-1.0, 1.0), finite(-1.0, 1.0)),
        to_com=st.tuples(finite(-0.9, 0.9), finite(-0.9, 0.9)),
        theta_04=finite(-math.pi, math.pi), v_angle=finite(-math.pi, math.pi),

@@ -25,7 +25,7 @@ from handleopt.body_model import Vec2, unit
 from handleopt.config import TorqueSet
 from oracles import (
     angle_of,
-    context_of_chain,
+    arm_context,
     cross,
     finite,
     lsq_jacobian,
@@ -40,13 +40,14 @@ from oracles import (
 
 def test_chain_geometry_closes(rng):
     for _ in range(50):
-        chain = sample_chain(rng)
-        phi5 = chain.theta_04 + chain.theta5
-        phi6 = phi5 + chain.theta6
-        assert chain.elbow == Vec2(chain.shoulder.x + chain.upper_len * float(np.cos(phi5)),
-                                   chain.shoulder.y + chain.upper_len * float(np.sin(phi5)))
-        assert chain.handle == Vec2(chain.elbow.x + chain.fore_len * float(np.cos(phi6)),
-                                    chain.elbow.y + chain.fore_len * float(np.sin(phi6)))
+        ctx, theta5, theta6, chain = sample_chain(rng)
+        phi5 = ctx.theta_04 + theta5
+        phi6 = phi5 + theta6
+        assert (chain.shoulder, chain.com) == (ctx.shoulder, ctx.com)
+        assert chain.elbow == Vec2(chain.shoulder.x + ctx.upper_len * float(np.cos(phi5)),
+                                   chain.shoulder.y + ctx.upper_len * float(np.sin(phi5)))
+        assert chain.handle == Vec2(chain.elbow.x + ctx.fore_len * float(np.cos(phi6)),
+                                    chain.elbow.y + ctx.fore_len * float(np.sin(phi6)))
         to_com6, to_com7 = chain.com - chain.elbow, chain.com - chain.handle
         assert chain.lever5 == (chain.com - chain.shoulder).norm()
         assert chain.lever6 == float(np.hypot(to_com6.x, to_com6.y))
@@ -54,12 +55,28 @@ def test_chain_geometry_closes(rng):
         assert chain.theta_com == angle_of(chain.com - chain.shoulder)
 
 
+def chain_bits(chain) -> list[str]:
+    """The float hex of every value a chain holds, each coordinate apart."""
+    return [x.hex() for field in chain for x in (field if isinstance(field, tuple) else (field,))]
+
+
+def test_chain_does_not_depend_on_v(rng):
+    # A chain holds no projection on v, so build_chain gives the same bits
+    # for a zero v (sample_chain's) and for any direction.
+    for _ in range(200):
+        ctx, theta5, theta6, chain = sample_chain(rng)
+        assert ctx.v == Vec2(0.0, 0.0)
+        want = chain_bits(chain)
+        assert chain_bits(build_chain(ctx._replace(v=random_unit(rng)), theta5, theta6)) == want
+        assert chain_bits(build_chain(ctx, theta5, theta6)) == want
+
+
 def test_chain_preserves_arm_lengths(rng):
     for _ in range(50):
         upper = rng.uniform(0.2, 0.5)
         fore = rng.uniform(0.2, 0.5)
         t04, t5, t6 = rng.uniform(-math.pi, math.pi, 3)
-        chain = build_chain(Vec2(0.1, 0.2), t04, t5, t6, upper, fore, Vec2(0.9, -0.4))
+        chain = build_chain(arm_context(Vec2(0.1, 0.2), t04, Vec2(0.9, -0.4), upper, fore), t5, t6)
         r5, r6 = chain.elbow - chain.shoulder, chain.handle - chain.elbow
         assert abs(r5.norm() - upper) <= 1e-14 * upper
         assert abs(r6.norm() - fore) <= 1e-14 * fore
@@ -75,25 +92,25 @@ def test_chain_round_trips_the_com(rng):
         shoulder = Vec2(rng.uniform(-1, 1), rng.uniform(-1, 1))
         if (com - shoulder).norm() < 0.1:
             continue
-        chain = build_chain(shoulder, 0.3, -0.7, 1.1, 0.32, 0.30, com)
+        chain = build_chain(arm_context(shoulder, 0.3, com, 0.32, 0.30), -0.7, 1.1)
         assert (chain.com - com).norm() < 1e-12
 
 
 def test_degenerate_levers_raise():
     shoulder = Vec2(0.0, 0.0)
     with pytest.raises(SingularChain):
-        build_chain(shoulder, 0.0, 0.5, 1.0, 0.32, 0.30, shoulder)
+        build_chain(arm_context(shoulder, 0.0, shoulder, 0.32, 0.30), 0.5, 1.0)
     elbow = 0.32 * unit(0.5)
     with pytest.raises(SingularChain):
-        build_chain(shoulder, 0.0, 0.5, 1.0, 0.32, 0.30, elbow)
+        build_chain(arm_context(shoulder, 0.0, elbow, 0.32, 0.30), 0.5, 1.0)
     handle = 0.32 * unit(0.5) + 0.30 * unit(1.5)
     with pytest.raises(SingularChain):
-        build_chain(shoulder, 0.0, 0.5, 1.0, 0.32, 0.30, handle)
+        build_chain(arm_context(shoulder, 0.0, handle, 0.32, 0.30), 0.5, 1.0)
 
 
 def test_subsidiary_angles_match_direct_geometry_in_branch(rng):
     for _ in range(60):
-        chain = sample_in_branch_chain(rng)
+        *_, chain = sample_in_branch_chain(rng)
         elbow_angle = angle_of(chain.com - chain.elbow)
         handle_angle = angle_of(chain.com - chain.handle)
         assert abs(wrap_angle(chain.theta_6com - elbow_angle)) < 1e-9
@@ -128,7 +145,8 @@ def test_lever_angles_follow_the_lever_rule_on_both_sides_of_each_link(
     elbow = Vec2(*shoulder) + upper * unit(phi5)
     com = elbow + reach * unit(phi5 + elbow_side * alpha)
     try:
-        chain = build_chain(Vec2(*shoulder), theta_04, theta5, theta6, upper, fore, com)
+        chain = build_chain(arm_context(Vec2(*shoulder), theta_04, com, upper, fore),
+                            theta5, theta6)
     except SingularChain:
         assume(False)
     s, e, h, c = chain.shoulder, chain.elbow, chain.handle, chain.com
@@ -146,7 +164,8 @@ def test_lever_angles_follow_the_lever_rule_on_both_sides_of_each_link(
 
 def test_isosceles_right_triangle_angles():
     # shoulder (0,0), elbow (1,0), COM (1,1): the elbow lever stands at +90 deg
-    chain = build_chain(Vec2(0.0, 0.0), 0.0, 0.0, -3.0 * math.pi / 4.0, 1.0, 1.0, Vec2(1.0, 1.0))
+    chain = build_chain(arm_context(Vec2(0.0, 0.0), 0.0, Vec2(1.0, 1.0), 1.0, 1.0),
+                        0.0, -3.0 * math.pi / 4.0)
     assert chain.theta_6com == pytest.approx(-3.0 * math.pi / 2.0, abs=1e-12)
     assert wrap_angle(chain.theta_6com) == pytest.approx(math.pi / 2.0, abs=1e-12)
     assert wrap_angle(chain.theta_6com) == pytest.approx(angle_of(chain.com - chain.elbow), abs=1e-12)
@@ -158,7 +177,8 @@ def test_collinear_com_beyond_elbow_hits_negative_cosine():
     # COM on the upper-arm ray past the elbow: lever5 = L5 + lever6, and the
     # law-of-cosines argument lands on -1 (acos of pi), not +1
     assert (1.0 ** 2 + 1.0 ** 2 - 2.0 ** 2) / (2.0 * 1.0 * 1.0) == -1.0
-    chain = build_chain(Vec2(0.0, 0.0), 0.0, 0.0, math.pi / 2.0, 1.0, 0.3, Vec2(2.0, 0.0))
+    chain = build_chain(arm_context(Vec2(0.0, 0.0), 0.0, Vec2(2.0, 0.0), 1.0, 0.3),
+                        0.0, math.pi / 2.0)
     assert chain.theta_6com == pytest.approx(-2.0 * math.pi, abs=1e-12)
     assert abs(wrap_angle(chain.theta_6com - angle_of(chain.com - chain.elbow))) < 1e-12
 
@@ -166,36 +186,37 @@ def test_collinear_com_beyond_elbow_hits_negative_cosine():
 def test_collinear_com_between_joints_hits_positive_cosine():
     # COM halfway between shoulder and elbow: the argument lands on +1 (acos of 0)
     assert (1.0 ** 2 + 0.5 ** 2 - 0.5 ** 2) / (2.0 * 1.0 * 0.5) == 1.0
-    chain = build_chain(Vec2(0.0, 0.0), 0.0, 0.0, math.pi / 2.0, 1.0, 0.3, Vec2(0.5, 0.0))
+    chain = build_chain(arm_context(Vec2(0.0, 0.0), 0.0, Vec2(0.5, 0.0), 1.0, 0.3),
+                        0.0, math.pi / 2.0)
     assert chain.theta_6com == pytest.approx(-math.pi, abs=1e-12)
     assert abs(wrap_angle(chain.theta_6com - angle_of(chain.com - chain.elbow))) < 1e-12
 
 
 def test_unit_directions_are_unit_length(rng):
     for _ in range(20):
-        chain = sample_chain(rng)
+        *_, chain = sample_chain(rng)
         for u in chain.unit_directions():
             assert u.norm() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_expanded_force_single_term_is_exact():
     # only the shoulder torque acts; lever 0.5 along +x pushes straight up
-    chain = build_chain(Vec2(0.0, 0.0), 0.0, math.pi / 2.0, math.pi / 2.0,
-                        0.32, 0.30, Vec2(0.5, 0.0))
+    chain = build_chain(arm_context(Vec2(0.0, 0.0), 0.0, Vec2(0.5, 0.0), 0.32, 0.30),
+                        math.pi / 2.0, math.pi / 2.0)
     force = arm_force_expanded(chain, TorqueSet(1.0, 0.0, 0.0))
     assert force.x == 0.0
     assert force.y == 2.0
 
 
 def test_expanded_force_zero_torques_zero_force(rng):
-    chain = sample_chain(rng)
+    *_, chain = sample_chain(rng)
     force = arm_force_expanded(chain, TorqueSet(0.0, 0.0, 0.0))
     assert force.x == 0.0 and force.y == 0.0
 
 
 def test_expanded_force_is_linear_in_torques(rng):
     for _ in range(40):
-        chain = sample_chain(rng)
+        *_, chain = sample_chain(rng)
         ta = TorqueSet(*rng.uniform(-2, 2, 3))
         tb = TorqueSet(*rng.uniform(-2, 2, 3))
         fa = arm_force_expanded(chain, ta)
@@ -212,7 +233,7 @@ def test_expanded_force_is_linear_in_torques(rng):
 
 def test_jacobian_columns_are_rotated_lever_vectors(rng):
     for _ in range(30):
-        chain = sample_chain(rng)
+        *_, chain = sample_chain(rng)
         jac = lsq_jacobian(chain)
         assert jac.shape == (2, 3)
         for j, (point, lever) in enumerate(
@@ -226,8 +247,8 @@ def test_jacobian_columns_are_rotated_lever_vectors(rng):
 
 
 def test_jacobian_shoulder_column_for_known_chain():
-    chain = build_chain(Vec2(0.0, 0.0), 0.0, math.pi / 2.0, math.pi / 2.0,
-                        0.32, 0.30, Vec2(0.5, 0.0))
+    chain = build_chain(arm_context(Vec2(0.0, 0.0), 0.0, Vec2(0.5, 0.0), 0.32, 0.30),
+                        math.pi / 2.0, math.pi / 2.0)
     jac = lsq_jacobian(chain)
     assert jac[0, 2] == 0.0
     assert jac[1, 2] == 0.5
@@ -239,7 +260,6 @@ def test_jacobian_zero_lever_column_is_finite():
     elbow = Vec2(0.32, 0.0)
     chain = VirtualChain(
         shoulder=Vec2(0.0, 0.0), elbow=elbow, handle=Vec2(0.32, 0.30), com=elbow,
-        theta_04=0.0, theta5=0.0, theta6=1.0, upper_len=0.32, fore_len=0.30,
         lever5=0.32, lever6=0.0, lever7=0.30,
         theta_com=0.0, theta_6com=0.0, theta_7com=0.0,
     )
@@ -250,7 +270,7 @@ def test_jacobian_zero_lever_column_is_finite():
 
 def test_lsq_recovers_force_when_torques_are_consistent(rng):
     for _ in range(30):
-        chain = sample_chain(rng)
+        *_, chain = sample_chain(rng)
         f0 = Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5))
         jac = lsq_jacobian(chain)
         tau = jac.T @ np.array([f0.x, f0.y])  # ordered (tau7, tau6, tau5)
@@ -265,7 +285,7 @@ def test_lsq_recovers_force_when_torques_are_consistent(rng):
 def test_lsq_matches_lstsq_reference(rng):
     checked = 0
     while checked < 40:
-        chain = sample_chain(rng)
+        *_, chain = sample_chain(rng)
         torques = TorqueSet(*rng.uniform(-2, 2, 3))
         try:
             f = arm_force_lsq(chain, torques)
@@ -280,7 +300,7 @@ def test_lsq_matches_lstsq_reference(rng):
 
 
 def test_lsq_zero_torques_zero_force(rng):
-    chain = sample_chain(rng)
+    *_, chain = sample_chain(rng)
     f = arm_force_lsq(chain, TorqueSet(0.0, 0.0, 0.0))
     assert f.x == 0.0 and f.y == 0.0
 
@@ -288,7 +308,7 @@ def test_lsq_zero_torques_zero_force(rng):
 def test_lsq_is_linear_in_torques(rng):
     checked = 0
     while checked < 20:
-        chain = sample_chain(rng)
+        *_, chain = sample_chain(rng)
         ta = TorqueSet(*rng.uniform(-2, 2, 3))
         try:
             fa = arm_force_lsq(chain, ta)
@@ -302,7 +322,7 @@ def test_lsq_is_linear_in_torques(rng):
 
 def test_lsq_raises_when_levers_align():
     # fully stretched arm with the COM on the same line: rank-1 system
-    chain = build_chain(Vec2(0.0, 0.0), 0.0, 0.0, 0.0, 0.32, 0.30, Vec2(0.9, 0.0))
+    chain = build_chain(arm_context(Vec2(0.0, 0.0), 0.0, Vec2(0.9, 0.0), 0.32, 0.30), 0.0, 0.0)
     with pytest.raises(IllConditioned):
         arm_force_lsq(chain, TorqueSet(1.0, 1.0, 1.0))
 
@@ -327,13 +347,14 @@ def test_lsq_rejection_agrees_with_the_svd_condition_number(shoulder, theta_04, 
     com = (Vec2(*shoulder) + reach * unit(phi5)
            + side * 10.0 ** offset_exp * unit(phi5 + math.pi / 2.0))
     step = 10.0 ** step_exp
+    ctx = arm_context(Vec2(*shoulder), theta_04, com, upper, fore, v=unit(0.0))
     for i5, i6 in itertools.product(range(10), range(-5, 5)):
         t5, t6 = theta5 + i5 * step, i6 * step
         try:
-            chain = build_chain(Vec2(*shoulder), theta_04, t5, t6, upper, fore, com)
+            chain = build_chain(ctx, t5, t6)
         except SingularChain:
             continue
-        r = arm_forces(context_of_chain(chain, unit(0.0)), t5, t6, (1.0, 1.0, 1.0), "lsq")
+        r = arm_forces(ctx, t5, t6, (1.0, 1.0, 1.0), "lsq")
         s = np.linalg.svd(lsq_jacobian(chain), compute_uv=False)
         ratio = math.inf if s[1] == 0.0 else (float(s[0]) / float(s[1])) ** 2
         if r.singular or abs(ratio / COND_LIMIT - 1.0) < NEAR_LIMIT:
@@ -347,7 +368,7 @@ def test_force_rotation_equivariance_both_models(rng):
         t04, t5, t6 = rng.uniform(-math.pi, math.pi, 3)
         com = shoulder + Vec2(rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8))
         try:
-            chain = build_chain(shoulder, t04, t5, t6, 0.32, 0.30, com)
+            chain = build_chain(arm_context(shoulder, t04, com, 0.32, 0.30), t5, t6)
         except SingularChain:
             continue
         if min(chain.lever5, chain.lever6, chain.lever7) < 0.05:
@@ -355,7 +376,7 @@ def test_force_rotation_equivariance_both_models(rng):
         torques = TorqueSet(*rng.uniform(-2, 2, 3))
         phi = rng.uniform(-math.pi, math.pi)
         rotated = build_chain(
-            rotate(shoulder, phi), t04 + phi, t5, t6, 0.32, 0.30, rotate(com, phi)
+            arm_context(rotate(shoulder, phi), t04 + phi, rotate(com, phi), 0.32, 0.30), t5, t6
         )
         f = arm_force_expanded(chain, torques)
         fr = arm_force_expanded(rotated, torques)
@@ -375,7 +396,7 @@ def test_both_force_models_stay_finite(rng):
     # the two maps are distinct in general; this only pins basic sanity
     checked = 0
     while checked < 50:
-        chain = sample_chain(rng)
+        *_, chain = sample_chain(rng)
         torques = TorqueSet(*rng.uniform(0.5, 2.0, 3))
         fe = arm_force_expanded(chain, torques)
         try:
@@ -405,13 +426,13 @@ def test_directed_advantage_projects_onto_the_direction(rng):
     # the kernel's directed figure is F.v = |F||v|cos(angle between) for
     # the report's force vector (force_vector), under both force models
     for _ in range(200):
-        chain = sample_chain(rng)
+        ctx, theta5, theta6, _ = sample_chain(rng)
         direction = random_unit(rng)
         mags = tuple(rng.uniform(0.5, 2.0, 3))
-        ctx = context_of_chain(chain, direction)
+        ctx = ctx._replace(v=direction)
         for model in ("expanded", "lsq"):
             try:
-                r, force = force_vector(ctx, chain.theta5, chain.theta6, mags, model)
+                r, force = force_vector(ctx, theta5, theta6, mags, model)
             except IllConditioned:
                 continue
             angle = angle_of(force) - angle_of(direction)

@@ -59,7 +59,7 @@ def test_value_types_are_immutable_and_replace_keeps_the_type():
         frame.pose.base, forward_kinematics(frame.pose, scenario.segments), state, ctx,
         scenario.limits, scenario.robot, TorqueSet(1.0, 1.0, 1.0), placement,
         placement.feasibility[0], landscape, Finding("warning", "code", "message"),
-        build_chain(ctx.shoulder, ctx.theta_04, 0.5, 1.5, ctx.upper_len, ctx.fore_len, ctx.com),
+        build_chain(ctx, 0.5, 1.5),
     ]
     assert len({type(v) for v in values}) == len(values) == 17
     for v in values:

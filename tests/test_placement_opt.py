@@ -51,7 +51,6 @@ from oracles import (
     argmax_sequential_scan,
     arm_force_atan2,
     best_sign_combo,
-    context_of_chain,
     finite,
     handle_sign_by_angle,
     random_unit,
@@ -174,10 +173,10 @@ def test_optimize_placement_rejects_a_non_finite_step(step):
 
 def test_torque_signs_make_every_term_push_along_v(rng):
     for _ in range(60):
-        chain = sample_chain(rng)
+        ctx, theta5, theta6, chain = sample_chain(rng)
         v = random_unit(rng)
         mags = tuple(rng.uniform(0.5, 2.0, 3))
-        r = arm_forces(context_of_chain(chain, v), chain.theta5, chain.theta6, mags, "expanded")
+        r = arm_forces(ctx._replace(v=v), theta5, theta6, mags, "expanded")
         torques = TorqueSet(*(float(s * m) for s, m in zip(r.signs, mags)))
         u5, u6, u7 = chain.unit_directions()
         assert torques.tau5 / chain.lever5 * u5.dot(v) >= -1e-12
@@ -191,10 +190,9 @@ def test_torque_signs_make_every_term_push_along_v(rng):
 def test_objective_matches_in_branch_sign_search(rng):
     config = ObjectiveConfig(a=0.0, torque_magnitudes=(1.0, 1.2, 0.7))
     for _ in range(40):
-        chain = sample_in_branch_chain(rng)
+        ctx, theta5, theta6, chain = sample_in_branch_chain(rng)
         v = random_unit(rng)
-        ctx = context_of_chain(chain, v)
-        got = objective(chain.theta5, chain.theta6, ctx, config)
+        got = objective(theta5, theta6, ctx._replace(v=v), config)
         want = best_sign_combo(chain, v, config.torque_magnitudes, force=arm_force_atan2)
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -371,8 +369,7 @@ def assert_arm_forces_match_grid(ctx, limits, config):
                 if model == "lsq":
                     assert bits(along) == bits(point.directed)
                 else:
-                    chain = build_chain(ctx.shoulder, ctx.theta_04, float(c5), float(c6),
-                                        ctx.upper_len, ctx.fore_len, ctx.com)
+                    chain = build_chain(ctx, float(c5), float(c6))
                     scale = sum(m / lever for m, lever in
                                 zip(mags, (chain.lever5, chain.lever6, chain.lever7)))
                     assert abs(along - point.directed) <= EXPANDED_PROJECTION_RTOL * scale
@@ -455,8 +452,7 @@ def facing_handle_term(ctx, theta5, theta6, side):
     """ctx with v along +-(cos a, sin a), a the handle's lever angle at
     (theta5, theta6): there u7 . v is zero, so the lsq model's angle-sum
     form lies in BAND and its sign is rounding noise."""
-    a = build_chain(ctx.shoulder, ctx.theta_04, theta5, theta6, ctx.upper_len, ctx.fore_len,
-                    ctx.com).theta_7com
+    a = build_chain(ctx, theta5, theta6).theta_7com
     return ctx._replace(v=Vec2(side * float(np.cos(a)), side * float(np.sin(a))))
 
 
@@ -820,21 +816,36 @@ def test_cell_stage_writes_no_array_shared_across_blocks(monkeypatch, model):
             np.testing.assert_array_equal(x, y)
 
 
-def test_point_queries_compute_the_context_stage_once_per_context(monkeypatch):
-    calls = 0
+@pytest.fixture
+def context_stage_calls(monkeypatch):
+    """The contexts the context stage (_shoulder_terms) runs on, one entry a run."""
+    calls = []
     shoulder_terms = arm_kinetics._shoulder_terms
 
     def counted(ctx):
-        nonlocal calls
-        calls += 1
+        calls.append(ctx)
         return shoulder_terms(ctx)
 
     monkeypatch.setattr(arm_kinetics, "_shoulder_terms", counted)
+    return calls
+
+
+def test_point_queries_compute_the_context_stage_once_per_context(context_stage_calls):
     scenario, ctx = toilet_context()
     lim = scenario.limits
     for t6 in np.linspace(lim.theta6_min, lim.theta6_max, 100):
         objective(0.5 * (lim.theta5_min + lim.theta5_max), float(t6), ctx, scenario.objective)
-    assert calls == 1
+    assert len(context_stage_calls) == 1
+
+
+@pytest.mark.parametrize("model", FORCE_MODELS)
+def test_force_vector_computes_the_context_stage_once(context_stage_calls, model):
+    # The point query and build_chain share one run of the context stage.
+    scenario, ctx = toilet_context()
+    pin = FIXTURE_OPTIMA["toilet_sit_to_stand"]
+    force_vector(ctx, math.radians(pin["theta5_deg"]), math.radians(pin["theta6_deg"]),
+                 scenario.objective.torque_magnitudes, model)
+    assert len(context_stage_calls) == 1 and context_stage_calls[0] is ctx
 
 
 def test_point_queries_tell_apart_contexts_that_compare_equal():
@@ -966,8 +977,7 @@ def test_handle_position_matches_chain(segments):
     h = Vec2(float(hx), float(hy))
     assert h.x == pytest.approx(2.32, abs=1e-12)
     assert h.y == pytest.approx(0.30, abs=1e-12)
-    chain = build_chain(shoulder, 0.0, 0.0, math.pi / 2.0, 0.32, 0.30, Vec2(1.0, 1.0))
-    assert h == chain.handle
+    assert h == build_chain(ctx, 0.0, math.pi / 2.0).handle
 
 
 def test_optimizer_results_on_packaged_fixtures():

@@ -299,6 +299,13 @@ def test_elbow_limits_near_straight_rejected():
     assert "elbow_limit_margin" in error_codes(scenario_from_dict(data))
     data["joint_limits_deg"] = [-60.0, 80.0, 5.0, 181.0]
     assert "elbow_limit_margin" in error_codes(scenario_from_dict(data))
+    # the elbow is straight at every multiple of 180 deg, not only 0 and +-180
+    for lo6, hi6 in ((355.0, 365.0), (-365.0, -355.0)):
+        data["joint_limits_deg"] = [-60.0, 80.0, lo6, hi6]
+        assert "elbow_limit_margin" in error_codes(scenario_from_dict(data))
+    # however wide the range, one finding
+    data["joint_limits_deg"] = [-60.0, 80.0, -1e6, 1e6]
+    assert error_codes(scenario_from_dict(data)).count("elbow_limit_margin") == 1
     data["joint_limits_deg"] = [-60.0, 80.0, 3.0, 120.0]
     assert "elbow_limit_margin" not in error_codes(scenario_from_dict(data))
 
