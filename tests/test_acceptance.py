@@ -306,6 +306,40 @@ def test_scaling_every_mass_keeps_the_optimum_cell():
           "scenarios under both force models")
 
 
+def test_scaling_every_length_and_torque_keeps_the_optimum_cell():
+    # a force is a torque over a lever length, so a person k times the size
+    # pushing with k times the torques gets the same cell and objective, and
+    # a handle k times as far from the origin
+    worst_handle = worst_obj = 0.0
+    solves = 0
+    for scenario in load_all():
+        seg = scenario.segments
+        for model in FORCE_MODELS:
+            config = replace(scenario.objective, force_model=model)
+            for limits in (scenario.limits, JointLimits()):
+                base, _ = optimize_placement(make_context(scenario)[0], limits, config)
+                for k in (0.8, 1.2):
+                    big = scenario._replace(
+                        segments=SegmentSet(tuple(link._replace(length=k * link.length)
+                                                  for link in seg.segments), seg.total_mass),
+                        frames=tuple(f._replace(pose=f.pose._replace(base=f.pose.base * k))
+                                     for f in scenario.frames),
+                        floor_y=k * scenario.floor_y)
+                    torques = tuple(k * t for t in config.torque_magnitudes)
+                    got, _ = optimize_placement(make_context(big)[0], limits,
+                                                replace(config, torque_magnitudes=torques))
+                    assert got.argmax_index == base.argmax_index, (scenario.name, model, k)
+                    worst_handle = max(worst_handle, (got.handle * (1.0 / k) - base.handle).norm())
+                    worst_obj = max(worst_obj,
+                                    abs(got.objective_value / base.objective_value - 1.0))
+                    solves += 1
+    assert worst_handle <= 1e-12
+    assert worst_obj <= 1e-12
+    print(f"PASS scale-symmetry: {solves} solves scaling every length and torque by 0.8 "
+          f"and 1.2 keep the optimum cell, the handle over k within {worst_handle:.2e} m "
+          f"(<= 1e-12) and the objective within {worst_obj:.2e} relative (<= 1e-12)")
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="nonarm_com divides by the whole-body mass, so a translation by d "

@@ -23,14 +23,11 @@ from handleopt.scenario_io import MAX_MAGNITUDE
 
 from oracles import is_number, list_fixtures, node_at, node_paths
 from test_cli_fuzz import run_checked, slow
+from test_fixture_optima import pinned
 
 TOILET = str(fixture_path("toilet_sit_to_stand"))
 README = Path(__file__).resolve().parents[1] / "README.md"
 PYPROJECT = README.parent / "pyproject.toml"
-
-TOILET_COM = (-0.04844583864267679, 0.5127204189511911)
-TOILET_DIRECTION = (0.2543456556912991, 0.9671133787881145)
-TOILET_SPEED = 0.291137897036205
 
 
 def run(capsys, *argv):
@@ -355,9 +352,7 @@ def test_analyze_table_marks_max_effort_frame(capsys):
     code, out, err = run(capsys, "analyze", "--scenario", TOILET)
     assert code == 0
     lines = out.splitlines()
-    assert lines[0].split() == [
-        "frame", "time_s", "com_x_m", "com_y_m", "speed_mps", "dir_x", "dir_y"
-    ]
+    assert lines[0] == "frame    time_s      com_x_m      com_y_m    speed_mps     dir_x     dir_y"
     assert lines[-1] == "* max-effort frame"
     data_rows = lines[1:-1]
     assert len(data_rows) == 17
@@ -376,12 +371,14 @@ def test_analyze_writes_csv_and_state(capsys, tmp_path):
     assert len(csv_lines) == 18
     assert csv_lines[1].endswith(",,,")
     state = json.loads((tmp_path / "com_state.json").read_text())
-    assert state["frame"] == 8
-    assert state["position_m"][0] == pytest.approx(TOILET_COM[0], abs=1e-12)
-    assert state["position_m"][1] == pytest.approx(TOILET_COM[1], abs=1e-12)
-    assert state["direction"][0] == pytest.approx(TOILET_DIRECTION[0], abs=1e-12)
-    assert state["direction"][1] == pytest.approx(TOILET_DIRECTION[1], abs=1e-12)
-    assert state["speed_mps"] == pytest.approx(TOILET_SPEED, abs=1e-12)
+    pin = pinned()["com_state"]["toilet_sit_to_stand"]
+    assert state == pin
+    # the table's max-effort row prints the same state to 9 significant figures
+    g = "{:.9g}".format
+    row = (f"{pin['frame']:>5} {g(pin['time_s']):>9} {g(pin['position_m'][0]):>12} "
+           f"{g(pin['position_m'][1]):>12} {g(pin['speed_mps']):>12} "
+           f"{g(pin['direction'][0]):>9} {g(pin['direction'][1]):>9} *")
+    assert row in out.splitlines()
 
 
 def test_render_defaults_to_max_effort_frame(capsys, tmp_path):
@@ -668,51 +665,22 @@ def test_no_exclusion_depends_on_a_so_a_failing_sweep_writes_nothing(capsys, tmp
 SRC = Path(handleopt.__file__).parents[1]
 
 
-# `analyze --out` on the toilet fixture, as a fresh process prints it
-TOILET_ANALYZE_OUT = (
-    "frame    time_s      com_x_m      com_y_m    speed_mps     dir_x     dir_y\n"
-    "    0         0 -0.195609425  0.571411315            -         -         -\n"
-    "    1    0.0875 -0.171566917  0.568907914  0.275545393 0.984706859 -0.174219408\n"
-    "    2     0.175 -0.148126423  0.563010378  0.275525702 0.94991173 -0.312518329\n"
-    "    3    0.2625 -0.125765025  0.553839218  0.275500393 0.895797425 -0.444462567\n"
-    "    4      0.35 -0.104937728  0.541581696  0.230158494 0.89016897 -0.455630557\n"
-    "    5    0.4375 -0.0899110337  0.535487451  0.184055984 0.915399006 -0.402547711\n"
-    "    6     0.525 -0.075452912  0.528615716  0.181624086 0.890251913 -0.455468475\n"
-    "    7    0.6125 -0.0616150754  0.521010743  0.179071753 0.861811707 -0.507228332\n"
-    "    8       0.7 -0.0484458386  0.512720419  0.291137897 0.254345656 0.967113379 *\n"
-    "    9    0.7875 -0.0486563851   0.57028433  0.638615267 0.0617493419 0.998091689\n"
-    "   10     0.875 -0.041544876  0.624264822  0.601327765 0.199164514 0.979966069\n"
-    "   11    0.9625 -0.0276978334  0.673408471  0.561466648 0.342456401 0.939533721\n"
-    "   12      1.05 -0.00789625269  0.716580271  0.507840465 0.396213716 0.918158315\n"
-    "   13    1.1375 0.00751450417  0.755007111  0.440107286 0.435941908 0.899974807\n"
-    "   14     1.225  0.025679459  0.785895228  0.376637258 0.580396935 0.814333714\n"
-    "   15    1.3125 0.0457693484  0.808681084  0.316780291 0.74354069 0.668690693\n"
-    "   16       1.4 0.0668987903  0.822965134            -         -         -\n"
-    "* max-effort frame\n"
-    "wrote out/com_frames.csv and out/com_state.json\n"
-)
+# argv of each command that prints the fixture's numbers: a fresh process
+# must give the exit code and bytes that cli.main gives in process
+MAIN_CASES = [
+    ["analyze", "--scenario", TOILET, "--out", "out"],
+    ["sweep", "--scenario", TOILET, "--out", "out", "--range=0,0.2,0.2", "--grid-step-deg", "5"],
+    ["optimize", "--scenario", TOILET, "--out", "out", "--grid-step-deg", "5"],
+]
 
-# (argv, exit code, stdout, stderr) for each exit path of the CLI and each
-# command that writes a file, run in a directory holding scenario.json (fails
-# validation) and broken.json
+# (argv, exit code, stdout, stderr) for each other exit path of the CLI and
+# each other command that writes a file, run in a directory holding
+# scenario.json (fails validation) and broken.json
 ENTRY_CASES = [
     (["validate", "--scenario", TOILET], 0,
      "toilet_sit_to_stand: 0 error(s), 0 warning(s)\n", ""),
-    (["analyze", "--scenario", TOILET, "--out", "out"], 0, TOILET_ANALYZE_OUT, ""),
     (["render", "--scenario", TOILET, "--out", "out", "--grid-step-deg", "5"], 0,
      "wrote out/scene_frame008.svg\n", ""),
-    (["sweep", "--scenario", TOILET, "--out", "out", "--range=0,0.2,0.2",
-      "--grid-step-deg", "5"], 0,
-     "         a   theta5_deg   theta6_deg      objective\n"
-     "         0          -40          120     4.09534054\n"
-     "       0.2          -40          120     3.99534054\n"
-     "wrote out/sweep.csv and 4 landscape files\n", ""),
-    (["optimize", "--scenario", TOILET, "--out", "out", "--grid-step-deg", "5"], 0,
-     "scenario: toilet_sit_to_stand\ntheta5_opt_deg: -40\ntheta6_opt_deg: 120\n"
-     "handle_xy_m: 0.28405401 1.04215721\nobjective: 3.99534054\n"
-     "f_arm_n: -1.70639688 4.68337558\nf_along_v_n: 4.09534054\n"
-     "torque_signs: -1 -1 +1\nfeasible: yes\n"
-     "wrote out/placement_report.json and out/landscape.csv\n", ""),
     (["validate", "--scenario", "scenario.json"], 1,
      "toilet_sit_to_stand: 1 error(s), 0 warning(s)\n",
      "error[mass_closure]: segment masses sum to 59.99999999999999 kg"
@@ -728,7 +696,7 @@ ENTRY_CASES = [
 ]
 
 
-def test_module_entry_point_runs(tmp_path):
+def test_module_entry_point_runs(capsys, monkeypatch, tmp_path):
     # every exit path of a fresh `python -m handleopt`, read through pipes,
     # so the process entry's own handling of the collector and of exit
     # keeps each byte and exit code. Without PYTHONUNBUFFERED the output
@@ -739,7 +707,9 @@ def test_module_entry_point_runs(tmp_path):
     (tmp_path / "broken.json").write_text("{ not json")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    for argv, code, out, err in ENTRY_CASES:
+    monkeypatch.chdir(tmp_path)
+    in_process = [(argv, *run(capsys, *argv)) for argv in MAIN_CASES]
+    for argv, code, out, err in in_process + ENTRY_CASES:
         proc = subprocess.run(
             [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
              "-m", "handleopt", *argv],

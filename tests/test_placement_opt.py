@@ -53,44 +53,14 @@ from oracles import (
     best_sign_combo,
     finite,
     handle_sign_by_angle,
+    list_fixtures,
     random_unit,
     rotate,
     rotate_context,
     sample_chain,
     sample_in_branch_chain,
 )
-
-# Optimizer pins for the packaged scenarios, frozen from a verified run.
-FIXTURE_OPTIMA = {
-    "toilet_sit_to_stand": {
-        "theta5_deg": -41.99999999999999,
-        "theta6_deg": 119.99999999999999,
-        "objective": 3.9995100065978533,
-        "handle": (0.2927995666429939, 1.035756912188626),
-        "signs": (-1, -1, 1),
-    },
-    "sit_to_stand_bed": {
-        "theta5_deg": 80.0,
-        "theta6_deg": 107.49999999999999,
-        "objective": 3.77450136713868,
-        "handle": (-0.26239108800736144, 0.9886518032418063),
-        "signs": (1, 1, -1),
-    },
-    "bathtub_stand": {
-        "theta5_deg": 80.0,
-        "theta6_deg": 119.99999999999999,
-        "objective": 6.088207419778035,
-        "handle": (-0.028909535310235213, 0.723579757746802),
-        "signs": (-1, -1, -1),
-    },
-    "lie_to_sit_bed": {
-        "theta5_deg": 59.99999999999999,
-        "theta6_deg": 119.99999999999999,
-        "objective": 4.530582233770077,
-        "handle": (-1.2784765023271303, 0.4850000000000002),
-        "signs": (1, 1, 1),
-    },
-}
+from test_fixture_optima import optimum_pin, pinned
 
 
 def toilet_context():
@@ -462,7 +432,7 @@ def test_lsq_handle_sign_in_the_band_is_the_angle_sum_sign():
     have."""
     config = ObjectiveConfig(force_model="lsq", grid_step=math.radians(5.0))
     flips = 0
-    for name in FIXTURE_OPTIMA:
+    for name in list_fixtures():
         scenario = load_scenario(fixture_path(name))
         ctx, _ = make_context(scenario)
         lim = scenario.limits
@@ -482,7 +452,7 @@ def test_lsq_handle_sign_in_the_band_is_the_angle_sum_sign():
 
 
 @pytest.mark.parametrize("limits", ["scenario", "full"])
-@pytest.mark.parametrize("name", list(FIXTURE_OPTIMA))
+@pytest.mark.parametrize("name", list_fixtures())
 def test_lsq_handle_signs_of_fixture_grids_equal_the_angle_form(name, limits):
     scenario = load_scenario(fixture_path(name))
     ctx, _ = make_context(scenario)
@@ -587,7 +557,8 @@ def fixture_grid_cases():
     """(ctx, limits, config, kwargs) for every fixture x force model, with and
     without the robot mask."""
     cases = []
-    for name, pin in FIXTURE_OPTIMA.items():
+    optima = pinned()["optimum"]
+    for name in list_fixtures():
         scenario = load_scenario(fixture_path(name))
         ctx, _ = make_context(scenario)
         for model in FORCE_MODELS:
@@ -595,7 +566,7 @@ def fixture_grid_cases():
             for robot in (None, scenario.robot):
                 # a base at the expanded optimum excludes the cells out of its reach
                 kwargs = dict(robot=robot, floor_y=scenario.floor_y,
-                              robot_base=Vec2(*pin["handle"]))
+                              robot_base=Vec2(*optima[f"{name}/expanded/scenario"]["handle_xy_m"]))
                 cases.append((ctx, scenario.limits, config, kwargs))
     return cases
 
@@ -842,9 +813,9 @@ def test_point_queries_compute_the_context_stage_once_per_context(context_stage_
 def test_force_vector_computes_the_context_stage_once(context_stage_calls, model):
     # The point query and build_chain share one run of the context stage.
     scenario, ctx = toilet_context()
-    pin = FIXTURE_OPTIMA["toilet_sit_to_stand"]
-    force_vector(ctx, math.radians(pin["theta5_deg"]), math.radians(pin["theta6_deg"]),
-                 scenario.objective.torque_magnitudes, model)
+    pin = pinned()["optimum"]["toilet_sit_to_stand/expanded/scenario"]
+    force_vector(ctx, pin["theta5_rad"], pin["theta6_rad"], scenario.objective.torque_magnitudes,
+                 model)
     assert len(context_stage_calls) == 1 and context_stage_calls[0] is ctx
 
 
@@ -858,7 +829,7 @@ def test_point_queries_tell_apart_contexts_that_compare_equal():
     config = ObjectiveConfig()
     limits = corner_limits(0.3, 1.2, config.grid_step)
     cell_a, cell_b = (float(evaluate_grid(ctx, limits, config).objective[0, 0]) for ctx in (a, b))
-    assert cell_a.hex() == "0x1.b808c403a13a0p+1" and cell_b.hex() == "0x1.b808c403a139fp+1"
+    assert cell_a == math.nextafter(cell_b, math.inf)
     for ctx, cell in ((a, cell_a), (b, cell_b), (a, cell_a)):
         assert objective(0.3, 1.2, ctx, config).hex() == cell.hex()
 
@@ -981,19 +952,18 @@ def test_handle_position_matches_chain(segments):
 
 
 def test_optimizer_results_on_packaged_fixtures():
-    for name, pin in FIXTURE_OPTIMA.items():
+    # with the robot's height window, each fixture's own solve keeps the
+    # pinned unmasked optimum, and that optimum is feasible
+    optima = pinned()["optimum"]
+    for name in list_fixtures():
         scenario = load_scenario(fixture_path(name))
         ctx, _ = make_context(scenario)
         placement, _ = optimize_placement(
             ctx, scenario.limits, scenario.objective,
             robot=scenario.robot, floor_y=scenario.floor_y,
         )
-        assert math.degrees(placement.theta5_opt) == pytest.approx(pin["theta5_deg"], abs=1e-9), name
-        assert math.degrees(placement.theta6_opt) == pytest.approx(pin["theta6_deg"], abs=1e-9), name
-        assert placement.objective_value == pytest.approx(pin["objective"], abs=1e-9), name
-        assert placement.handle.x == pytest.approx(pin["handle"][0], abs=1e-9), name
-        assert placement.handle.y == pytest.approx(pin["handle"][1], abs=1e-9), name
-        assert placement.torque_signs == pin["signs"], name
+        pin = optima[f"{name}/{scenario.objective.force_model}/scenario"]
+        assert optimum_pin(placement) == pin, name
         assert placement.feasibility == (), name
         assert (placement.handle - ctx.shoulder).norm() <= 0.62 + 1e-12
 

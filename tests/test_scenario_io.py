@@ -40,10 +40,6 @@ from handleopt.scenario_io import (
 )
 from oracles import list_fixtures, write_landscape_csv_per_cell
 
-TOILET_COM = (-0.04844583864267679, 0.5127204189511911)
-TOILET_DIRECTION = (0.2543456556912991, 0.9671133787881145)
-TOILET_SPEED = 0.291137897036205
-
 SEGMENT_ROWS = [
     ("foot", 0.26, 1.74, 0.50),
     ("shank", 0.42, 5.58, 0.567),
@@ -405,16 +401,6 @@ def test_packaged_fixtures_are_clean():
         assert validate_scenario(scenario) == []
         assert scenario.name == name
         assert len(scenario.frames) >= 10
-
-
-def test_fixture_com_state_is_frozen():
-    scenario = load_scenario(fixture_path("toilet_sit_to_stand"))
-    _, state = make_context(scenario)
-    assert state.position.x == pytest.approx(TOILET_COM[0], abs=1e-9)
-    assert state.position.y == pytest.approx(TOILET_COM[1], abs=1e-9)
-    assert state.direction.x == pytest.approx(TOILET_DIRECTION[0], abs=1e-9)
-    assert state.direction.y == pytest.approx(TOILET_DIRECTION[1], abs=1e-9)
-    assert state.speed == pytest.approx(TOILET_SPEED, abs=1e-9)
 
 
 def test_make_context_is_consistent_with_body_model():
