@@ -39,6 +39,7 @@ from handleopt.scenario_io import (
     write_placement_report,
 )
 from oracles import list_fixtures, write_landscape_csv_per_cell
+from test_fixture_optima import pinned
 
 SEGMENT_ROWS = [
     ("foot", 0.26, 1.74, 0.50),
@@ -401,6 +402,16 @@ def test_packaged_fixtures_are_clean():
         assert validate_scenario(scenario) == []
         assert scenario.name == name
         assert len(scenario.frames) >= 10
+
+
+def test_fixture_com_state_is_frozen():
+    for name, pin in pinned()["com_state"].items():
+        scenario = load_scenario(fixture_path(name))
+        _, state = make_context(scenario)
+        assert scenario.max_effort_index == pin["frame"], name
+        assert [*state.position] == pin["position_m"], name
+        assert [*state.direction] == pin["direction"], name
+        assert state.speed == pin["speed_mps"], name
 
 
 def test_make_context_is_consistent_with_body_model():
