@@ -159,6 +159,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     scenario = _validated(read_scenario_file(args.scenario))
+    out = None if args.out is None else _out_dir(args)  # an unusable --out prints no table
     rows = []
     for i, frame in enumerate(scenario.frames):
         com = nonarm_com(frame.pose, scenario.segments)
@@ -177,8 +178,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
               f"{speed:>12} {dx:>9} {dy:>9}{mark}")
     print("* max-effort frame")
 
-    if args.out is not None:
-        out = _out_dir(args)
+    if out is not None:
         lines = ["frame,time_s,com_x_m,com_y_m,speed_mps,dir_x,dir_y"]
         for i, t, com, state in rows:
             speed, dx, dy = ("",) * 3 if state is None else map(repr, (state.speed, *state.direction))
@@ -272,7 +272,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .placement_opt import grid_axis
-    from .reporting import landscape_svg_chunks
+    from .reporting import landscape_svg
 
     # The file's own a is replaced by every swept value, so only the swept
     # scenarios are validated.
@@ -320,8 +320,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         print(f"{_g(value):>10} {_g(t5):>12} {_g(t6):>12} {_g(placement.objective_value):>14}")
         write_landscape_csv(landscape, out / f"{stem}.csv")
-        with open(out / f"{stem}.svg", "w", encoding="utf-8") as f:
-            f.writelines(landscape_svg_chunks(landscape, placement.argmax_index))
+        svg = landscape_svg(landscape, placement.argmax_index)
+        (out / f"{stem}.svg").write_text(svg, encoding="utf-8")
         # Drop this value's solve before the next one, so that a sweep holds
         # one landscape at a time.
         del placement, landscape

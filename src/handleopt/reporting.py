@@ -1,16 +1,19 @@
 """SVG rendering of scenario frames and objective landscapes.
 
-Pure-string SVG assembly, no drawing dependency. Scenes use a single
-documented world-to-canvas transform: x grows right, y grows up in
-world space, so the canvas y axis is flipped once here and nowhere
-else. Scene bounds never depend on the optional placement overlay, so
-two renders of the same frame differ only inside the arm and handle
-groups.
+Pure-string SVG assembly, no drawing dependency; the landscape's cells
+are one PNG made with zlib. Scenes use a single documented
+world-to-canvas transform: x grows right, y grows up in world space, so
+the canvas y axis is flipped once here and nowhere else. Scene bounds
+never depend on the optional placement overlay, so two renders of the
+same frame differ only inside the arm and handle groups.
 """
 
 from __future__ import annotations
 
+import base64
 import math
+import struct
+import zlib
 
 import numpy as np
 
@@ -184,107 +187,106 @@ def render_scene(scenario, frame_index: int, placement: Placement | None = None)
     return "\n".join(lines) + "\n"
 
 
-_HEAT_LOW = (27, 42, 107)
-_HEAT_HIGH = (245, 215, 66)
-_INELIGIBLE_FILL = "#c8c8c8"
+_HEAT_LOW = np.array((27, 42, 107), dtype=float)
+_HEAT_RISE = np.array((245, 215, 66), dtype=float) - _HEAT_LOW
+_INELIGIBLE_GREY = 200  # #c8c8c8
+# Cells coloured and compressed per step of the heat map's PNG, so that no
+# temporary grows with the grid.
+_PNG_BLOCK_CELLS = 8_192
 
 
-def _heat_color(t: float) -> str:
-    r = round(_HEAT_LOW[0] + t * (_HEAT_HIGH[0] - _HEAT_LOW[0]))
-    g = round(_HEAT_LOW[1] + t * (_HEAT_HIGH[1] - _HEAT_LOW[1]))
-    b = round(_HEAT_LOW[2] + t * (_HEAT_HIGH[2] - _HEAT_LOW[2]))
-    return f"#{r:02x}{g:02x}{b:02x}"
+def _png_chunk(kind: bytes, data: bytes) -> bytes:
+    return struct.pack(">I", len(data)) + kind + data + struct.pack(">I", zlib.crc32(kind + data))
 
 
-def landscape_svg_chunks(landscape: ObjectiveLandscape, argmax_index: tuple[int, int]):
-    """SVG heat map of the objective over the joint grid, theta6 growing
-    upward, in pieces: the head, one piece per theta5 row of the grid, and
-    the tail. A writer that takes each piece as it comes holds one row of
-    cells, not the whole file.
+def png_rgb(width: int, height: int, blocks) -> bytes:
+    """An 8-bit RGB PNG with filter 0, from blocks of its rows, top first:
+    uint8 arrays (rows, width, 3) that go through one zlib stream as they
+    come, so only the compressed image is held whole."""
+    stream = zlib.compressobj()
+    idat = []
+    for block in blocks:
+        rows = block.reshape(len(block), 3 * width)
+        idat.append(stream.compress(np.insert(rows, 0, 0, axis=1).tobytes()))  # filter byte 0
+    idat.append(stream.flush())
+    ihdr = struct.pack(">IIBBBBB", width, height, 8, 2, 0, 0, 0)
+    return (b"\x89PNG\r\n\x1a\n" + _png_chunk(b"IHDR", ihdr)
+            + _png_chunk(b"IDAT", b"".join(idat)) + _png_chunk(b"IEND", b""))
 
-    argmax_index is the solve's (i5, i6) optimum cell, outlined in red
-    when any cell is eligible.
-    """
-    n5 = int(landscape.theta5.size)
-    n6 = int(landscape.theta6.size)
+
+def _heat_rows(landscape: ObjectiveLandscape, vmin: float, span: float):
+    """The heat map's pixels in blocks of image rows, theta6 falling down the
+    image. Each channel runs from _HEAT_LOW by _HEAT_RISE with the cell's
+    clamped t, rounded half to even; an ineligible cell is grey."""
+    n5, n6 = landscape.objective.shape
+    rows = max(1, _PNG_BLOCK_CELLS // n5)
+    objective, eligible = landscape.objective[:, ::-1], landscape.eligible[:, ::-1]
+    for r in range(0, n6, rows):
+        t = (objective[:, r:r + rows].T - vmin) / span if span > 0.0 else np.array(0.5)
+        # fmax and fmin, like max(0.0, t) and min(1.0, t), never keep a NaN
+        rgb = np.rint(_HEAT_LOW + np.fmin(1.0, np.fmax(0.0, t))[..., None] * _HEAT_RISE)
+        ok = eligible[:, r:r + rows].T[..., None]
+        yield np.where(ok, rgb, _INELIGIBLE_GREY).astype(np.uint8)
+
+
+def landscape_svg(landscape: ObjectiveLandscape, argmax_index: tuple[int, int]) -> str:
+    """SVG heat map of the objective over the joint grid, one PNG pixel per
+    cell with theta6 growing upward. argmax_index is the solve's (i5, i6)
+    optimum cell, outlined in red when any cell is eligible."""
+    n5, n6 = landscape.objective.shape
     cell = max(2, min(20, 900 // max(n5, 1)))
     left, top, right, bottom = 70, 46, 24, 54
     width = left + n5 * cell + right
     height = top + n6 * cell + bottom
 
-    vals = landscape.objective[landscape.eligible]
-    has_vals = vals.size > 0
-    vmin = float(np.min(vals)) if has_vals else 0.0
-    vmax = float(np.max(vals)) if has_vals else 0.0
-    span = vmax - vmin
-    del vals  # not held while the rows stream
+    obj, ok = landscape.objective, landscape.eligible
+    has_vals = bool(ok.any())
+    vmin = float(np.min(obj, where=ok, initial=np.inf)) if has_vals else 0.0
+    vmax = float(np.max(obj, where=ok, initial=-np.inf)) if has_vals else 0.0
+    png = png_rgb(n5, n6, _heat_rows(landscape, vmin, vmax - vmin))
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         '<rect width="100%" height="100%" fill="#ffffff"/>',
         '<g font-family="sans-serif" font-size="13" fill="#333333">',
-        f'<text x="{left}" y="20">objective landscape '
-        f'({n5} x {n6} cells)</text>',
+        f'<text x="{left}" y="20">objective landscape ({n5} x {n6} cells)</text>',
     ]
     if has_vals:
-        lines.append(
-            f'<text x="{left}" y="{top - 8}" font-size="11">min = {vmin:.6g}, '
-            f'max = {vmax:.6g}</text>'
-        )
+        lines.append(f'<text x="{left}" y="{top - 8}" font-size="11">min = {vmin:.6g}, '
+                     f'max = {vmax:.6g}</text>')
     lines.append("</g>")
-    lines.append('<g id="cells">')
-    yield "".join(line + "\n" for line in lines)
-
-    ys = [top + (n6 - 1 - i6) * cell for i6 in range(n6)]
-    for i5, (values, eligible) in enumerate(zip(landscape.objective, landscape.eligible)):
-        x = left + i5 * cell
-        rects = []
-        for y, value, ok in zip(ys, values.tolist(), eligible.tolist()):
-            if ok:
-                t = (value - vmin) / span if span > 0.0 else 0.5
-                fill = _heat_color(min(1.0, max(0.0, t)))
-            else:
-                fill = _INELIGIBLE_FILL
-            rects.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="{fill}"/>\n')
-        yield "".join(rects)
-
-    lines = ["</g>"]
+    lines.append(
+        f'<image id="cells" x="{left}" y="{top}" width="{n5 * cell}" height="{n6 * cell}" '
+        'preserveAspectRatio="none" style="image-rendering:pixelated" '
+        f'href="data:image/png;base64,{base64.b64encode(png).decode("ascii")}"/>'
+    )
     if has_vals:
         i5, i6 = argmax_index
-        x = left + i5 * cell
-        y = top + (n6 - 1 - i6) * cell
         lines.append(
-            f'<rect id="argmax" x="{x}" y="{y}" width="{cell}" height="{cell}" '
-            'fill="none" stroke="#e74c3c" stroke-width="2"/>'
+            f'<rect id="argmax" x="{left + i5 * cell}" y="{top + (n6 - 1 - i6) * cell}" '
+            f'width="{cell}" height="{cell}" fill="none" stroke="#e74c3c" stroke-width="2"/>'
         )
 
     def deg(v: float) -> str:
         return f"{math.degrees(v):.1f}"
 
     axis_y = top + n6 * cell
-    lines.append('<g font-family="sans-serif" font-size="11" fill="#333333">')
-    lines.append(f'<text x="{left}" y="{axis_y + 16}">{deg(float(landscape.theta5[0]))}</text>')
-    lines.append(
+    mid_y = top + n6 * cell // 2
+    lines += [
+        '<g font-family="sans-serif" font-size="11" fill="#333333">',
+        f'<text x="{left}" y="{axis_y + 16}">{deg(float(landscape.theta5[0]))}</text>',
         f'<text x="{left + n5 * cell}" y="{axis_y + 16}" text-anchor="end">'
-        f'{deg(float(landscape.theta5[-1]))}</text>'
-    )
-    lines.append(
+        f'{deg(float(landscape.theta5[-1]))}</text>',
         f'<text x="{left + n5 * cell // 2}" y="{axis_y + 34}" text-anchor="middle">'
-        'shoulder angle theta5 (deg)</text>'
-    )
-    lines.append(
+        'shoulder angle theta5 (deg)</text>',
         f'<text x="{left - 6}" y="{axis_y}" text-anchor="end">'
-        f'{deg(float(landscape.theta6[0]))}</text>'
-    )
-    lines.append(
+        f'{deg(float(landscape.theta6[0]))}</text>',
         f'<text x="{left - 6}" y="{top + 10}" text-anchor="end">'
-        f'{deg(float(landscape.theta6[-1]))}</text>'
-    )
-    lines.append(
-        f'<text x="16" y="{top + n6 * cell // 2}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {top + n6 * cell // 2})">elbow angle theta6 (deg)</text>'
-    )
-    lines.append("</g>")
-    lines.append("</svg>")
-    yield "".join(line + "\n" for line in lines)
+        f'{deg(float(landscape.theta6[-1]))}</text>',
+        f'<text x="16" y="{mid_y}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {mid_y})">elbow angle theta6 (deg)</text>',
+        "</g>",
+        "</svg>",
+    ]
+    return "\n".join(lines) + "\n"

@@ -7,6 +7,8 @@ that agreement between the two is evidence rather than tautology.
 
 import cmath
 import math
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -317,6 +319,74 @@ def argmax_sequential_scan(objective, eligible) -> tuple[int, int]:
     if best is None:
         raise NoFeasiblePoint("no eligible cell")
     return best[1], best[2]
+
+
+def heat_color(t: float) -> str:
+    """The heat map's colour at t in [0, 1]: each channel runs from the low
+    colour to the high one and is rounded with round(), half to even."""
+    low, high = (27, 42, 107), (245, 215, 66)
+    r, g, b = (round(lo + t * (hi - lo)) for lo, hi in zip(low, high))
+    return f"#{r:02x}{g:02x}{b:02x}"
+
+
+def heat_map_pixels(landscape) -> list[list[str]]:
+    """The heat map's pixels as rows of "#rrggbb", top row first, built one
+    cell at a time: theta6 grows upward, t runs from the smallest eligible
+    objective to the largest (0.5 when they are equal) and is clamped to
+    [0, 1], and an ineligible cell is grey."""
+    objective, eligible = landscape.objective.tolist(), landscape.eligible.tolist()
+    n5, n6 = len(objective), len(objective[0])
+    values = [v for col, oks in zip(objective, eligible) for v, ok in zip(col, oks) if ok]
+    vmin, vmax = (min(values), max(values)) if values else (0.0, 0.0)
+    span = vmax - vmin
+    rows = []
+    for i6 in reversed(range(n6)):
+        row = []
+        for i5 in range(n5):
+            if eligible[i5][i6]:
+                t = (objective[i5][i6] - vmin) / span if span > 0.0 else 0.5
+                row.append(heat_color(min(1.0, max(0.0, t))))
+            else:
+                row.append("#c8c8c8")
+        rows.append(row)
+    return rows
+
+
+def png_pixels(data: bytes) -> list[list[str]]:
+    """The pixels of an 8-bit RGB PNG as rows of "#rrggbb", top row first.
+    Accepts only an IHDR chunk, IDAT chunks and an IEND chunk, each with its
+    CRC, no interlace, and filter type 0 on every row; raises ValueError on
+    anything else."""
+    if data[:8] != b"\x89PNG\r\n\x1a\n":
+        raise ValueError("not a PNG signature")
+    chunks, pos = [], 8
+    while pos < len(data):
+        length, kind = struct.unpack(">I4s", data[pos:pos + 8])
+        body = data[pos + 8:pos + 8 + length]
+        (crc,) = struct.unpack(">I", data[pos + 8 + length:pos + 12 + length])
+        if zlib.crc32(kind + body) != crc:
+            raise ValueError(f"bad CRC on chunk {kind!r}")
+        chunks.append((kind, body))
+        pos += 12 + length
+    kinds = [kind for kind, _ in chunks]
+    if (len(kinds) < 3 or kinds[0] != b"IHDR" or kinds[-1] != b"IEND"
+            or any(kind != b"IDAT" for kind in kinds[1:-1])):
+        raise ValueError(f"unexpected chunks {kinds}")
+    width, height, *modes = struct.unpack(">IIBBBBB", chunks[0][1])
+    if modes != [8, 2, 0, 0, 0]:
+        raise ValueError(f"not 8-bit RGB, deflate, no interlace: {modes}")
+    raw = zlib.decompress(b"".join(body for _, body in chunks[1:-1]))
+    stride = 1 + 3 * width
+    if len(raw) != height * stride:
+        raise ValueError(f"{len(raw)} bytes of rows, not {height} x {stride}")
+    rows = []
+    for y in range(height):
+        line = raw[y * stride:(y + 1) * stride]
+        if line[0] != 0:
+            raise ValueError(f"row {y} has filter type {line[0]}, not 0")
+        rows.append([f"#{line[i]:02x}{line[i + 1]:02x}{line[i + 2]:02x}"
+                     for i in range(1, stride, 3)])
+    return rows
 
 
 def list_fixtures() -> list[str]:

@@ -629,6 +629,19 @@ def test_the_commands_that_solve_nothing_validate_the_whole_file(capsys, tmp_pat
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", LOADING)
+def test_an_unusable_out_prints_and_writes_nothing(capsys, tmp_path, command):
+    # an --out that names a file fails before any table is printed
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    code, out, err = run(capsys, command, "--scenario", TOILET, "--out", str(taken),
+                         *LOADING[command])
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error\[io\]: [^\n]+\n", err), err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert taken.read_text() == "kept\n"
+
+
 def test_no_exclusion_depends_on_a_so_a_failing_sweep_writes_nothing(capsys, tmp_path,
                                                                     monkeypatch):
     # a sweep can fail only at its first solve, and then it prints and

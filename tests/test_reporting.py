@@ -1,7 +1,9 @@
+import base64
 import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from xml.etree import ElementTree
 
 import numpy as np
@@ -14,13 +16,16 @@ from handleopt.reporting import (
     SCALE_PX_PER_M,
     _Canvas,
     _fmt,
-    _heat_color,
     _scene_bounds,
-    landscape_svg_chunks,
+    landscape_svg,
     render_scene,
 )
 from handleopt.scenario_io import scenario_from_dict
+from oracles import heat_color, heat_map_pixels, list_fixtures, png_pixels
 from test_fixture_optima import pinned
+
+SVG = "{http://www.w3.org/2000/svg}"
+GREY = "#c8c8c8"
 
 SEGMENT_ROWS = [
     ("foot", 0.26, 1.74, 0.50),
@@ -86,6 +91,14 @@ def strip_groups(svg, *ids):
     for gid in ids:
         svg = re.sub(rf'<g id="{gid}">.*?</g>\n?', "", svg, flags=re.S)
     return svg
+
+
+def heat_image(svg):
+    """The heat map's <image> element and its decoded pixels, top row first."""
+    (image,) = ElementTree.fromstring(svg).iter(f"{SVG}image")
+    head, payload = image.get("href").split(",", 1)
+    assert head == "data:image/png;base64"
+    return image, png_pixels(base64.b64decode(payload, validate=True))
 
 
 def test_fmt_is_stable():
@@ -180,8 +193,9 @@ def test_rendering_is_deterministic():
     placement, landscape = optimize_placement(ctx, s.limits, s.objective)
     idx = s.max_effort_index
     assert render_scene(s, idx, placement) == render_scene(s, idx, placement)
-    assert (list(landscape_svg_chunks(landscape, placement.argmax_index))
-            == list(landscape_svg_chunks(landscape, placement.argmax_index)))
+    svg = landscape_svg(landscape, placement.argmax_index)
+    assert svg == landscape_svg(landscape, placement.argmax_index)
+    ElementTree.fromstring(svg)
 
 
 def test_landscape_geometry_and_argmax_box():
@@ -190,30 +204,62 @@ def test_landscape_geometry_and_argmax_box():
     placement, landscape = optimize_placement(ctx, s.limits, s.objective)
     n5, n6 = landscape.theta5.size, landscape.theta6.size
     assert (n5, n6) == (29, 24)
-    # sweep writes it in pieces: the head, one theta5 row of cells each, the tail
-    chunks = list(landscape_svg_chunks(landscape, placement.argmax_index))
-    assert len(chunks) == n5 + 2
-    assert all(chunk.count("<rect ") == n6 for chunk in chunks[1:-1])
-    svg = "".join(chunks)
+    svg = landscape_svg(landscape, placement.argmax_index)
     cell = 20
-    assert f'width="{70 + n5 * cell + 24}"' in svg
-    assert f'height="{46 + n6 * cell + 54}"' in svg
+    root = ElementTree.fromstring(svg)
+    assert (root.get("width"), root.get("height")) == (str(70 + n5 * cell + 24),
+                                                        str(46 + n6 * cell + 54))
     assert f"objective landscape ({n5} x {n6} cells)" in svg
-    cells = svg.split('<g id="cells">')[1].split("</g>")[0]
-    assert cells.count("<rect ") == n5 * n6
+    # one pixel per cell, stretched over the cell squares, with nothing
+    # smoothing one cell's colour into the next
+    image, pixels = heat_image(svg)
+    assert (len(pixels), len(pixels[0])) == (n6, n5)
+    assert image.get("id") == "cells"
+    assert [image.get(k) for k in ("x", "y", "width", "height")] == [
+        "70", "46", str(n5 * cell), str(n6 * cell)]
+    assert image.get("preserveAspectRatio") == "none"
+    assert image.get("style") == "image-rendering:pixelated"
+    assert [rect.get("id") for rect in root.iter(f"{SVG}rect")] == [None, "argmax"]
     i5, i6 = placement.argmax_index
     x = 70 + i5 * cell
     y = 46 + (n6 - 1 - i6) * cell
-    assert f'<rect id="argmax" x="{x}" y="{y}"' in svg
+    assert f'<rect id="argmax" x="{x}" y="{y}" width="{cell}" height="{cell}"' in svg
     assert "min = " in svg and "max = " in svg
     # axis end labels in degrees
     assert ">-60.0<" in svg and ">80.0<" in svg
     assert ">5.0<" in svg and ">120.0<" in svg
 
 
+@pytest.mark.parametrize("name", list_fixtures())
+def test_every_pixel_is_its_cells_heat_color(name):
+    # the fixture's own grid, with a robot base at the unconstrained optimum
+    # so that the reach check leaves some cells ineligible
+    s = load_scenario(fixture_path(name))
+    ctx, _ = make_context(s)
+    free, _ = optimize_placement(ctx, s.limits, s.objective)
+    placement, landscape = optimize_placement(ctx, s.limits, s.objective, robot=s.robot,
+                                              floor_y=s.floor_y, robot_base=free.handle,
+                                              constrained=True)
+    assert 0 < landscape.eligible.sum() < landscape.eligible.size
+    _, pixels = heat_image(landscape_svg(landscape, placement.argmax_index))
+    assert pixels == heat_map_pixels(landscape)
+
+
 def test_heat_scale_endpoints():
-    assert _heat_color(0.0) == "#1b2a6b"
-    assert _heat_color(1.0) == "#f5d742"
+    assert heat_color(0.0) == "#1b2a6b"
+    assert heat_color(1.0) == "#f5d742"
+    # the smallest and largest eligible values take the two ends of the
+    # scale; an ineligible value outside them changes neither
+    landscape = ObjectiveLandscape(
+        theta5=np.array([0.1, 0.2]),
+        theta6=np.array([0.3, 0.4]),
+        objective=np.array([[2.0, -7.0], [5.0, 9.0]]),
+        eligible=np.array([[True, False], [True, False]]),
+    )
+    svg = landscape_svg(landscape, (1, 0))
+    _, pixels = heat_image(svg)
+    assert pixels == [[GREY, GREY], ["#1b2a6b", "#f5d742"]]
+    assert "min = 2, max = 5" in svg
 
 
 def test_single_cell_landscape_renders():
@@ -223,9 +269,10 @@ def test_single_cell_landscape_renders():
         objective=np.array([[1.5]]),
         eligible=np.array([[True]]),
     )
-    svg = "".join(landscape_svg_chunks(landscape, (0, 0)))
+    svg = landscape_svg(landscape, (0, 0))
     assert "objective landscape (1 x 1 cells)" in svg
-    assert f'fill="{_heat_color(0.5)}"' in svg  # zero span pins mid-scale
+    # zero span pins mid-scale; 128.5 and 86.5 round half to even
+    assert heat_image(svg)[1] == [[heat_color(0.5)]] == [["#888056"]]
     assert '<rect id="argmax"' in svg
     assert "min = 1.5, max = 1.5" in svg
 
@@ -237,10 +284,32 @@ def test_all_ineligible_landscape_renders():
         objective=np.full((1, 2), np.nan),
         eligible=np.zeros((1, 2), dtype=bool),
     )
-    svg = "".join(landscape_svg_chunks(landscape, (0, 0)))  # no optimum: the index is not drawn
+    svg = landscape_svg(landscape, (0, 0))  # no optimum: the index is not drawn
     assert '<rect id="argmax"' not in svg
     assert "min =" not in svg
-    assert svg.count('fill="#c8c8c8"') == 2
+    assert heat_image(svg)[1] == [[GREY], [GREY]]
+
+
+def test_heat_map_memory_does_not_grow_with_the_grid():
+    # 2048 x 2048 cells: a 32 MiB objective. The encoder colours a few image
+    # rows at a time, so its peak is the compressed image and a block of
+    # rows; a whole-grid temporary would be 32 MiB or more. The smooth
+    # landscape compresses as a solved one does.
+    n = 2048
+    objective = np.add.outer(np.sin(np.linspace(-3.0, 3.0, n)), np.cos(np.linspace(0.0, 4.0, n)))
+    eligible = objective > -1.2
+    landscape = ObjectiveLandscape(theta5=np.linspace(-1.0, 1.4, n),
+                                   theta6=np.linspace(0.1, 2.1, n),
+                                   objective=np.where(eligible, objective, np.nan),
+                                   eligible=eligible)
+    tracemalloc.start()
+    try:
+        svg = landscape_svg(landscape, (0, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"{peak / 2**20:.2f} MiB"
+    assert f"objective landscape ({n} x {n} cells)" in svg
 
 
 def test_scene_bounds_ignore_placement(tmp_path):
