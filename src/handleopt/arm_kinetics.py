@@ -109,7 +109,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .body_model import Vec2
-from .config import FORCE_MODELS, PlacementContext, TorqueSet
+from .config import FORCE_MODELS, PlacementContext
 from .errors import IllConditioned, SingularChain, ZeroTorque
 
 # A joint closer than this to the COM (meters) makes the chain singular.
@@ -158,9 +158,12 @@ def _hypot_float(x, y):
         h = abs(complex(x, y))
     except OverflowError:
         return math.inf
-    # CPython answers a NaN itself, with a NaN of its own sign; the C
-    # library's x + y keeps the operands' sign, as np.hypot does.
-    return h if h == h else x + y
+    # CPython answers a NaN itself, with a NaN of its own sign; np.hypot
+    # gives back the first NaN operand, and so does this. Not x + y: CPython
+    # 3.11 gives nan + (-nan) the second operand's NaN until its adaptive
+    # interpreter specializes the addition (never, under a trace hook), and
+    # the first operand's NaN after.
+    return h if h == h else (x if x != x else y)
 
 
 # Python floats take each transcendental value from the C function that the
@@ -635,21 +638,21 @@ def build_chain(ctx: PlacementContext, theta5: float, theta6: float) -> VirtualC
     )
 
 
-def arm_force_expanded(chain: VirtualChain, torques: TorqueSet) -> Vec2:
+def arm_force_expanded(chain: VirtualChain, torques: tuple[float, float, float]) -> Vec2:
     """Per-joint lever sum: F = sum_i (tau_i / lever_i) * u_i."""
     (u5x, u5y), (u6x, u6y), (u7x, u7y) = chain.unit_directions()
-    k5, k6, k7 = (torques.tau5 / chain.lever5, torques.tau6 / chain.lever6,
-                  torques.tau7 / chain.lever7)
+    tau5, tau6, tau7 = torques
+    k5, k6, k7 = tau5 / chain.lever5, tau6 / chain.lever6, tau7 / chain.lever7
     return Vec2(k5 * u5x + k6 * u6x + k7 * u7x, k5 * u5y + k6 * u6y + k7 * u7y)
 
 
-def arm_force_lsq(chain: VirtualChain, torques: TorqueSet) -> Vec2:
+def arm_force_lsq(chain: VirtualChain, torques: tuple[float, float, float]) -> Vec2:
     """Least-squares force: F = (J J^T)^-1 J tau, tau = (tau_7, tau_6, tau_5)."""
     com = chain.com
+    tau5, tau6, tau7 = torques
     shares = _lsq_shares(_jacobian_column(com - chain.shoulder),
-                         _jacobian_column(com - chain.elbow), torques.tau5, torques.tau6)
-    fx, fy, ill = _lsq_force(_ON_FLOATS, shares, _jacobian_column(com - chain.handle),
-                             torques.tau7)
+                         _jacobian_column(com - chain.elbow), tau5, tau6)
+    fx, fy, ill = _lsq_force(_ON_FLOATS, shares, _jacobian_column(com - chain.handle), tau7)
     if ill:
         raise IllConditioned(ILL_CONDITIONED_MESSAGE)
     return Vec2(fx, fy)
@@ -665,13 +668,13 @@ def force_vector(ctx: PlacementContext, theta5: float, theta6: float,
     # build_chain and the views are read as module globals at each call, so
     # that perfbench/tracing.py, which rebinds them there, times these calls.
     chain = build_chain(ctx, theta5, theta6)
-    torques = TorqueSet(*(s * m for s, m in zip(r.signs, magnitudes)))
+    torques = tuple(s * m for s, m in zip(r.signs, magnitudes))
     return r, (arm_force_lsq if model == "lsq" else arm_force_expanded)(chain, torques)
 
 
-def mechanical_advantage(force: Vec2, torques: TorqueSet) -> float:
+def mechanical_advantage(force: Vec2, torques: tuple[float, float, float]) -> float:
     """Force magnitude per unit torque magnitude, |F| / |tau|."""
-    n = torques.norm()
+    n = math.hypot(*torques)
     if n == 0.0:
         raise ZeroTorque("mechanical advantage is undefined for zero torques")
     return force.norm() / n

@@ -28,17 +28,6 @@ ELBOW_LIMIT_MARGIN = math.radians(2.0)
 MAX_GRID_CELLS = 2**24
 
 
-class TorqueSet(NamedTuple):
-    """Signed joint torques in newton meters."""
-
-    tau5: float
-    tau6: float
-    tau7: float
-
-    def norm(self) -> float:
-        return math.hypot(self.tau5, self.tau6, self.tau7)
-
-
 class PlacementContext(NamedTuple):
     """Everything the objective needs about the body at max effort."""
 
@@ -135,22 +124,26 @@ def grid_points(lo: float, hi: float, step: float) -> int | float:
     """Number of points of the inclusive grid lo, lo+step, ... up to hi.
 
     Computed without allocating; math.inf when (hi - lo) / step is
-    beyond the float range.
+    beyond the float range. Equal bounds give one point; hi < lo raises
+    ValueError, as a bound that is not finite or a step <= 0 does.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
         raise ValueError("grid bounds and step must be finite")
     if step <= 0.0:
         raise ValueError("grid step must be positive")
+    if hi < lo:
+        raise ValueError("grid bounds must satisfy lo <= hi")
     span = (hi - lo) / step
     if span == math.inf:
         return math.inf
-    return int(math.floor(span + 1e-9)) + 1 if hi > lo else 1
+    return int(math.floor(span + 1e-9)) + 1
 
 
 def oversized_grid(limits: JointLimits, step: float) -> str | None:
     """Why the (theta_5, theta_6) grid of limits at step is too large, or None.
 
     A grid is too large when it has more than MAX_GRID_CELLS cells.
+    Raises ValueError where grid_points does, as for min > max on an axis.
     """
     cells = (float(grid_points(limits.theta5_min, limits.theta5_max, step))
              * grid_points(limits.theta6_min, limits.theta6_max, step))

@@ -108,7 +108,7 @@ def evaluate_grid(
     raising. Given a robot, cells whose handle violates its reach or
     height window are evaluated but excluded from eligibility. Raises
     ValueError, before allocating, for a grid of more than MAX_GRID_CELLS
-    cells.
+    cells or for limits with min > max on either axis.
     """
     too_large = oversized_grid(limits, config.grid_step)
     if too_large is not None:

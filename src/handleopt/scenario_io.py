@@ -39,7 +39,6 @@ from .config import (
     Placement,
     PlacementContext,
     RobotParams,
-    TorqueSet,
     oversized_grid,
 )
 from .errors import DegenerateVelocity, IllConditioned, ParseError, SchemaError, ValidationError
@@ -462,8 +461,6 @@ def _model_summary(ctx: PlacementContext, placement: Placement, config: Objectiv
     from .arm_kinetics import force_vector, mechanical_advantage
 
     t5, t6 = placement.theta5_opt, placement.theta6_opt
-    # |tau| alone: the norm that mechanical_advantage divides by ignores signs.
-    torques = TorqueSet(*config.torque_magnitudes)
     out = {}
     for model in FORCE_MODELS:
         try:
@@ -474,7 +471,8 @@ def _model_summary(ctx: PlacementContext, placement: Placement, config: Objectiv
         out[model] = {
             "f_arm_n": [force.x, force.y],
             "directed_n": force.dot(ctx.v),
-            "mechanical_advantage_per_m": mechanical_advantage(force, torques),
+            # |tau| alone: the norm mechanical_advantage divides by ignores signs.
+            "mechanical_advantage_per_m": mechanical_advantage(force, config.torque_magnitudes),
         }
     return out
 
@@ -491,11 +489,14 @@ def write_placement_report(
 
     placement and landscape are the optimize_placement result on
     make_context(scenario), which is rebuilt here for the COM state and
-    force figures. Numbers go through repr-level JSON serialization, so
-    re-reading the report reproduces every float bit-exact. The CSV holds
-    one row per grid cell with header theta5_deg,theta6_deg,objective,feasible.
+    force figures. Its config block echoes the objective and joint limits
+    as scenario_to_dict writes them to a file. Numbers go through
+    repr-level JSON serialization, so re-reading the report reproduces
+    every float bit-exact. The CSV holds one row per grid cell with
+    header theta5_deg,theta6_deg,objective,feasible.
     """
     ctx, state = make_context(scenario)
+    settings = scenario_to_dict(scenario)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     i5, i6 = placement.argmax_index
@@ -519,21 +520,10 @@ def write_placement_report(
         "f_arm_n": [placement.f_arm.x, placement.f_arm.y],
         "torque_signs": list(placement.torque_signs),
         "force_models": _model_summary(ctx, placement, scenario.objective),
-        "feasibility": [
-            {"kind": v.kind, "message": v.message, "value": v.value, "limit": v.limit}
-            for v in placement.feasibility
-        ],
+        "feasibility": [v._asdict() for v in placement.feasibility],
         "config": {
-            "a": scenario.objective.a,
-            "torque_magnitudes_nm": list(scenario.objective.torque_magnitudes),
-            "force_model": scenario.objective.force_model,
-            "grid_step_deg": math.degrees(scenario.objective.grid_step),
-            "joint_limits_deg": [
-                math.degrees(scenario.limits.theta5_min),
-                math.degrees(scenario.limits.theta5_max),
-                math.degrees(scenario.limits.theta6_min),
-                math.degrees(scenario.limits.theta6_max),
-            ],
+            **settings["objective"],
+            "joint_limits_deg": settings["joint_limits_deg"],
             "constrained": constrained,
             "robot_base_xy_m": [robot_base.x, robot_base.y] if robot_base is not None else None,
         },

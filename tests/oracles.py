@@ -22,7 +22,7 @@ from handleopt.arm_kinetics import (
     build_chain,
 )
 from handleopt.body_model import BodyPose, Vec2
-from handleopt.config import PlacementContext, TorqueSet
+from handleopt.config import PlacementContext
 
 ORIGIN = Vec2(0.0, 0.0)
 
@@ -210,18 +210,16 @@ def sample_in_branch_chain(rng, margin=1e-3):
         return ctx, theta5, theta6, chain
 
 
-def arm_force_atan2(chain, torques: TorqueSet) -> Vec2:
-    """Force sum with lever directions taken straight from atan2.
+def arm_force_atan2(chain, torques: tuple[float, float, float]) -> Vec2:
+    """Force sum with lever directions taken straight from atan2, for the
+    signed torques (tau5, tau6, tau7).
 
     Valid only for in-branch chains; elsewhere the package's triangle
     construction deliberately lands on the other orientation.
     """
     fx = fy = 0.0
-    for tau, lever, point in (
-        (torques.tau5, chain.lever5, chain.shoulder),
-        (torques.tau6, chain.lever6, chain.elbow),
-        (torques.tau7, chain.lever7, chain.handle),
-    ):
+    for tau, lever, point in zip(torques, (chain.lever5, chain.lever6, chain.lever7),
+                                 (chain.shoulder, chain.elbow, chain.handle)):
         ang = angle_of(chain.com - point)
         fx += tau / lever * (-math.sin(ang))
         fy += tau / lever * math.cos(ang)
@@ -234,9 +232,7 @@ def best_sign_combo(chain, v: Vec2, magnitudes, force=arm_force_expanded) -> flo
     for s5 in (1.0, -1.0):
         for s6 in (1.0, -1.0):
             for s7 in (1.0, -1.0):
-                torques = TorqueSet(
-                    s5 * magnitudes[0], s6 * magnitudes[1], s7 * magnitudes[2]
-                )
+                torques = (s5 * magnitudes[0], s6 * magnitudes[1], s7 * magnitudes[2])
                 best = max(best, force(chain, torques).dot(v))
     return best
 

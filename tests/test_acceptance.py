@@ -28,7 +28,6 @@ from handleopt.config import (
     JointLimits,
     ObjectiveConfig,
     PlacementContext,
-    TorqueSet,
 )
 from handleopt.placement_opt import evaluate_grid, feasibility_check, objective
 from handleopt.scenario_io import read_scenario_file
@@ -78,7 +77,7 @@ def test_directed_force_matches_projection(rng):
     worst = 0.0
     while checked < 1000:
         *_, chain = sample_chain(rng)
-        torques = TorqueSet(*rng.uniform(-3.0, 3.0, size=3))
+        torques = tuple(rng.uniform(-3.0, 3.0, size=3))
         force = arm_force_expanded(chain, torques)
         v = Vec2(rng.normal(), rng.normal())
         if v.norm() < 0.1 or force.norm() < 1e-12:
@@ -100,11 +99,11 @@ def test_force_superposition(rng):
     for _ in range(300):
         *_, chain = sample_chain(rng)
         t5, t6, t7 = rng.uniform(-3.0, 3.0, size=3)
-        whole = arm_force_expanded(chain, TorqueSet(t5, t6, t7))
+        whole = arm_force_expanded(chain, (t5, t6, t7))
         parts = (
-            arm_force_expanded(chain, TorqueSet(t5, 0.0, 0.0))
-            + arm_force_expanded(chain, TorqueSet(0.0, t6, 0.0))
-            + arm_force_expanded(chain, TorqueSet(0.0, 0.0, t7))
+            arm_force_expanded(chain, (t5, 0.0, 0.0))
+            + arm_force_expanded(chain, (0.0, t6, 0.0))
+            + arm_force_expanded(chain, (0.0, 0.0, t7))
         )
         worst = max(worst, abs(whole.x - parts.x), abs(whole.y - parts.y))
     assert worst < 1e-12
@@ -113,7 +112,7 @@ def test_force_superposition(rng):
     chain = build_chain(
         arm_context(Vec2(0.0, 0.0), 0.0, Vec2(0.5, 0.0), 0.32, 0.30), math.pi / 2, math.pi / 2
     )
-    single = arm_force_expanded(chain, TorqueSet(1.0, 0.0, 0.0))
+    single = arm_force_expanded(chain, (1.0, 0.0, 0.0))
     assert (single.x, single.y) == (0.0, 2.0)
     print(
         f"PASS force-superposition: 300 random chains split per joint, "

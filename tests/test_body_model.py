@@ -247,6 +247,9 @@ def test_com_velocity_rejects_endpoints_and_short_sequences(segments):
             com_velocity(frames, segments, bad)
     with pytest.raises(IndexOutOfRange):
         com_velocity(frames[:2], segments, 1)
+    backwards = tuple(f._replace(time=-f.time) for f in frames)
+    with pytest.raises(ValueError, match="^frame times must be strictly increasing$"):
+        com_velocity(backwards, segments, 2)
 
 
 def test_com_velocity_rejects_stationary_body(segments):

@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,14 @@ import handleopt
 import handleopt.__main__ as handleopt_main
 from handleopt import fixture_path
 from handleopt.cli import MAX_SWEEP_VALUES, build_parser, main
-from handleopt.scenario_io import MAX_MAGNITUDE
+from handleopt.config import JointLimits
+from handleopt.placement_opt import optimize_placement
+from handleopt.scenario_io import (
+    MAX_MAGNITUDE,
+    make_context,
+    read_scenario_file,
+    scenario_to_dict,
+)
 
 from oracles import is_number, list_fixtures, node_at, node_paths
 from test_cli_fuzz import run_checked, slow
@@ -111,11 +119,16 @@ def test_invalid_scenario_blocks_optimize(capsys, tmp_path):
     assert "max_effort_interior" in err
 
 
-def test_malformed_tau_is_a_usage_error(capsys):
+def test_malformed_tau_is_a_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "optimize", "--scenario", TOILET, "--tau", "1,2")
     assert code == 2
     assert err.startswith("error[usage]:")
     assert "3 comma-separated numbers" in err
+    code, out, err = run(capsys, "optimize", "--scenario", TOILET, "--out", str(tmp_path),
+                         "--tau=1,x,3")
+    assert (code, out) == (2, "")
+    assert err == "error[usage]: --tau: could not convert string to float: 'x'\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_every_non_finite_number_is_rejected_with_a_code(capsys, tmp_path):
@@ -336,6 +349,59 @@ def test_optimize_far_robot_base_is_flagged_not_fatal(capsys, tmp_path):
     kinds = [v["kind"] for v in report["feasibility"]]
     assert kinds == ["robot_reach"]
     assert report["config"]["robot_base_xy_m"] == [9.0, 9.0]
+
+
+def report_config(scenario):
+    """The config block of an unconstrained report of scenario with no robot
+    base: its objective and joint limits as scenario_to_dict writes them."""
+    settings = scenario_to_dict(scenario)
+    return {**settings["objective"], "joint_limits_deg": settings["joint_limits_deg"],
+            "constrained": False, "robot_base_xy_m": None}
+
+
+@pytest.mark.parametrize("name", list_fixtures())
+def test_report_config_echoes_the_file(capsys, tmp_path, name):
+    path = fixture_path(name)
+    code, _, err = run(capsys, "optimize", "--scenario", str(path), "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    config = json.loads((tmp_path / "placement_report.json").read_text())["config"]
+    assert config == report_config(read_scenario_file(path))
+    # ... which are the file's own numbers, not their round trip through radians
+    data = json.loads(path.read_text())
+    assert config["joint_limits_deg"] == data["joint_limits_deg"]
+    assert {k: config[k] for k in data["objective"]} == data["objective"]
+
+
+def hex_floats(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("flag, change", [
+    ("--a=0.5", lambda s: s._replace(objective=replace(s.objective, a=0.5))),
+    ("--force-model=lsq", lambda s: s._replace(objective=replace(s.objective, force_model="lsq"))),
+    ("--tau=1,2,3", lambda s: s._replace(
+        objective=replace(s.objective, torque_magnitudes=(1.0, 2.0, 3.0)))),
+    ("--limits-deg=-30,60,10,110", lambda s: s._replace(limits=JointLimits(
+        *(math.radians(x) for x in (-30.0, 60.0, 10.0, 110.0))))),
+])
+def test_each_override_reaches_the_solve(capsys, tmp_path, flag, change):
+    code, _, err = run(capsys, "optimize", "--scenario", TOILET, "--out", str(tmp_path),
+                       "--grid-step-deg=2", flag)
+    assert (code, err) == (0, "")
+    report = json.loads((tmp_path / "placement_report.json").read_text())
+    scenario = read_scenario_file(TOILET)
+    scenario = change(scenario._replace(
+        objective=replace(scenario.objective, grid_step=math.radians(2.0))))
+    ctx, _ = make_context(scenario)
+    placement, _ = optimize_placement(ctx, scenario.limits, scenario.objective,
+                                      robot=scenario.robot, floor_y=scenario.floor_y)
+    optimal = report["optimal"]
+    assert hex_floats([optimal["theta5_rad"], optimal["theta6_rad"]]) == hex_floats(
+        [placement.theta5_opt, placement.theta6_opt])
+    assert hex_floats(report["handle_xy_m"]) == hex_floats(placement.handle)
+    assert hex_floats([report["objective_value"]]) == hex_floats([placement.objective_value])
+    assert report["grid"]["argmax_index"] == list(placement.argmax_index)
+    assert report["config"] == report_config(scenario)
 
 
 def test_flag_order_does_not_change_outputs(capsys, tmp_path):

@@ -12,7 +12,6 @@ import pytest
 import handleopt
 from handleopt.arm_kinetics import build_chain
 from handleopt.body_model import Vec2, forward_kinematics
-from handleopt.config import TorqueSet
 from handleopt.scenario_io import Finding
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -57,11 +56,11 @@ def test_value_types_are_immutable_and_replace_keeps_the_type():
     values = [
         scenario, scenario.segments, scenario.segments.segments[0], frame, frame.pose,
         frame.pose.base, forward_kinematics(frame.pose, scenario.segments), state, ctx,
-        scenario.limits, scenario.robot, TorqueSet(1.0, 1.0, 1.0), placement,
+        scenario.limits, scenario.robot, placement,
         placement.feasibility[0], landscape, Finding("warning", "code", "message"),
         build_chain(ctx, 0.5, 1.5),
     ]
-    assert len({type(v) for v in values}) == len(values) == 17
+    assert len({type(v) for v in values}) == len(values) == 16
     for v in values:
         field = v._fields[0]
         with pytest.raises(AttributeError):

@@ -36,7 +36,6 @@ from handleopt.config import (
     Placement,
     PlacementContext,
     RobotParams,
-    TorqueSet,
     grid_points,
 )
 from handleopt.placement_opt import (
@@ -134,6 +133,18 @@ def test_an_unknown_force_model_raises():
         objective(math.radians(-42.0), math.radians(120.0), ctx, config)
 
 
+@pytest.mark.parametrize("limits", [
+    JointLimits(math.radians(80.0), math.radians(-60.0), math.radians(5.0), math.radians(120.0)),
+    JointLimits(math.radians(-60.0), math.radians(80.0), math.radians(120.0), math.radians(5.0)),
+], ids=["theta5", "theta6"])
+def test_optimize_placement_rejects_a_reversed_limit_box(limits):
+    """A box with min > max on either axis has no cell to search; it is
+    refused, not solved as the one cell at its lower bounds."""
+    scenario, ctx = toilet_context()
+    with pytest.raises(ValueError, match="lo <= hi"):
+        optimize_placement(ctx, limits, scenario.objective)
+
+
 @pytest.mark.parametrize("step", [math.inf, math.nan])
 def test_optimize_placement_rejects_a_non_finite_step(step):
     scenario, ctx = toilet_context()
@@ -147,14 +158,14 @@ def test_torque_signs_make_every_term_push_along_v(rng):
         v = random_unit(rng)
         mags = tuple(rng.uniform(0.5, 2.0, 3))
         r = arm_forces(ctx._replace(v=v), theta5, theta6, mags, "expanded")
-        torques = TorqueSet(*(float(s * m) for s, m in zip(r.signs, mags)))
+        tau5, tau6, tau7 = (float(s * m) for s, m in zip(r.signs, mags))
         u5, u6, u7 = chain.unit_directions()
-        assert torques.tau5 / chain.lever5 * u5.dot(v) >= -1e-12
-        assert torques.tau6 / chain.lever6 * u6.dot(v) >= -1e-12
-        assert torques.tau7 / chain.lever7 * u7.dot(v) >= -1e-12
-        assert abs(torques.tau5) == mags[0]
-        assert abs(torques.tau6) == mags[1]
-        assert abs(torques.tau7) == mags[2]
+        assert tau5 / chain.lever5 * u5.dot(v) >= -1e-12
+        assert tau6 / chain.lever6 * u6.dot(v) >= -1e-12
+        assert tau7 / chain.lever7 * u7.dot(v) >= -1e-12
+        assert abs(tau5) == mags[0]
+        assert abs(tau6) == mags[1]
+        assert abs(tau7) == mags[2]
 
 
 def test_objective_matches_in_branch_sign_search(rng):

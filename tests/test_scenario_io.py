@@ -30,6 +30,7 @@ from handleopt.placement_opt import (
     objective,
 )
 from handleopt.scenario_io import (
+    Finding,
     _model_summary,
     read_scenario_file,
     scenario_from_dict,
@@ -177,6 +178,18 @@ def test_unknown_and_missing_fields_rejected():
     data["robot"]["wheels"] = 4
     with pytest.raises(SchemaError, match="wheels"):
         scenario_from_dict(data)
+    data = minimal_dict()
+    data["objective"] = []
+    with pytest.raises(SchemaError, match="^objective must be an object$"):
+        scenario_from_dict(data)
+    data = minimal_dict()
+    data["name"] = 5
+    with pytest.raises(SchemaError, match=r"^scenario\.name must be a string$"):
+        scenario_from_dict(data)
+    data = minimal_dict()
+    data["segments"][3]["name"] = None
+    with pytest.raises(SchemaError, match=r"^segments\[3\]\.name must be a string$"):
+        scenario_from_dict(data)
 
 
 def test_malformed_json_reports_position(tmp_path):
@@ -241,6 +254,12 @@ def test_force_model_value_checked():
     data["objective"]["force_model"] = "magic"
     with pytest.raises(SchemaError, match="expanded"):
         scenario_from_dict(data)
+    # a scenario built in code skips the parser; validation still finds it
+    scenario = scenario_from_dict(minimal_dict())
+    scenario = scenario._replace(
+        objective=dataclasses.replace(scenario.objective, force_model="magic"))
+    assert [f for f in validate_scenario(scenario) if f.code == "force_model"] == [
+        Finding("error", "force_model", "force model must be one of ['expanded', 'lsq']")]
 
 
 def test_endpoint_max_effort_rejected():
