@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
@@ -540,30 +543,102 @@ def write_placement_report(
     return report_path, csv_path
 
 
+# Fewest theta5 rows for which write_landscape_csv forks a second writer.
+# With the toilet fixture's 231-cell rows, in one warm process on a 2-CPU
+# VM, both ways took 11-12 ms at 32 rows; at 64 rows the split took 16-17 ms
+# against 22-23 ms, and at 140 rows 32 ms against 48 ms. The fixture grids
+# have 241-281 rows.
+_FORK_MIN_ROWS = 64
+
+
+def _fork_is_safe(n5: int) -> bool:
+    """Whether write_landscape_csv may fork for n5 rows: os.fork exists, this
+    process may run on two CPUs, the grid is large enough, and the process
+    has exactly one OS thread. A fork copies only the calling thread, so a
+    lock another thread held stays locked in the child (CPython 3.12 warns
+    on such a fork); if the threads cannot be counted, it does not fork."""
+    if n5 < _FORK_MIN_ROWS or not hasattr(os, "fork"):
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) >= 2 and len(os.listdir("/proc/self/task")) == 1
+    except (AttributeError, OSError):
+        return False
+
+
 def write_landscape_csv(landscape: ObjectiveLandscape, path) -> None:
     """One row per grid cell, theta5 outer loop, theta6 inner.
 
-    Floats are written as repr, so they parse back bit-exact. Each
-    theta5 row is one %-format of a template holding the theta6 column
-    and the row's true/false endings; consecutive rows with the same
-    eligibility pattern share the template. Rows go to the file as they
-    are made, so only one is held at a time.
+    Floats are written as repr, so they parse back bit-exact. Each theta5
+    row is one %-format of a template (see _write_rows), and rows go to the
+    file as they are made, so only one is held at a time.
+
+    Formatting the floats is most of the time of a CLI optimize. So when
+    the grid has at least _FORK_MIN_ROWS rows, the process may run on two
+    CPUs and it has one OS thread (the CLI sets the BLAS libraries to one
+    thread for this), one os.fork splits the work: the child writes rows
+    n5 // 2 and on to a temporary file next to path and leaves through
+    os._exit, while this process writes the header and the first half,
+    reaps the child, then appends the child's file and removes it. The
+    bytes are those of the single-process writer. If the child fails, this
+    raises OSError naming path; on every path the child is reaped and the
+    temporary file removed.
+    """
+    n5 = landscape.theta5.size
+    with open(path, "w", encoding="ascii") as f:
+        f.write("theta5_deg,theta6_deg,objective,feasible\n")
+        if not _fork_is_safe(n5):
+            _write_rows(landscape, f, 0, n5)
+            return
+        half = n5 // 2
+        fd, part = tempfile.mkstemp(prefix=".landscape-", suffix=".part",
+                                    dir=os.path.dirname(os.path.abspath(path)))
+        try:
+            with open(fd, "w", encoding="ascii") as rest:
+                pid = os.fork()
+                if pid == 0:
+                    # The child never returns: os._exit skips every buffer it
+                    # shares with the parent (this file's header, stdout) and
+                    # every exit handler.
+                    status = 1
+                    try:
+                        _write_rows(landscape, rest, half, n5)
+                        rest.close()
+                        status = 0
+                    finally:
+                        os._exit(status)
+            try:
+                _write_rows(landscape, f, 0, half)
+            finally:
+                _, status = os.waitpid(pid, 0)
+            if status != 0:
+                raise OSError(f"{path}: the forked writer of theta5 rows {half} to {n5 - 1} failed")
+            f.flush()
+            with open(part, "rb") as rest:
+                shutil.copyfileobj(rest, f.buffer)
+        finally:
+            os.unlink(part)
+
+
+def _write_rows(landscape: ObjectiveLandscape, f, lo: int, hi: int) -> None:
+    """Write theta5 rows lo:hi of the landscape to the text file f.
+
+    Each row is one %-format of a template holding the theta6 column and
+    the row's true/false endings; consecutive rows with the same
+    eligibility pattern share the template.
     """
     t6_deg = [repr(math.degrees(v)) for v in landscape.theta6.tolist()]
     # "\0" marks where each line's theta5 text goes; no float repr holds "\0" or "%"
     true_cells = [f"\0,{d6},%r,true\n" for d6 in t6_deg]
     false_cells = [f"\0,{d6},%r,false\n" for d6 in t6_deg]
     pattern = template = None
-    with open(path, "w", encoding="ascii") as f:
-        f.write("theta5_deg,theta6_deg,objective,feasible\n")
-        for theta5, values, eligible in zip(
-            landscape.theta5.tolist(), landscape.objective, landscape.eligible
-        ):
-            row_pattern = eligible.tobytes()
-            if row_pattern != pattern:
-                pattern = row_pattern
-                template = "".join([
-                    yes if ok else no
-                    for yes, no, ok in zip(true_cells, false_cells, eligible.tolist())
-                ])
-            f.write(template.replace("\0", repr(math.degrees(theta5))) % tuple(values.tolist()))
+    for theta5, values, eligible in zip(
+        landscape.theta5[lo:hi].tolist(), landscape.objective[lo:hi], landscape.eligible[lo:hi]
+    ):
+        row_pattern = eligible.tobytes()
+        if row_pattern != pattern:
+            pattern = row_pattern
+            template = "".join([
+                yes if ok else no
+                for yes, no, ok in zip(true_cells, false_cells, eligible.tolist())
+            ])
+        f.write(template.replace("\0", repr(math.degrees(theta5))) % tuple(values.tolist()))

@@ -2,14 +2,18 @@ import copy
 import dataclasses
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import handleopt
 from handleopt import (
     ParseError,
     SchemaError,
@@ -588,6 +592,182 @@ def test_landscape_csv_holds_one_row_at_a_time(tmp_path):
     # and a few copies of one row (about 130 kB), not the 3 MB file
     assert landscape.theta5.size > 200
     assert peak < path.stat().st_size / 10, (peak, path.stat().st_size)
+
+
+# write_landscape_csv forks only a process with one OS thread, and numpy's
+# BLAS may start worker threads in this one, so each check runs in a fresh
+# interpreter with the BLAS libraries at one thread, as the CLI sets them.
+# Its case is the function named by argv[1]; it prints one JSON result.
+SPLIT_PROBE = """
+import contextlib, io, json, os, sys, threading
+from pathlib import Path
+from handleopt import fixture_path, load_scenario, make_context
+from handleopt import scenario_io
+from handleopt.body_model import Vec2
+from handleopt.cli import main
+from handleopt.config import ObjectiveLandscape
+from handleopt.placement_opt import evaluate_grid
+from oracles import list_fixtures, write_landscape_csv_per_cell
+
+forks = [0]
+os.register_at_fork(after_in_parent=lambda: forks.__setitem__(0, forks[0] + 1))
+out = Path(sys.argv[2])
+threads = len(os.listdir("/proc/self/task"))
+
+
+def landscape(name, robot_base=None):
+    scenario = load_scenario(fixture_path(name))
+    ctx, _ = make_context(scenario)
+    return evaluate_grid(ctx, scenario.limits, scenario.objective, robot=scenario.robot,
+                         floor_y=scenario.floor_y, robot_base=robot_base)
+
+
+def same_as_oracle(land, stem):
+    forks_before = forks[0]
+    scenario_io.write_landscape_csv(land, out / f"{stem}.csv")
+    write_landscape_csv_per_cell(land, out / f"{stem}.oracle")
+    same = (out / f"{stem}.csv").read_bytes() == (out / f"{stem}.oracle").read_bytes()
+    return [same, forks[0] - forks_before]
+
+
+def rows(land, n):
+    return ObjectiveLandscape(land.theta5[:n], land.theta6, land.objective[:n], land.eligible[:n])
+
+
+def split():
+    # own limits, then --robot-base=0.2,0.7: eligibility changes from row to row
+    found = {f"{name} {base}": same_as_oracle(landscape(name, base), f"{name}_{i}")
+             for name in list_fixtures() for i, base in enumerate([None, Vec2(0.2, 0.7)])}
+    land = landscape("toilet_sit_to_stand")
+    found["threshold"] = same_as_oracle(rows(land, scenario_io._FORK_MIN_ROWS), "threshold")
+    return found
+
+
+def guards():
+    land = landscape("toilet_sit_to_stand")
+    found = {"below threshold": same_as_oracle(rows(land, scenario_io._FORK_MIN_ROWS - 1), "below")}
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    found["one CPU"] = same_as_oracle(land, "one_cpu")
+    os.sched_setaffinity(0, cpus)
+    release = threading.Event()
+    second = threading.Thread(target=release.wait)
+    second.start()
+    try:
+        found["second thread"] = same_as_oracle(land, "second_thread")
+    finally:
+        release.set()
+        second.join()
+    found["one thread again"] = same_as_oracle(land, "one_thread_again")
+    return found
+
+
+def failures():
+    write_rows = scenario_io._write_rows
+
+    def failing_rows(fails):
+        def rows(land, f, lo, hi):
+            if fails(lo):
+                raise OSError("no space left for these rows")
+            write_rows(land, f, lo, hi)
+        return rows
+
+    def no_child_left():
+        try:
+            os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return True
+        return False
+
+    found = {}
+    for side, fails in (("child", lambda lo: lo > 0), ("parent", lambda lo: lo == 0)):
+        scenario_io._write_rows = failing_rows(fails)
+        path = out / side / "landscape.csv"
+        path.parent.mkdir()
+        try:
+            scenario_io.write_landscape_csv(landscape("toilet_sit_to_stand"), path)
+            error = None
+        except OSError as exc:
+            error = str(exc)
+        found[side] = {"error": error, "files": sorted(os.listdir(path.parent)),
+                       "reaped": no_child_left()}
+    scenario_io._write_rows = failing_rows(lambda lo: lo > 0)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["optimize", "--scenario", str(fixture_path("toilet_sit_to_stand")),
+                     "--out", str(out / "cli")])
+    found["cli"] = {"code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
+                    "files": sorted(os.listdir(out / "cli")), "reaped": no_child_left()}
+    scenario_io._write_rows = write_rows
+    return found
+
+found = globals()[sys.argv[1]]()
+print(json.dumps({"threads": threads, "forks": forks[0], "found": found}))
+"""
+
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "fork") or len(os.sched_getaffinity(0)) < 2,
+    reason="write_landscape_csv forks only where os.fork exists and two CPUs are allowed")
+
+
+def _split_probe(case, out):
+    tests = Path(__file__).parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(Path(handleopt.__file__).parents[1]), str(tests)]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", "-c", SPLIT_PROBE, case, str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["threads"] == 1
+    return result
+
+
+@needs_two_cpus
+def test_split_landscape_csv_matches_the_per_cell_writer(tmp_path):
+    result = _split_probe("split", tmp_path)
+    # every fixture grid, at its own limits and with row-to-row eligibility,
+    # and a grid at exactly _FORK_MIN_ROWS rows: one fork each, same bytes
+    assert result["found"] == {key: [True, 1] for key in result["found"]}
+    assert len(result["found"]) == 2 * len(list_fixtures()) + 1
+    assert result["forks"] == len(result["found"])
+    # and no temporary file is left beside them
+    assert len(list(tmp_path.iterdir())) == 2 * len(result["found"])
+
+
+@needs_two_cpus
+def test_landscape_csv_forks_only_a_large_grid_in_a_one_thread_process_on_two_cpus(tmp_path):
+    result = _split_probe("guards", tmp_path)
+    assert result["found"] == {
+        "below threshold": [True, 0],
+        "one CPU": [True, 0],
+        "second thread": [True, 0],
+        "one thread again": [True, 1],
+    }
+
+
+@needs_two_cpus
+def test_a_failed_half_of_the_split_raises_and_leaves_no_child_or_temp_file(tmp_path):
+    result = _split_probe("failures", tmp_path)
+    found = result["found"]
+    child_path = tmp_path / "child" / "landscape.csv"
+    assert found["child"]["error"] == (
+        f"{child_path}: the forked writer of theta5 rows 140 to 280 failed")
+    # the parent's own OSError passes through once the child is reaped
+    assert found["parent"]["error"] == "no space left for these rows"
+    for side in ("child", "parent"):
+        assert found[side]["files"] == ["landscape.csv"]
+        assert found[side]["reaped"] is True
+    cli_path = tmp_path / "cli" / "landscape.csv"
+    assert found["cli"] == {
+        "code": 2,
+        "stdout": "",
+        "stderr": f"error[io]: {cli_path}: the forked writer of theta5 rows 140 to 280 failed\n",
+        "files": ["landscape.csv", "placement_report.json"],
+        "reaped": True,
+    }
+    assert result["forks"] == 3
 
 
 def test_scenario_to_dict_matches_schema():
