@@ -13,9 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import shutil
 import sys
-import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
@@ -576,12 +574,12 @@ def write_landscape_csv(landscape: ObjectiveLandscape, path) -> None:
     the grid has at least _FORK_MIN_ROWS rows, the process may run on two
     CPUs and it has one OS thread (the CLI sets the BLAS libraries to one
     thread for this), one os.fork splits the work: the child writes rows
-    n5 // 2 and on to a temporary file next to path and leaves through
-    os._exit, while this process writes the header and the first half,
-    reaps the child, then appends the child's file and removes it. The
-    bytes are those of the single-process writer. If the child fails, this
-    raises OSError naming path; on every path the child is reaped and the
-    temporary file removed.
+    n5 // 2 and on to an unnamed tempfile.TemporaryFile in path's
+    directory and leaves through os._exit, while this process writes the
+    header and the first half, reaps the child, then appends the child's
+    file. The bytes are those of the single-process writer. If the child
+    fails, this raises OSError naming path. The child is always reaped,
+    and its file has no name to leave behind, even if a process is killed.
     """
     n5 = landscape.theta5.size
     with open(path, "w", encoding="ascii") as f:
@@ -589,23 +587,24 @@ def write_landscape_csv(landscape: ObjectiveLandscape, path) -> None:
         if not _fork_is_safe(n5):
             _write_rows(landscape, f, 0, n5)
             return
+        import shutil
+        import tempfile
+
         half = n5 // 2
-        fd, part = tempfile.mkstemp(prefix=".landscape-", suffix=".part",
-                                    dir=os.path.dirname(os.path.abspath(path)))
-        try:
-            with open(fd, "w", encoding="ascii") as rest:
-                pid = os.fork()
-                if pid == 0:
-                    # The child never returns: os._exit skips every buffer it
-                    # shares with the parent (this file's header, stdout) and
-                    # every exit handler.
-                    status = 1
-                    try:
-                        _write_rows(landscape, rest, half, n5)
-                        rest.close()
-                        status = 0
-                    finally:
-                        os._exit(status)
+        with tempfile.TemporaryFile("w+", encoding="ascii",
+                                    dir=os.path.dirname(os.path.abspath(path))) as rest:
+            pid = os.fork()
+            if pid == 0:
+                # The child never returns: os._exit skips every buffer it
+                # shares with the parent (this file's header, stdout) and
+                # every exit handler.
+                status = 1
+                try:
+                    _write_rows(landscape, rest, half, n5)
+                    rest.flush()
+                    status = 0
+                finally:
+                    os._exit(status)
             try:
                 _write_rows(landscape, f, 0, half)
             finally:
@@ -613,10 +612,8 @@ def write_landscape_csv(landscape: ObjectiveLandscape, path) -> None:
             if status != 0:
                 raise OSError(f"{path}: the forked writer of theta5 rows {half} to {n5 - 1} failed")
             f.flush()
-            with open(part, "rb") as rest:
-                shutil.copyfileobj(rest, f.buffer)
-        finally:
-            os.unlink(part)
+            rest.seek(0)
+            shutil.copyfileobj(rest.buffer, f.buffer)
 
 
 def _write_rows(landscape: ObjectiveLandscape, f, lo: int, hi: int) -> None:

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -597,9 +598,10 @@ def test_landscape_csv_holds_one_row_at_a_time(tmp_path):
 # write_landscape_csv forks only a process with one OS thread, and numpy's
 # BLAS may start worker threads in this one, so each check runs in a fresh
 # interpreter with the BLAS libraries at one thread, as the CLI sets them.
-# Its case is the function named by argv[1]; it prints one JSON result.
+# Its case is the function named by argv[1], called with argv[3:] (argv[2]
+# is the output directory); it prints one JSON result.
 SPLIT_PROBE = """
-import contextlib, io, json, os, sys, threading
+import contextlib, io, json, os, signal, sys, threading
 from pathlib import Path
 from handleopt import fixture_path, load_scenario, make_context
 from handleopt import scenario_io
@@ -662,16 +664,35 @@ def guards():
     return found
 
 
+write_rows = scenario_io._write_rows
+
+
+# _write_rows, but a call for rows lo:hi with fails(lo) runs fail first
+def failing_rows(fails, fail):
+    def rows(land, f, lo, hi):
+        if fails(lo):
+            fail(land, f, lo)
+        write_rows(land, f, lo, hi)
+    return rows
+
+
+def no_space(land, f, lo):
+    raise OSError("no space left for these rows")
+
+
+# a fail that writes one row, then sends sig to the parent if parent_too,
+# and then to this process
+def killed_by(sig, *, parent_too=False):
+    def fail(land, f, lo):
+        write_rows(land, f, lo, lo + 1)
+        f.flush()
+        if parent_too:
+            os.kill(os.getppid(), sig)
+        os.kill(os.getpid(), sig)
+    return fail
+
+
 def failures():
-    write_rows = scenario_io._write_rows
-
-    def failing_rows(fails):
-        def rows(land, f, lo, hi):
-            if fails(lo):
-                raise OSError("no space left for these rows")
-            write_rows(land, f, lo, hi)
-        return rows
-
     def no_child_left():
         try:
             os.waitpid(-1, os.WNOHANG)
@@ -680,8 +701,10 @@ def failures():
         return False
 
     found = {}
-    for side, fails in (("child", lambda lo: lo > 0), ("parent", lambda lo: lo == 0)):
-        scenario_io._write_rows = failing_rows(fails)
+    for side, fails, fail in (("child", lambda lo: lo > 0, no_space),
+                              ("parent", lambda lo: lo == 0, no_space),
+                              ("killed child", lambda lo: lo > 0, killed_by(signal.SIGKILL))):
+        scenario_io._write_rows = failing_rows(fails, fail)
         path = out / side / "landscape.csv"
         path.parent.mkdir()
         try:
@@ -691,7 +714,7 @@ def failures():
             error = str(exc)
         found[side] = {"error": error, "files": sorted(os.listdir(path.parent)),
                        "reaped": no_child_left()}
-    scenario_io._write_rows = failing_rows(lambda lo: lo > 0)
+    scenario_io._write_rows = failing_rows(lambda lo: lo > 0, no_space)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(["optimize", "--scenario", str(fixture_path("toilet_sit_to_stand")),
@@ -701,7 +724,17 @@ def failures():
     scenario_io._write_rows = write_rows
     return found
 
-found = globals()[sys.argv[1]]()
+
+def killed(name):
+    # the child's half sends the signal to both processes mid-write; the
+    # probe's exit status and the directory listing are the result
+    scenario_io._write_rows = failing_rows(lambda lo: lo > 0, killed_by(getattr(signal, name),
+                                                                          parent_too=True))
+    scenario_io.write_landscape_csv(landscape("toilet_sit_to_stand"), out / "landscape.csv")
+    return "the writer was not killed"
+
+
+found = globals()[sys.argv[1]](*sys.argv[3:])
 print(json.dumps({"threads": threads, "forks": forks[0], "found": found}))
 """
 
@@ -710,14 +743,18 @@ needs_two_cpus = pytest.mark.skipif(
     reason="write_landscape_csv forks only where os.fork exists and two CPUs are allowed")
 
 
-def _split_probe(case, out):
+def _run_split_probe(case, out, *args):
     tests = Path(__file__).parent
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join([str(Path(handleopt.__file__).parents[1]), str(tests)]))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::DeprecationWarning", "-c", SPLIT_PROBE, case, str(out)],
+    return subprocess.run(
+        [sys.executable, "-W", "error::DeprecationWarning", "-c", SPLIT_PROBE, case, str(out), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def _split_probe(case, out):
+    proc = _run_split_probe(case, out)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     result = json.loads(proc.stdout)
     assert result["threads"] == 1
@@ -756,7 +793,11 @@ def test_a_failed_half_of_the_split_raises_and_leaves_no_child_or_temp_file(tmp_
         f"{child_path}: the forked writer of theta5 rows 140 to 280 failed")
     # the parent's own OSError passes through once the child is reaped
     assert found["parent"]["error"] == "no space left for these rows"
-    for side in ("child", "parent"):
+    # a child killed by a signal mid-half fails the same way
+    killed_path = tmp_path / "killed child" / "landscape.csv"
+    assert found["killed child"]["error"] == (
+        f"{killed_path}: the forked writer of theta5 rows 140 to 280 failed")
+    for side in ("child", "parent", "killed child"):
         assert found[side]["files"] == ["landscape.csv"]
         assert found[side]["reaped"] is True
     cli_path = tmp_path / "cli" / "landscape.csv"
@@ -767,7 +808,18 @@ def test_a_failed_half_of_the_split_raises_and_leaves_no_child_or_temp_file(tmp_
         "files": ["landscape.csv", "placement_report.json"],
         "reaped": True,
     }
-    assert result["forks"] == 3
+    assert result["forks"] == 4
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("name", ["SIGTERM", "SIGKILL"])
+def test_a_writer_killed_mid_split_leaves_only_landscape_csv(tmp_path, name):
+    # the child writes one row of its half, then the signal kills the
+    # parent and the child: the spill had no name, so none is left. Both
+    # hold the probe's stdout, so run() returns only once both are gone.
+    proc = _run_split_probe("killed", tmp_path, name)
+    assert proc.returncode == -getattr(signal, name), (proc.returncode, proc.stdout, proc.stderr)
+    assert os.listdir(tmp_path) == ["landscape.csv"]
 
 
 def test_scenario_to_dict_matches_schema():
